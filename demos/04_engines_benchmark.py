@@ -50,8 +50,9 @@ for rec in records:
     by_pair.setdefault((rec.s, rec.t), set()).add(rec.distance)
 print("engines agree on all pairs:", all(len(d) == 1 for d in by_pair.values()))
 
-# The summary's visited column is the search space: vertices the traversal
-# touched.  Hub pruning is what shrinks it.
+# The summary's enqueued columns are the search space: vertices the traversal
+# labeled.  Hub pruning is what shrinks it.  The expanded columns count the
+# frontier vertices whose edges were scanned.
 print()
 print(summary_tsv(summarize(records)), end="")
 

@@ -29,8 +29,9 @@ class Workload:
 class BenchRecord:
     """One engine run on one pair.
 
-    visited is the search-space size: vertices the traversal touched
-    (labeled), the quantity hub pruning is supposed to shrink.
+    enqueued is the search-space size: vertices the traversal labeled, the
+    quantity hub pruning is supposed to shrink.  expanded counts the frontier
+    vertices whose edges were scanned.
     """
 
     engine: str
@@ -38,14 +39,16 @@ class BenchRecord:
     t: int
     distance: int
     wall_ns: int
-    visited: int
+    enqueued: int
+    expanded: int
     join_ops: int
 
     def to_json(self):
         return json.dumps({
             "engine": self.engine, "s": self.s, "t": self.t,
             "distance": self.distance, "wall_ns": self.wall_ns,
-            "visited": self.visited, "join_ops": self.join_ops,
+            "enqueued": self.enqueued, "expanded": self.expanded,
+            "join_ops": self.join_ops,
         }, sort_keys=True)
 
 
@@ -104,7 +107,8 @@ def run_engine(engine, g, pairs, k, hubs=None, net=None, idx=None,
         wall = time.perf_counter_ns() - t0
         return BenchRecord(engine, s, t,
                            -1 if res.distance is None else res.distance,
-                           wall, res.stats.enqueued, res.stats.join_ops)
+                           wall, res.stats.enqueued, res.stats.visited,
+                           res.stats.join_ops)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -113,7 +117,7 @@ def run_engine(engine, g, pairs, k, hubs=None, net=None, idx=None,
 
 
 def summarize(records):
-    """Per-engine summary rows: mean/median time, mean/median visited."""
+    """Per-engine summary rows: mean/median time, enqueued and expanded."""
     rows = []
     by_engine = {}
     for rec in records:
@@ -121,22 +125,25 @@ def summarize(records):
     for engine in sorted(by_engine):
         recs = by_engine[engine]
         times = [r.wall_ns for r in recs]
-        visits = [r.visited for r in recs]
+        enqueued = [r.enqueued for r in recs]
+        expanded = [r.expanded for r in recs]
         rows.append({
             "engine": engine,
             "queries": len(recs),
             "answered": sum(1 for r in recs if r.distance >= 0),
             "mean_ns": statistics.fmean(times),
             "median_ns": statistics.median(times),
-            "mean_visited": statistics.fmean(visits),
-            "median_visited": statistics.median(visits),
+            "mean_enqueued": statistics.fmean(enqueued),
+            "median_enqueued": statistics.median(enqueued),
+            "mean_expanded": statistics.fmean(expanded),
+            "median_expanded": statistics.median(expanded),
         })
     return rows
 
 
 def summary_tsv(rows) -> str:
     header = ["engine", "queries", "answered", "mean_ns", "median_ns",
-              "mean_visited", "median_visited"]
+              "mean_enqueued", "median_enqueued", "mean_expanded", "median_expanded"]
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(_fmt(row[h]) for h in header))

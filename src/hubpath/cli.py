@@ -13,7 +13,7 @@ from .bench import ENGINES, make_workload, run_engine, summarize, summary_tsv
 from .engines import bfs_query, bibfs_query, estimate, estimate_full_join, hl_query, hn_query
 from .generate import KINDS, gen_synthetic
 from .graph import EdgeListParseError, load_edge_list, validate_path
-from .hub2 import IndexFormatError, core_hubs_oracle
+from .hub2 import IndexFormatError, IndexIntegrityError, core_hubs_oracle
 from .hubs import default_beta, select_hubs
 from .network import discover, network_stats, verify_distance_preserving
 
@@ -149,7 +149,7 @@ def cmd_query(args):
         res = bfs_query(g, args.s, args.t, args.k)
     dist = "none" if res.distance is None else str(res.distance)
     path = "none" if res.path is None else ",".join(str(v) for v in res.path)
-    print(f"dist={dist} path={path} visited={res.stats.visited}")
+    print(f"dist={dist} path={path} expanded={res.stats.visited} enqueued={res.stats.enqueued}")
     return 0
 
 
@@ -297,7 +297,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EdgeListParseError, IndexFormatError, OSError, ValueError) as exc:
+    except (EdgeListParseError, IndexFormatError, IndexIntegrityError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

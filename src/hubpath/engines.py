@@ -9,10 +9,22 @@ path when the distance is within k, otherwise report nothing.
   inside the discovered hub network.
 - hl_query: two steps -- a levelwise label join against the hub matrix for an
   upper bound, then a bidirectional BFS that never touches a hub.
+
+bibfs, hn and hl's search share one hybrid level step.  A frontier with at
+most SCALAR_EDGES out-edges is expanded by a plain Python loop over the
+graph's cached adjacency lists; a larger one by the vectorized CSR step.
+Fixed numpy cost per call dominates small levels and Python's per-edge cost
+dominates large ones; the threshold comes from a sweep over the perfbench
+workloads, where 256 to 512 were fastest for all three engines.  Both steps
+scan the frontier in ascending id order and pick the smallest-id predecessor
+as parent, so answers, paths and counters do not depend on which step ran.
+The label join is likewise a scalar loop.  bfs_query and estimate_full_join
+stay vectorized and serve as the oracles the fast paths are checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +36,18 @@ from .network import HubNetwork
 
 _UNSET = 1 << 30
 
+# Out-edge count at or below which a frontier takes the scalar step.
+SCALAR_EDGES = 256
+
 
 @dataclass
 class SearchStats:
-    """Work counters: vertices expanded/enqueued and label-pair comparisons."""
+    """Work counters of one query.
+
+    visited counts the frontier vertices expanded, enqueued the vertices
+    labeled and join_ops the label pairs compared; expanded lists the
+    expanded vertices themselves when the search was asked to collect them.
+    """
 
     engine: str
     visited: int = 0
@@ -107,76 +127,132 @@ def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
 
 
 class _Side:
-    """One direction of a bidirectional search."""
+    """One direction of a bidirectional search.
 
-    __slots__ = ("level", "parent", "frontier", "radius", "offsets", "targets",
-                 "exhausted", "open_counts")
+    lv holds level + 1 (0 = unlabeled) and par the predecessor, which is
+    only read where lv is set.  Each is one numpy buffer, written by the
+    vectorized step and, through a memoryview, by the scalar one.  The
+    frontier is a list after a scalar step and an int64 array after a
+    vectorized one, ascending either way.
+    """
+
+    __slots__ = ("lv", "lv_np", "par", "par_np", "frontier", "radius", "offsets",
+                 "targets", "adj", "exhausted", "open_counts")
 
     def __init__(self, g, start, reverse, cap):
-        self.level = np.full(g.n, -1, np.int32)
-        self.parent = np.full(g.n, -1, np.int32)
-        self.level[start] = 0
-        self.frontier = np.array([start], dtype=np.int64)
+        self.lv_np = np.zeros(g.n, np.uint16)
+        self.par_np = np.empty(g.n, np.uint32)
+        self.lv, self.par = memoryview(self.lv_np), memoryview(self.par_np)
+        self.lv[start] = 1
+        self.frontier = [start]
         self.radius = 0
         self.offsets, self.targets = g.adjacency(reverse)
+        self.adj = g.adj_lists(reverse)
         self.exhausted = False
         # labeled-but-not-met vertices per level; the minimum open level
         # bounds future meeting sums when levels are not true distances
-        self.open_counts = np.zeros(cap + 2, np.int64)
+        self.open_counts = [0] * (cap + 2)
         self.open_counts[0] = 1
 
     def min_open(self):
-        nz = np.flatnonzero(self.open_counts)
-        return int(nz[0]) if nz.size else _UNSET
+        for level, count in enumerate(self.open_counts):
+            if count:
+                return level
+        return _UNSET
 
 
-def _expand(side, stats, dst_mask=None, hub_restrict=None, collect=False):
-    """Advance one side by one level; returns newly labeled vertices.
+def _scalar_step(side, frontier, blocked, restrict):
+    """Label the next level with Python scalars; frontier is an ascending list.
 
-    dst_mask, when given, suppresses labeling of masked vertices entirely.
-    hub_restrict = (is_hub, member) limits expansion of hub vertices to
-    network members.
+    Scanning the frontier in ascending order makes the first discoverer of a
+    vertex its smallest-id predecessor, as in the vectorized step.
     """
-    frontier = side.frontier
-    if frontier.size == 0:
-        side.exhausted = True
-        return frontier
-    stats.visited += int(frontier.size)
-    if collect:
-        stats.expanded = frontier if stats.expanded is None else np.concatenate(
-            [stats.expanded, frontier])
-    if hub_restrict is None:
+    lv, par, adj = side.lv, side.par, side.adj
+    mark = side.radius + 2
+    new = []
+    for v in frontier:
+        nbrs = adj[v]
+        if restrict is not None and restrict[0][v]:
+            member = restrict[1]
+            nbrs = [w for w in nbrs if member[w]]
+        for w in nbrs:
+            if not lv[w] and (blocked is None or not blocked[w]):
+                lv[w] = mark
+                par[w] = v
+                new.append(w)
+    new.sort()
+    return new
+
+
+def _vector_step(side, frontier, blocked, restrict):
+    """Label the next level with whole-array operations; returns an int64 array."""
+    frontier = np.asarray(frontier, dtype=np.int64)
+    if restrict is None:
         srcs, dsts = frontier_edges(side.offsets, side.targets, frontier)
     else:
-        is_hub, member = hub_restrict
-        hub_part = frontier[is_hub[frontier]]
-        rest = frontier[~is_hub[frontier]]
-        s1, d1 = frontier_edges(side.offsets, side.targets, hub_part)
+        is_hub, member = restrict
+        on_hub = is_hub[frontier]
+        s1, d1 = frontier_edges(side.offsets, side.targets, frontier[on_hub])
         if d1.size:
             keep = member[d1]
             s1, d1 = s1[keep], d1[keep]
-        s2, d2 = frontier_edges(side.offsets, side.targets, rest)
+        s2, d2 = frontier_edges(side.offsets, side.targets, frontier[~on_hub])
         srcs = np.concatenate([s1, s2])
         dsts = np.concatenate([d1, d2])
     if dsts.size:
-        fresh = side.level[dsts] < 0
-        if dst_mask is not None:
-            fresh &= ~dst_mask[dsts]
+        fresh = side.lv_np[dsts] == 0
+        if blocked is not None:
+            fresh &= ~blocked[dsts]
         srcs, dsts = srcs[fresh], dsts[fresh]
     if dsts.size == 0:
-        side.frontier = dsts
-        side.exhausted = True
         return dsts
     order = np.lexsort((srcs, dsts))
     ds, ss = dsts[order], srcs[order]
     first = np.ones(ds.size, bool)
     first[1:] = ds[1:] != ds[:-1]
     new = ds[first]
-    side.level[new] = side.radius + 1
-    side.parent[new] = ss[first]
-    side.radius += 1
+    side.lv_np[new] = side.radius + 2
+    side.par_np[new] = ss[first]
+    return new
+
+
+def _out_edges(side, frontier):
+    if isinstance(frontier, list):
+        adj = side.adj
+        return sum([len(adj[v]) for v in frontier])
+    offsets = side.offsets
+    return int(offsets[frontier + 1].sum() - offsets[frontier].sum())
+
+
+def _expand(side, stats, masks, levels=None):
+    """Advance one side by one level; returns the newly labeled vertices.
+
+    masks holds each filter twice, as numpy arrays for the vectorized step
+    and as bytes for the scalar one: (blocked, restrict) where blocked
+    suppresses labeling of masked vertices entirely and restrict =
+    (is_hub, member) limits expansion of hub vertices to network members.
+    Frontiers with at most SCALAR_EDGES out-edges take the scalar step.
+    levels, when given, collects every expanded frontier.
+    """
+    frontier = side.frontier
+    if len(frontier) == 0:
+        side.exhausted = True
+        return frontier
+    stats.visited += len(frontier)
+    if levels is not None:
+        levels.append(frontier)
+    if _out_edges(side, frontier) <= SCALAR_EDGES:
+        if not isinstance(frontier, list):
+            frontier = frontier.tolist()
+        new = _scalar_step(side, frontier, *masks[1])
+    else:
+        new = _vector_step(side, frontier, *masks[0])
     side.frontier = new
-    stats.enqueued += int(new.size)
+    if len(new) == 0:
+        side.exhausted = True
+        return new
+    side.radius += 1
+    stats.enqueued += len(new)
     return new
 
 
@@ -184,19 +260,37 @@ def _register_meets(new, side, other, best, meet):
     """Fold newly double-labeled vertices into the best meeting candidate.
 
     Fresh labels that meet the other direction leave both open sets; the rest
-    join this side's open set at their level.
+    join this side's open set at their level.  Candidates are scanned in
+    ascending id order and only a strictly smaller sum replaces the best, so
+    the meeting vertex is the smallest id among those attaining the minimum.
     """
+    radius = side.radius
+    other_open = other.open_counts
+    if isinstance(new, list):
+        other_lv = other.lv
+        unmet = 0
+        for w in new:
+            hit = other_lv[w]
+            if hit:
+                other_open[hit - 1] -= 1
+                if radius + hit - 1 < best:
+                    best, meet = radius + hit - 1, w
+            else:
+                unmet += 1
+        side.open_counts[radius] += unmet
+        return best, meet
     if new.size == 0:
         return best, meet
-    other_lv = other.level[new]
-    seen = other_lv >= 0
-    radius = side.radius
-    side.open_counts[radius] += int(new.size - seen.sum())
-    if not np.any(seen):
+    other_lv = other.lv_np[new]
+    seen = other_lv > 0
+    met = int(np.count_nonzero(seen))
+    side.open_counts[radius] += int(new.size) - met
+    if not met:
         return best, meet
     cand = new[seen]
-    hit = other_lv[seen]
-    np.subtract.at(other.open_counts, hit, 1)
+    hit = other_lv[seen].astype(np.int64) - 1
+    for level, count in enumerate(np.bincount(hit).tolist()):
+        other_open[level] -= count
     sums = radius + hit
     pos = int(np.argmin(sums))
     if int(sums[pos]) < best:
@@ -208,12 +302,12 @@ def _stitch(fwd, bwd, meet, s, t):
     left = [meet]
     v = meet
     while v != s:
-        v = int(fwd.parent[v])
+        v = fwd.par[v]
         left.append(v)
     left.reverse()
     v = meet
     while v != t:
-        v = int(bwd.parent[v])
+        v = bwd.par[v]
         left.append(v)
     return left
 
@@ -242,8 +336,15 @@ def _bidirectional(g, s, t, cap, engine, mask=None, hub_restrict=None,
     stats = SearchStats(engine)
     if s == t:
         return QueryResult(0 if 0 < cap else None, [s] if 0 < cap else None, stats)
+    if cap + 2 > 0xFFFF:
+        # levels are stored as level + 1 in uint16 and the radius can reach cap + 1
+        raise ValueError(f"distance bound {cap} does not fit the 16-bit level buffer")
     fwd = _Side(g, s, reverse=False, cap=cap)
     bwd = _Side(g, t, reverse=True, cap=cap)
+    masks = ((mask, hub_restrict),
+             (None if mask is None else mask.tobytes(),
+              None if hub_restrict is None else tuple(m.tobytes() for m in hub_restrict)))
+    levels = [] if collect else None
     stats.enqueued = 2
     best, meet = _UNSET, -1
     forward_turn = True
@@ -259,11 +360,12 @@ def _bidirectional(g, s, t, cap, engine, mask=None, hub_restrict=None,
             elif bwd.exhausted:
                 side = fwd
             else:
-                side = fwd if fwd.frontier.size <= bwd.frontier.size else bwd
-        new = _expand(side, stats, dst_mask=mask, hub_restrict=hub_restrict,
-                      collect=collect)
+                side = fwd if len(fwd.frontier) <= len(bwd.frontier) else bwd
+        new = _expand(side, stats, masks, levels)
         other = bwd if side is fwd else fwd
         best, meet = _register_meets(new, side, other, best, meet)
+    if levels:
+        stats.expanded = np.concatenate([np.asarray(f, dtype=np.int64) for f in levels])
     if best >= cap:
         return QueryResult(None, None, stats)
     return QueryResult(best, _stitch(fwd, bwd, meet, s, t), stats)
@@ -316,49 +418,64 @@ def _level_classes(idx, v, side):
     return classes
 
 
+def _label_lists(idx, v, side):
+    """_level_classes as Python lists: hub ranks keyed by label distance."""
+    if idx.hubs.is_hub[v]:
+        return {0: [int(idx.hubs.rank[v])]}
+    table = idx.labels_out if side == "out" else idx.labels_in
+    ranks, dists, _ = table.vertex_slice(v)
+    ranks, dists = ranks.tolist(), dists.tolist()
+    classes = {}
+    lo = 0
+    while lo < len(dists):
+        hi = bisect_right(dists, dists[lo], lo)
+        classes[dists[lo]] = ranks[lo:hi]
+        lo = hi
+    return classes
+
+
 def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
     """Levelwise label join: the minimum of d(s,x) + matrix[x,y] + d(y,t).
 
     Distance classes are visited in nondecreasing class sum (source level
     ascending within equal sums) and the join stops as soon as the best value
     beats every remaining class sum.  Candidates whose middle leg is missing
-    or whose total exceeds k are discarded.
+    or whose total exceeds k are discarded.  Within a class pair the scan is
+    row-major and only a strictly smaller total replaces the best, so the hub
+    pair is the one estimate_full_join's argmin would pick in that block.
     """
     k = idx.k
-    cls_s = _level_classes(idx, s, "out")
-    cls_t = _level_classes(idx, t, "in")
-    dist = idx.matrix.dist
-    ids = idx.hubs.ids
+    cls_s = _label_lists(idx, s, "out")
+    cls_t = _label_lists(idx, t, "in")
+    dim = idx.matrix.dim
+    dist = idx.matrix.dist.tobytes()
     best = _UNSET
     arg = None
     join_ops = 0
-    for total_pq in range(0, 2 * k + 1):
-        if total_pq > k or best < total_pq:
+    for total_pq in range(0, k + 1):
+        if best < total_pq:
             break
         for p in range(0, total_pq + 1):
-            q = total_pq - p
             xs = cls_s.get(p)
-            ys = cls_t.get(q)
+            ys = cls_t.get(total_pq - p)
             if xs is None or ys is None:
                 continue
             if best < total_pq:
                 break
-            join_ops += xs.size * ys.size
-            mid = dist[np.ix_(xs, ys)].astype(np.int32)
-            totals = mid + total_pq
-            valid = mid <= (k - total_pq)
-            if not np.any(valid):
-                continue
-            masked = np.where(valid, totals, _UNSET)
-            flat = int(np.argmin(masked))
-            value = int(masked.flat[flat])
-            if value < best:
-                best = value
-                i, j = divmod(flat, ys.size)
-                arg = (int(ids[xs[i]]), int(ids[ys[j]]))
+            join_ops += len(xs) * len(ys)
+            # a middle leg below limit beats best and keeps the total within k
+            limit = min(k - total_pq + 1, best - total_pq)
+            for x in xs:
+                row = x * dim
+                for y in ys:
+                    mid = dist[row + y]
+                    if mid < limit:
+                        limit = mid
+                        best, arg = mid + total_pq, (x, y)
     if best > k:
         return Estimate(None, None, join_ops)
-    return Estimate(best, arg, join_ops)
+    ids = idx.hubs.ids
+    return Estimate(best, (int(ids[arg[0]]), int(ids[arg[1]])), join_ops)
 
 
 def estimate_full_join(idx: Hub2Index, s: int, t: int) -> Estimate:
@@ -424,16 +541,16 @@ def _port_step(idx, g, v, hub_rank, incoming):
     """Follow one port: the recorded next vertex one step closer to the hub."""
     table = idx.labels_in if incoming else idx.labels_out
     ranks, dists, ports = table.vertex_slice(v)
-    pos = np.flatnonzero(ranks == hub_rank)
-    if pos.size != 1:
+    ranks = ranks.tolist()
+    if ranks.count(hub_rank) != 1:
         raise IndexIntegrityError(
             f"vertex {v} lacks a label for hub rank {hub_rank}; index is corrupted")
-    port = int(ports[pos[0]])
-    offsets, targets = g.adjacency(reverse=incoming)
-    lo, hi = int(offsets[v]), int(offsets[v + 1])
-    if port >= hi - lo:
+    pos = ranks.index(hub_rank)
+    port = int(ports[pos])
+    nbrs = g.adj_lists(reverse=incoming)[v]
+    if not 0 <= port < len(nbrs):
         raise IndexIntegrityError(f"port {port} out of range for vertex {v}")
-    return int(targets[lo + port]), int(dists[pos[0]])
+    return nbrs[port], int(dists[pos])
 
 
 def _walk_ports(idx, g, start, hub_vertex, incoming):

@@ -40,7 +40,8 @@ def test_run_engine_records_and_summary():
     records += run_engine("bibfs", g, pairs, 6)
     assert len(records) == 50
     parsed = json.loads(records[0].to_json())
-    assert set(parsed) == {"engine", "s", "t", "distance", "wall_ns", "visited", "join_ops"}
+    assert set(parsed) == {"engine", "s", "t", "distance", "wall_ns", "enqueued",
+                           "expanded", "join_ops"}
     rows = summarize(records)
     assert [r["engine"] for r in rows] == ["bfs", "bibfs"]
     assert rows[0]["queries"] == 25
@@ -54,8 +55,8 @@ def test_distances_identical_across_threads():
     pairs = make_workload(g, 20, seed=2).pairs
     seq = run_engine("bibfs", g, pairs, 6, threads=1)
     par = run_engine("bibfs", g, pairs, 6, threads=4)
-    assert [(r.s, r.t, r.distance, r.visited) for r in seq] == \
-           [(r.s, r.t, r.distance, r.visited) for r in par]
+    assert [(r.s, r.t, r.distance, r.enqueued, r.expanded) for r in seq] == \
+           [(r.s, r.t, r.distance, r.enqueued, r.expanded) for r in par]
 
 
 def test_hub_pruning_shrinks_mean_search_space():
@@ -67,4 +68,4 @@ def test_hub_pruning_shrinks_mean_search_space():
     rows = summarize(run_engine("bibfs", g, pairs, 6)
                      + run_engine("hl", g, pairs, 6, idx=idx))
     by_engine = {r["engine"]: r for r in rows}
-    assert by_engine["hl"]["mean_visited"] < by_engine["bibfs"]["mean_visited"]
+    assert by_engine["hl"]["mean_enqueued"] < by_engine["bibfs"]["mean_enqueued"]

@@ -75,6 +75,43 @@ def test_query_engines_agree_via_cli(tmp_path, graph_file, capsys):
     assert len(set(outputs.values())) == 1
 
 
+def test_query_reports_both_counters(graph_file, capsys):
+    code, out, _ = run(capsys, "query", "--graph", str(graph_file), "--engine", "bibfs",
+                       "--k", "6", "17", "201")
+    assert code == 0
+    fields = dict(f.split("=", 1) for f in out.split())
+    assert set(fields) == {"dist", "path", "expanded", "enqueued"}
+    assert 0 < int(fields["expanded"]) < int(fields["enqueued"])
+
+
+@pytest.mark.parametrize("past", ["degree", "u32_max"])
+def test_query_corrupt_port_is_an_error(tmp_path, graph_file, capsys, past):
+    from hubpath import hub2, load_edge_list
+    from hubpath.engines import estimate
+
+    path = tmp_path / "g.hub2"
+    run(capsys, "build", "--graph", str(graph_file), "--hubs", "10", "--k", "6",
+        "--out", str(path))
+    g = load_edge_list(graph_file.read_bytes())
+    idx = hub2.deserialize(str(path))
+    # a non-hub vertex with labels; every one of its ports now points past
+    # its adjacency slice, and serializing recomputes the trailing checksum.
+    # The file stores ports as u32; 2**32 - 1 loads as -1 in the int32 table.
+    v = next(v for v in range(g.n)
+             if not idx.hubs.is_hub[v] and idx.labels_in.counts()[v] > 0)
+    lo, hi = idx.labels_in.offsets[v], idx.labels_in.offsets[v + 1]
+    idx.labels_in.port[lo:hi] = len(g.neighbors(v)) if past == "degree" else -1
+    hub2.serialize(idx, str(path))
+    t = int(idx.hubs.ids[0])
+    assert estimate(idx, v, t).value is not None
+    code, out, err = run(capsys, "query", "--graph", str(graph_file), "--index", str(path),
+                         "--engine", "hl", str(v), str(t))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "out of range" in err
+    assert "Traceback" not in err
+
+
 def test_query_absent_distance_exit_zero(tmp_path, capsys):
     path = tmp_path / "two.txt"
     path.write_text("0 1\n2 3\n")

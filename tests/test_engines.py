@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hubpath import engines
 from hubpath import (
     Graph,
     HubSet,
@@ -17,6 +18,7 @@ from hubpath import (
     select_hubs,
     validate_path,
 )
+from hubpath.hub2 import MAX_K
 
 from conftest import ba_graph, er_graph
 from oracles import (
@@ -188,6 +190,36 @@ def test_estimate_full_join_equivalence():
         full = estimate_full_join(idx, s, t)
         assert fast.value == full.value
         assert fast.join_ops <= full.join_ops
+
+
+def label_dist(idx, v, hub, side):
+    """d(v, hub) ("out") or d(hub, v) ("in") as stored in v's labels."""
+    if idx.hubs.is_hub[v]:
+        return 0 if v == hub else None
+    table = idx.labels_out if side == "out" else idx.labels_in
+    ranks, dists, _ = table.vertex_slice(v)
+    pos = np.flatnonzero(ranks == idx.hubs.rank[hub])
+    return int(dists[pos[0]]) if pos.size else None
+
+
+def test_estimate_argpair_attains_value():
+    for g in (ba_graph(400, 4, seed=23), er_graph(300, 12, seed=8, directed=True)):
+        idx = build_index(g, select_hubs(g, 16), 6)
+        rng = np.random.Generator(np.random.PCG64(19))
+        found = 0
+        for _ in range(400):
+            s, t = (int(x) for x in rng.integers(0, g.n, 2))
+            est = estimate(idx, s, t)
+            if est.value is None:
+                continue
+            found += 1
+            x, y = est.argpair
+            mid = int(idx.matrix.dist[idx.hubs.rank[x], idx.hubs.rank[y]])
+            assert label_dist(idx, s, x, "out") + mid + label_dist(idx, t, y, "in") == est.value
+            path = reconstruct_estimated_path(idx, g, s, x, y, t)
+            assert path[0] == s and path[-1] == t
+            assert len(path) == est.value + 1 and validate_path(g, path)
+        assert found >= 50
 
 
 def test_estimate_empty_labels_gives_none():
@@ -383,3 +415,50 @@ def test_coverage_dichotomy_small():
                 assert estimate(idx, s, t).value == d
             elif not (hubs.is_hub[s] or hubs.is_hub[t]):
                 assert hp_bbfs(g, hubs.is_hub, s, t, k + 1).distance == d
+
+
+# ------------------------------------------------------------- level steps
+
+def search_outcomes(g, hubs, net, pairs, k):
+    """Everything the level step decides, per engine and pair.
+
+    bibfs and hn must find bfs_query's distance, hp_bbfs the hub-free one.
+    """
+    def summary(res):
+        expanded = res.stats.expanded
+        return (res.distance, res.path, res.stats.visited, res.stats.enqueued,
+                None if expanded is None else expanded.tolist())
+
+    adj = adjacency_from_graph(g)
+    out = []
+    for s, t in pairs:
+        truth = bfs_query(g, s, t, k).distance
+        row = [summary(bibfs_query(g, s, t, k)), summary(hn_query(g, hubs, net, s, t, k))]
+        assert row[0][0] == truth and row[1][0] == truth, (s, t)
+        if not (hubs.is_hub[s] or hubs.is_hub[t]):
+            row.append(summary(hp_bbfs(g, hubs.is_hub, s, t, k + 1, collect=True)))
+            assert row[2][0] == masked_bfs_dist(adj, s, hubs.is_hub, k).get(t), (s, t)
+        out.append(row)
+    return out
+
+
+def test_scalar_and_vector_steps_agree(monkeypatch):
+    # one directed path 0 -> ... -> 300, plus the arc 0 -> 301: from 301 the
+    # forward side exhausts at radius 0 and the backward side's level
+    # reaches 255, the most a MAX_K-bounded search can label
+    chain = Graph.from_edges(302, list(range(300)) + [0], list(range(1, 301)) + [301],
+                             directed=True)
+    cases = [(chain, HubSet.from_ids(302, [100, 200]), MAX_K,
+              [(301, 300), (0, 254), (0, 255), (3, 250), (300, 0)])]
+    for g in (ba_graph(600, 3, seed=61), er_graph(500, 8, seed=62),
+              er_graph(400, 6, seed=63, directed=True)):
+        rng = np.random.Generator(np.random.PCG64(64))
+        pairs = [(int(s), int(t)) for s, t in rng.integers(0, g.n, size=(60, 2))]
+        cases.append((g, select_hubs(g, 20), 6, pairs))
+    for g, hubs, k, pairs in cases:
+        net = discover(g, hubs, k)
+        monkeypatch.setattr(engines, "SCALAR_EDGES", 0)
+        vector = search_outcomes(g, hubs, net, pairs, k)
+        monkeypatch.setattr(engines, "SCALAR_EDGES", 1 << 40)
+        scalar = search_outcomes(g, hubs, net, pairs, k)
+        assert scalar == vector
