@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,8 +89,7 @@ def make_workload(g: Graph, count: int, seed: int, k: int = None,
     return Workload(seed=seed, pairs=pairs, filter=name)
 
 
-def run_engine(engine, g, pairs, k, hubs=None, net=None, idx=None,
-               warmup=True, threads=1):
+def run_engine(engine, g, pairs, k, hubs=None, net=None, idx=None, warmup=True):
     """Benchmark one engine over the workload, records in pair order.
 
     One unmeasured warm-up pass per engine precedes the measured one.
@@ -99,21 +97,16 @@ def run_engine(engine, g, pairs, k, hubs=None, net=None, idx=None,
     if warmup:
         for s, t in pairs:
             query_with_engine(engine, g, s, t, k, hubs=hubs, net=net, idx=idx)
-
-    def one(pair):
-        s, t = pair
+    records = []
+    for s, t in pairs:
         t0 = time.perf_counter_ns()
         res = query_with_engine(engine, g, s, t, k, hubs=hubs, net=net, idx=idx)
         wall = time.perf_counter_ns() - t0
-        return BenchRecord(engine, s, t,
-                           -1 if res.distance is None else res.distance,
-                           wall, res.stats.enqueued, res.stats.visited,
-                           res.stats.join_ops)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, pairs))
-    return [one(p) for p in pairs]
+        records.append(BenchRecord(engine, s, t,
+                                   -1 if res.distance is None else res.distance,
+                                   wall, res.stats.enqueued, res.stats.visited,
+                                   res.stats.join_ops))
+    return records
 
 
 def summarize(records):

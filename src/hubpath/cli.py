@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -71,8 +70,6 @@ def build_parser():
                    help="keep only pairs with true distance >= this (and <= k)")
     p.add_argument("--non-hub-only", action="store_true")
     p.add_argument("--records", default=None, help="write JSON-lines records here")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallelize across pairs (HUBPATH_THREADS fallback)")
 
     p = sub.add_parser("verify", help="run the oracle suites against a graph/index")
     _add_graph_args(p)
@@ -194,16 +191,13 @@ def cmd_bench(args):
         hubs = select_hubs(g, _hub_count(args, g)) if idx is None else idx.hubs
         if "hn" in engines:
             net = discover(g, hubs, args.k)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("HUBPATH_THREADS", "1"))
     workload = make_workload(g, args.pairs, args.seed, k=args.k,
                              min_dist=args.min_dist,
                              non_hub_only=args.non_hub_only, hubs=hubs)
     records = []
     for engine in engines:
         records.extend(run_engine(engine, g, workload.pairs, args.k,
-                                  hubs=hubs, net=net, idx=idx, threads=threads))
+                                  hubs=hubs, net=net, idx=idx))
     if args.records:
         with open(args.records, "w") as fh:
             for rec in records:

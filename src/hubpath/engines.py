@@ -16,10 +16,12 @@ graph's cached adjacency lists; a larger one by the vectorized CSR step.
 Fixed numpy cost per call dominates small levels and Python's per-edge cost
 dominates large ones; the threshold comes from a sweep over the perfbench
 workloads, where 256 to 512 were fastest for all three engines.  Both steps
-scan the frontier in ascending id order and pick the smallest-id predecessor
-as parent, so answers, paths and counters do not depend on which step ran.
-The label join is likewise a scalar loop.  bfs_query and estimate_full_join
-stay vectorized and serve as the oracles the fast paths are checked against.
+pick the smallest-id predecessor as parent -- the scalar one by scanning the
+frontier in ascending id order, the vectorized one (like bfs_query) through
+graph.first_parents -- so answers, paths and counters do not depend on which
+step ran.  The label join is likewise a scalar loop.  bfs_query and
+estimate_full_join stay vectorized and serve as the oracles the fast paths
+are checked against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, frontier_edges, validate_path
+from .graph import Graph, first_parents, frontier_edges, validate_path
 from .hub2 import INF, Hub2Index, IndexIntegrityError
 from .hubs import HubSet
 from .network import HubNetwork
@@ -97,19 +99,12 @@ def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     for depth in range(k):
         stats.visited += int(frontier.size)
         srcs, dsts = frontier_edges(offsets, targets, frontier)
-        if dsts.size == 0:
-            break
         fresh = level[dsts] < 0
-        srcs, dsts = srcs[fresh], dsts[fresh]
-        if dsts.size == 0:
+        new, pred = first_parents(srcs[fresh], dsts[fresh])
+        if new.size == 0:
             break
-        order = np.lexsort((srcs, dsts))
-        ds, ss = dsts[order], srcs[order]
-        first = np.ones(ds.size, bool)
-        first[1:] = ds[1:] != ds[:-1]
-        new = ds[first]
         level[new] = depth + 1
-        parent[new] = ss[first]
+        parent[new] = pred
         stats.enqueued += int(new.size)
         if level[t] >= 0:
             dist = depth + 1
@@ -199,20 +194,12 @@ def _vector_step(side, frontier, blocked, restrict):
         s2, d2 = frontier_edges(side.offsets, side.targets, frontier[~on_hub])
         srcs = np.concatenate([s1, s2])
         dsts = np.concatenate([d1, d2])
-    if dsts.size:
-        fresh = side.lv_np[dsts] == 0
-        if blocked is not None:
-            fresh &= ~blocked[dsts]
-        srcs, dsts = srcs[fresh], dsts[fresh]
-    if dsts.size == 0:
-        return dsts
-    order = np.lexsort((srcs, dsts))
-    ds, ss = dsts[order], srcs[order]
-    first = np.ones(ds.size, bool)
-    first[1:] = ds[1:] != ds[:-1]
-    new = ds[first]
+    fresh = side.lv_np[dsts] == 0
+    if blocked is not None:
+        fresh &= ~blocked[dsts]
+    new, pred = first_parents(srcs[fresh], dsts[fresh])
     side.lv_np[new] = side.radius + 2
-    side.par_np[new] = ss[first]
+    side.par_np[new] = pred
     return new
 
 
@@ -402,28 +389,21 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int, collect=False):
     return _bidirectional(g, s, t, bound, "hp-bbfs", mask=hub_mask, collect=collect)
 
 
-def _level_classes(idx, v, side):
-    """Label sublists keyed by distance; hubs own only the implicit self class."""
+def _label_slice(idx, v, side):
+    """Hub ranks and label distances of v, sorted by (distance, rank).
+
+    A hub owns only its implicit self label (rank, 0).
+    """
     if idx.hubs.is_hub[v]:
-        return {0: np.array([idx.hubs.rank[v]], dtype=np.int64)}
+        return np.array([idx.hubs.rank[v]]), np.zeros(1, np.uint8)
     table = idx.labels_out if side == "out" else idx.labels_in
     ranks, dists, _ = table.vertex_slice(v)
-    classes = {}
-    lo = 0
-    while lo < dists.size:
-        p = int(dists[lo])
-        hi = lo + int(np.searchsorted(dists[lo:], p + 1))
-        classes[p] = ranks[lo:hi].astype(np.int64)
-        lo = hi
-    return classes
+    return ranks, dists
 
 
 def _label_lists(idx, v, side):
-    """_level_classes as Python lists: hub ranks keyed by label distance."""
-    if idx.hubs.is_hub[v]:
-        return {0: [int(idx.hubs.rank[v])]}
-    table = idx.labels_out if side == "out" else idx.labels_in
-    ranks, dists, _ = table.vertex_slice(v)
+    """Hub ranks keyed by label distance, as Python lists."""
+    ranks, dists = _label_slice(idx, v, side)
     ranks, dists = ranks.tolist(), dists.tolist()
     classes = {}
     lo = 0
@@ -481,15 +461,9 @@ def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
 def estimate_full_join(idx: Hub2Index, s: int, t: int) -> Estimate:
     """Exhaustive pairwise join over both label lists; the levelwise oracle."""
     k = idx.k
-    cls_s = _level_classes(idx, s, "out")
-    cls_t = _level_classes(idx, t, "in")
+    xs, dxs = _label_slice(idx, s, "out")
+    ys, dys = _label_slice(idx, t, "in")
     ids = idx.hubs.ids
-    ps = sorted(cls_s)
-    qs = sorted(cls_t)
-    xs = np.concatenate([cls_s[p] for p in ps]) if ps else np.empty(0, np.int64)
-    ys = np.concatenate([cls_t[q] for q in qs]) if qs else np.empty(0, np.int64)
-    dxs = np.concatenate([np.full(cls_s[p].size, p) for p in ps]) if ps else xs
-    dys = np.concatenate([np.full(cls_t[q].size, q) for q in qs]) if qs else ys
     join_ops = int(xs.size * ys.size)
     if join_ops == 0:
         return Estimate(None, None, join_ops)

@@ -5,6 +5,10 @@ integers; each vertex's neighbor slice is sorted ascending; self-loops are
 dropped and duplicate edges collapsed at load time.  Directed graphs carry a
 reverse adjacency next to the forward one.  The sorted slices are what make
 next-hop port offsets well defined and serialization deterministic.
+
+first_parents is the one place where a vectorized BFS level step decides
+which predecessor becomes a new vertex's parent; the traversals in network,
+hub2 and engines pass it their tie-break keys.
 """
 
 from __future__ import annotations
@@ -220,36 +224,31 @@ def frontier_edges(offsets, targets, frontier):
     return np.repeat(frontier, counts), targets[pos].astype(np.int64)
 
 
-def bfs_levels(offsets, targets, source, max_depth, n, parents=False):
-    """Level-synchronous BFS bounded at max_depth.
+def first_parents(srcs, dsts, *keys):
+    """Pick each new vertex's parent from the fresh edges of one BFS level.
 
-    Returns the int32 level array (-1 unreached).  With parents=True also
-    returns the parent array where each reached vertex records its smallest-id
-    predecessor on the previous level (deterministic given sorted slices).
+    Returns the distinct destinations in ascending order and, for each, the
+    source with the smallest (keys..., id).  Each key is a per-vertex array
+    read at the source; the last key is the most significant.
     """
+    order = np.lexsort((srcs, *(key[srcs] for key in keys), dsts))
+    ds = dsts[order]
+    first = np.ones(ds.size, bool)
+    first[1:] = ds[1:] != ds[:-1]
+    return ds[first], srcs[order][first]
+
+
+def bfs_levels(offsets, targets, source, max_depth, n):
+    """Level-synchronous BFS bounded at max_depth; int32 levels, -1 unreached."""
     level = np.full(n, -1, np.int32)
     level[source] = 0
-    parent = np.full(n, -1, np.int32) if parents else None
     frontier = np.array([source], dtype=np.int64)
     for depth in range(max_depth):
-        srcs, dsts = frontier_edges(offsets, targets, frontier)
-        if dsts.size == 0:
+        _, dsts = frontier_edges(offsets, targets, frontier)
+        frontier = np.unique(dsts[level[dsts] < 0])
+        if frontier.size == 0:
             break
-        fresh = level[dsts] < 0
-        srcs, dsts = srcs[fresh], dsts[fresh]
-        if dsts.size == 0:
-            break
-        order = np.lexsort((srcs, dsts))
-        ds, ss = dsts[order], srcs[order]
-        first = np.ones(ds.size, bool)
-        first[1:] = ds[1:] != ds[:-1]
-        new = ds[first]
-        level[new] = depth + 1
-        if parents:
-            parent[new] = ss[first]
-        frontier = new
-    if parents:
-        return level, parent
+        level[frontier] = depth + 1
     return level
 
 
@@ -274,13 +273,7 @@ def validate_path(g: Graph, path) -> bool:
         return False
     if any(v < 0 or v >= g.n for v in path):
         return False
-    offsets, targets = g.out_offsets, g.out_targets
-    for u, v in zip(path, path[1:]):
-        lo, hi = offsets[u], offsets[u + 1]
-        pos = lo + np.searchsorted(targets[lo:hi], v)
-        if pos >= hi or targets[pos] != v:
-            return False
-    return True
+    return all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
 
 
 def induced_subgraph(g: Graph, member_mask) -> Graph:

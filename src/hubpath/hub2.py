@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_levels, fnv1a_64, frontier_edges
+from .graph import Graph, bfs_levels, first_parents, fnv1a_64, frontier_edges
 from .hubs import HubSet
 
 INF = 255
@@ -160,7 +160,8 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
     reverse=True walks in-edges (directed graphs), producing outgoing-side
     labels whose ports index the out-slice; the forward walk produces
     incoming-side labels with ports into the in-slice (out-slice when
-    undirected).  Parent choice is the smallest-id minimal-level predecessor.
+    undirected).  Parent choice is the smallest-id predecessor on the previous
+    level, blocked predecessors first.
     """
     if not hubs.is_hub[h]:
         raise ValueError(f"vertex {h} is not a hub")
@@ -215,29 +216,19 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
         if depth == k:
             break
         srcs, dsts = frontier_edges(offsets, targets, frontier)
-        if dsts.size == 0:
-            break
         fresh = level[dsts] < 0
-        srcs, dsts = srcs[fresh], dsts[fresh]
-        if dsts.size == 0:
+        # blocked predecessors sort first, so the pick's flag is the AND of
+        # all predecessor flags and a blocked vertex inherits a blocking hub;
+        # labeled vertices have all-unblocked predecessors, so their parent is
+        # the smallest-id one; parents of blocked vertices are never walked
+        new, pred = first_parents(srcs[fresh], dsts[fresh], bflag)
+        if new.size == 0:
             break
-        src_b = bflag[srcs]
-        # blocked predecessors sort first so one pass yields the AND of the
-        # flags, a deterministic parent, and the propagated blocking hub
-        order = np.lexsort((srcs, src_b, dsts))
-        ds, ss, bs = dsts[order], srcs[order], src_b[order]
-        first = np.ones(ds.size, bool)
-        first[1:] = ds[1:] != ds[:-1]
-        new = ds[first]
-        chosen_src = ss[first]
-        chosen_b = bs[first]
+        chosen_b = bflag[pred]
         blocked = chosen_b == 0
         bflag[new] = chosen_b
-        blocker[new[blocked]] = blocker[chosen_src[blocked]]
-        # labeled vertices have all-unblocked predecessors, so the chosen
-        # predecessor is their smallest-id one; parents of blocked vertices
-        # are never walked
-        parent[new] = chosen_src
+        blocker[new[blocked]] = blocker[pred[blocked]]
+        parent[new] = pred
         level[new] = depth + 1
         frontier = new
     contribution = (lab_vertex, lab_dist, lab_rank, lab_port)

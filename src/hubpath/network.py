@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_levels, frontier_edges, induced_subgraph
+from .graph import Graph, bfs_levels, first_parents, frontier_edges, induced_subgraph
 from .hubs import HubSet
 
 
@@ -62,11 +62,12 @@ def bfs_extract(g: Graph, hubs: HubSet, source_hub: int, k: int, member: np.ndar
     """Bounded flag/score BFS from one hub, growing `member` in place.
 
     Per vertex the traversal maintains: exact level; flag b (1 iff no hub lies
-    strictly between the source and the vertex on any shortest path); score f
-    (max count of network members along some shortest path, counted at dequeue
-    time); and the best predecessor (max f, then smallest id).  Dequeuing a hub
-    with b=1 records a basic pair, walks the predecessor chain into `member`,
-    then clears the flag so descendants cannot form further basic pairs.
+    strictly between the source and the vertex on any shortest path); and,
+    read only where b=1, score f (max count of network members along some
+    shortest path, counted at dequeue time) and the best predecessor (max f,
+    then smallest id).  Dequeuing a hub with b=1 records a basic pair, walks
+    the predecessor chain into `member`, then clears the flag so descendants
+    cannot form further basic pairs.
 
     Returns (pairs, added_counts, total_added).
     """
@@ -109,22 +110,19 @@ def bfs_extract(g: Graph, hubs: HubSet, source_hub: int, k: int, member: np.ndar
         if depth == k:
             break
         srcs, dsts = frontier_edges(offsets, targets, frontier)
-        if dsts.size == 0:
-            break
         fresh = level[dsts] < 0
-        srcs, dsts = srcs[fresh], dsts[fresh]
-        if dsts.size == 0:
+        # blocked predecessors first, then highest score, then smallest id.
+        # Copying the pick's flag gives the AND of all predecessor flags.  An
+        # unblocked vertex has only unblocked predecessors, so its pick is
+        # (max score, min id); the score and parent of a blocked vertex are
+        # never read, since chains are walked only from unblocked hubs and
+        # scores only compared between unblocked predecessors.
+        new, pred = first_parents(srcs[fresh], dsts[fresh], -fscore, bflag)
+        if new.size == 0:
             break
-        src_b = bflag[srcs]
-        src_f = np.where(src_b == 1, fscore[srcs], -1)
-        order = np.lexsort((srcs, -src_f, dsts))
-        ds, ss = dsts[order], srcs[order]
-        first = np.ones(ds.size, bool)
-        first[1:] = ds[1:] != ds[:-1]
-        new = ds[first]
-        parent[new] = ss[first]
-        fscore[new] = np.maximum(src_f[order][first], 0)
-        bflag[new] = np.minimum.reduceat(src_b[order], np.flatnonzero(first))
+        parent[new] = pred
+        fscore[new] = fscore[pred]
+        bflag[new] = bflag[pred]
         level[new] = depth + 1
         frontier = new
     return pairs, added_counts, total_added

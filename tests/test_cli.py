@@ -205,15 +205,6 @@ def test_bench_unknown_engine_rejected(graph_file):
         main(["bench", "--graph", str(graph_file), "--engines", "dijkstra"])
 
 
-def test_bench_threads_env_fallback(tmp_path, graph_file, capsys, monkeypatch):
-    monkeypatch.setenv("HUBPATH_THREADS", "2")
-    code, out, _ = run(capsys, "bench", "--graph", str(graph_file),
-                       "--engines", "bibfs", "--pairs", "10", "--seed", "1",
-                       "--k", "6")
-    assert code == 0
-    assert out.splitlines()[1].split("\t")[0] == "bibfs"
-
-
 def test_hl_requires_index(graph_file):
     with pytest.raises(SystemExit):
         main(["query", "--graph", str(graph_file), "--engine", "hl", "0", "1"])

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -12,8 +14,11 @@ from hubpath import (
     build_index,
     core_hubs_oracle,
     deserialize,
+    discover,
+    gen_synthetic,
     index_stats,
     label_bfs,
+    load_edge_list,
     select_hubs,
     serialize,
     validate_path,
@@ -253,6 +258,30 @@ def test_serialize_deterministic():
     b1 = hub2.to_bytes(build_index(g, hubs, 4))
     b2 = hub2.to_bytes(build_index(g, hubs, 4))
     assert b1 == b2
+
+
+@pytest.mark.parametrize("kind, param, seed, directed, index_sha, discover_sha", [
+    ("ba", 3, 13, False,
+     "9cef54434f4921aa30fb3a7e609aaaab6109d7589f43448a33f4a254e9b23b75",
+     "a82c63d44d8e87284fe823c5ce3400738dd303e3b7a77c09d355b23a388cf1ee"),
+    ("er", 5, 12, True,
+     "5d8015785fa43f774a3e01bb780007b72d7220183b0160607ac7d9007ca20226",
+     "80d3b49d35c5f706930155e2ec83cf99f564e9e30527f5b93a239fb975ee2c08"),
+], ids=["ba-undirected", "er-directed"])
+def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha, discover_sha):
+    """Index bytes and discovered network are pinned to fixed digests.
+
+    Both depend on the BFS parent tie rules (ports, inline witnesses and the
+    paths pulled into H*), which no other test fixes across code versions.
+    A deliberate change of the index format or of a tie rule updates these
+    constants and says so in its change notes.
+    """
+    g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+    hubs = select_hubs(g, 24)
+    assert hashlib.sha256(hub2.to_bytes(build_index(g, hubs, 5))).hexdigest() == index_sha
+    net = discover(g, hubs, 5)
+    blob = json.dumps([net.basic_pairs, net.added_per_pair, net.members.tolist()])
+    assert hashlib.sha256(blob.encode()).hexdigest() == discover_sha
 
 
 def test_serialize_file_roundtrip(tmp_path, chain4):
