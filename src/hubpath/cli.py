@@ -104,6 +104,17 @@ def _load_index(path, g):
     return idx
 
 
+def _load_hl_index(args, g):
+    """The index for engine hl, which answers up to the k it was built for."""
+    if not args.index:
+        raise SystemExit("engine hl needs --index")
+    idx = _load_index(args.index, g)
+    if idx.k != args.k:
+        raise ValueError(f"--k {args.k} differs from the index's k={idx.k}; "
+                         f"engine hl needs --k {idx.k} or an index built with --k {args.k}")
+    return idx
+
+
 def cmd_gen(args):
     data = gen_synthetic(args.kind, args.n, args.param, args.seed)
     if args.out:
@@ -132,10 +143,7 @@ def cmd_build(args):
 def cmd_query(args):
     g = _load_graph(args)
     if args.engine == "hl":
-        if not args.index:
-            raise SystemExit("engine hl needs --index")
-        idx = _load_index(args.index, g)
-        res = hl_query(g, idx, args.s, args.t)
+        res = hl_query(g, _load_hl_index(args, g), args.s, args.t)
     elif args.engine == "hn":
         hubs = select_hubs(g, _hub_count(args, g))
         net = discover(g, hubs, args.k)
@@ -184,9 +192,7 @@ def cmd_bench(args):
         raise SystemExit(f"unknown engines: {bad}; choose from {ENGINES}")
     hubs = net = idx = None
     if "hl" in engines:
-        if not args.index:
-            raise SystemExit("engine hl needs --index")
-        idx = _load_index(args.index, g)
+        idx = _load_hl_index(args, g)
     if "hn" in engines or args.non_hub_only:
         hubs = select_hubs(g, _hub_count(args, g)) if idx is None else idx.hubs
         if "hn" in engines:

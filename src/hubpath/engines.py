@@ -300,13 +300,25 @@ def _stitch(fwd, bwd, meet, s, t):
 
 
 def _should_stop(fwd, bwd, best, cap, conservative):
+    """True once no unexpanded level can yield a meeting sum below min(best, cap).
+
+    Exact levels (bibfs, hp_bbfs): stop at radius_f + radius_b >= target - 1.
+    A path of length L <= radius_f + radius_b has a vertex at distance at
+    most radius_f from s and at most radius_b to t; both sides have labeled
+    it, so best <= L already.  As target <= best, no path shorter than
+    target exists, and every later meet would sum to at least target.  Only
+    a strictly smaller sum replaces best, so the meeting vertex is the one
+    the search would end with anyway, and labels and parents once set never
+    change, so the stitched path is the same as well.
+
+    Conservative levels (hn) can exceed true distances, so the path argument
+    does not apply; each class of future meets is bounded instead.
+    """
     target = min(best, cap)
     if fwd.exhausted and bwd.exhausted:
         return True
     if not conservative:
-        # levels are true distances here, so every path of length up to
-        # radius_f + radius_b has already produced a meeting vertex
-        return fwd.radius + bwd.radius >= target
+        return fwd.radius + bwd.radius >= target - 1
     # levels may exceed true distances (restricted expansion): bound each
     # class of future meets instead.  A vertex labeled on one side only can
     # still meet at (its level) + (other radius + 1); an unlabeled vertex at
@@ -428,7 +440,7 @@ def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
     cls_s = _label_lists(idx, s, "out")
     cls_t = _label_lists(idx, t, "in")
     dim = idx.matrix.dim
-    dist = idx.matrix.dist.tobytes()
+    dist = idx.matrix.cells
     best = _UNSET
     arg = None
     join_ops = 0

@@ -99,6 +99,15 @@ class Hub2Matrix:
     dim: int
     dist: np.ndarray
     witness: dict = field(default_factory=dict)
+    cells: bytes = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the label join reads one entry per candidate pair as cells[i * dim + j]:
+        # bytes index faster than numpy or a memoryview, and keeping one copy
+        # per matrix spares each query an O(dim^2) tobytes.  dist becomes a
+        # read-only view of the same buffer, so the two cannot drift apart.
+        self.cells = self.dist.tobytes()
+        self.dist = np.frombuffer(self.cells, np.uint8).reshape(self.dim, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Hub2Matrix):
@@ -411,7 +420,7 @@ def from_bytes(data: bytes) -> Hub2Index:
     ids = np.frombuffer(r.take(4 * dim), dtype="<u4").astype(np.uint32)
     if np.any(ids[1:] <= ids[:-1]) or (dim and ids[-1] >= n):
         raise IndexFormatError("hub ids must be strictly ascending and < n")
-    dist = np.frombuffer(r.take(dim * dim), dtype=np.uint8).reshape(dim, dim).copy()
+    dist = np.frombuffer(r.take(dim * dim), dtype=np.uint8).reshape(dim, dim)
     if np.any(np.diag(dist) != 0):
         raise IndexFormatError("matrix diagonal must be zero")
     if np.any((dist > k) & (dist != INF)):

@@ -75,6 +75,26 @@ def test_query_engines_agree_via_cli(tmp_path, graph_file, capsys):
     assert len(set(outputs.values())) == 1
 
 
+@pytest.mark.parametrize("command", ["query", "bench"])
+def test_hl_rejects_k_other_than_the_index(tmp_path, capsys, command):
+    # on the 12-vertex chain d(0, 6) = 6: within the index's k = 8, beyond --k 3
+    graph, idx = tmp_path / "chain.txt", tmp_path / "chain.hub2"
+    run(capsys, "gen", "--kind", "chain", "--n", "12", "--out", str(graph))
+    run(capsys, "build", "--graph", str(graph), "--hubs", "1", "--k", "8", "--out", str(idx))
+    args = {"query": ["--engine", "hl", "0", "6"],
+            "bench": ["--engines", "bibfs,hl", "--pairs", "20"]}[command]
+    code, out, err = run(capsys, command, "--graph", str(graph), "--index", str(idx),
+                         "--k", "3", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "k=8" in err
+    code, out, _ = run(capsys, command, "--graph", str(graph), "--index", str(idx),
+                       "--k", "8", *args)
+    assert code == 0
+    if command == "query":
+        assert out.startswith("dist=6 ")
+
+
 def test_query_reports_both_counters(graph_file, capsys):
     code, out, _ = run(capsys, "query", "--graph", str(graph_file), "--engine", "bibfs",
                        "--k", "6", "17", "201")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,9 +14,11 @@ from hubpath import (
     discover,
     estimate,
     estimate_full_join,
+    gen_synthetic,
     hl_query,
     hn_query,
     hp_bbfs,
+    load_edge_list,
     reconstruct_estimated_path,
     select_hubs,
     validate_path,
@@ -294,6 +299,52 @@ def test_hp_bbfs_matches_masked_oracle():
         done += 1
 
 
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_every_bound_on_small_graphs(directed):
+    # the stop rule decides which sums a search still reaches, so every bound
+    # from 1 to k + 1 is swept over all ordered pairs
+    k = 5
+    for g in (er_graph(50, 4, seed=71, directed=directed),
+              ba_graph(60, 2, seed=72, directed=directed)):
+        hubs = select_hubs(g, 4)
+        adj = adjacency_from_graph(g)
+        for s in range(g.n):
+            hub_free = None if hubs.is_hub[s] else masked_bfs_dist(adj, s, hubs.is_hub)
+            for t in range(g.n):
+                for bound in range(1, k + 2):
+                    truth = bfs_query(g, s, t, bound - 1).distance
+                    assert_certified(g, bibfs_query(g, s, t, bound - 1), truth)
+                    if hub_free is None or hubs.is_hub[t]:
+                        continue
+                    d = hub_free.get(t)
+                    res = hp_bbfs(g, hubs.is_hub, s, t, bound)
+                    assert_certified(g, res, d if d is not None and d < bound else None)
+
+
+def test_search_stops_at_radius_sum_one_below_the_bound():
+    # chain 0..11 plus hub 12 adjacent to 0 and 6; both frontiers hold one
+    # vertex and the forward side wins ties, so its radius is the radius sum
+    g = Graph.from_edges(13, list(range(11)) + [12, 12], list(range(1, 12)) + [0, 6],
+                         directed=False)
+    mask = np.zeros(g.n, bool)
+    mask[12] = True
+    for bound in range(1, 7):
+        res = hp_bbfs(g, mask, 0, 6, bound)
+        assert res.distance is None
+        assert (res.stats.visited, res.stats.enqueued) == (bound - 1, bound + 1)
+    assert hp_bbfs(g, mask, 0, 6, 7).distance == 6
+    # hl: the estimate through the hub is 2, so the pruned search expands once
+    res = hl_query(g, build_index(g, hubset(g, [12]), 8), 0, 6)
+    assert res.path == [0, 12, 6]
+    assert (res.stats.visited, res.stats.enqueued) == (1, 3)
+    # bibfs with no path within k stops at radius sum k
+    chain = Graph.from_edges(12, range(11), range(1, 12), directed=False)
+    for k in range(1, 7):
+        res = bibfs_query(chain, 0, 11, k)
+        assert res.distance is None
+        assert (res.stats.visited, res.stats.enqueued) == (k, k + 2)
+
+
 def test_hp_bbfs_rejects_masked_endpoint(star6):
     mask = np.zeros(star6.n, bool)
     mask[0] = True
@@ -462,3 +513,28 @@ def test_scalar_and_vector_steps_agree(monkeypatch):
         monkeypatch.setattr(engines, "SCALAR_EDGES", 1 << 40)
         scalar = search_outcomes(g, hubs, net, pairs, k)
         assert scalar == vector
+
+
+@pytest.mark.parametrize("kind, param, seed, directed, answers_sha", [
+    ("ba", 3, 13, False, "4863f2a811e6f0f84b18ed0aa5375dff67e7f9767164bd9c46c5bfa067c1ba6d"),
+    ("er", 5, 12, True, "ea81e583edb33a5ac3730bcfee5af59ce64bd70221dd2117ea0539bd237ab10a"),
+], ids=["ba-undirected", "er-directed"])
+def test_pinned_answers(kind, param, seed, directed, answers_sha):
+    """Distances and paths of bibfs, hn and hl are pinned to fixed digests.
+
+    Which shortest path an engine returns depends on its parent tie rule and
+    on which meeting vertex wins, and no oracle check fixes that across code
+    versions.  Work counters are left out: a search-order change may move
+    them without changing any answer.
+    """
+    g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+    hubs = select_hubs(g, 24)
+    net = discover(g, hubs, 5)
+    idx = build_index(g, hubs, 5)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    answers = []
+    for s, t in rng.integers(0, g.n, size=(300, 2)).tolist():
+        for res in (bibfs_query(g, s, t, 5), hn_query(g, hubs, net, s, t, 5),
+                    hl_query(g, idx, s, t)):
+            answers.append([res.distance, res.path])
+    assert hashlib.sha256(json.dumps(answers).encode()).hexdigest() == answers_sha

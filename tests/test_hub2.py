@@ -260,6 +260,15 @@ def test_serialize_deterministic():
     assert b1 == b2
 
 
+def test_matrix_cells_are_the_read_only_distances():
+    # estimate reads cells, everything else dist; neither may change alone
+    g = er_graph(150, 6, seed=2)
+    idx = build_index(g, select_hubs(g, 8), 4)
+    for matrix in (idx.matrix, hub2.from_bytes(hub2.to_bytes(idx)).matrix):
+        assert matrix.cells == matrix.dist.tobytes()
+        assert not matrix.dist.flags.writeable
+
+
 @pytest.mark.parametrize("kind, param, seed, directed, index_sha, discover_sha", [
     ("ba", 3, 13, False,
      "9cef54434f4921aa30fb3a7e609aaaab6109d7589f43448a33f4a254e9b23b75",
