@@ -40,8 +40,7 @@ stats = index_stats(idx)
 print(f"{g}, {hubs.size} hubs, k=6")
 print(f"labels per non-hub vertex: avg {stats['avg_label_count']:.1f}, "
       f"max {stats['max_label_count']} (of {hubs.size} hubs)")
-print(f"matrix fill: {stats['matrix_finite_fraction']:.0%} finite, "
-      f"index size {stats['bytes'] / 1024:.0f} KiB")
+print(f"matrix fill: {stats['matrix_finite_fraction']:.0%} finite")
 
 # Inspect one vertex's labels.
 v = int((~hubs.is_hub).nonzero()[0][0])
@@ -64,8 +63,11 @@ if est.value is not None:
     path = reconstruct_estimated_path(idx, g, s, x, y, t)
     print("reconstructed path:", path)
 
-# The index serializes to a checksummed little-endian blob; identical
-# inputs produce identical bytes, and any corruption is rejected on read.
+# The index serializes to a little-endian blob: header, hub ids, matrix,
+# witnesses, then each label table as one count array and one entry array,
+# sealed by a trailing 64-bit blake2b digest.  Identical inputs produce
+# identical bytes, and any corruption the digest sees is rejected on read.
 sink = io.BytesIO()
 serialize(idx, sink)
-print(f"\nround trip OK: {deserialize(sink.getvalue()) == idx}")
+blob = sink.getvalue()
+print(f"\nindex size {len(blob) / 1024:.0f} KiB, round trip OK: {deserialize(blob) == idx}")

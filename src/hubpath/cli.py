@@ -9,7 +9,8 @@ import numpy as np
 
 from . import hub2
 from .bench import ENGINES, make_workload, run_engine, summarize, summary_tsv
-from .engines import bfs_query, bibfs_query, estimate, estimate_full_join, hl_query, hn_query
+from .engines import (bfs_query, bibfs_query, estimate, estimate_full_join, hl_query,
+                      hn_query, query_with_engine)
 from .generate import KINDS, gen_synthetic
 from .graph import EdgeListParseError, load_edge_list, validate_path
 from .hub2 import IndexFormatError, IndexIntegrityError, core_hubs_oracle
@@ -105,14 +106,9 @@ def _load_index(path, g):
 
 
 def _load_hl_index(args, g):
-    """The index for engine hl, which answers up to the k it was built for."""
     if not args.index:
         raise SystemExit("engine hl needs --index")
-    idx = _load_index(args.index, g)
-    if idx.k != args.k:
-        raise ValueError(f"--k {args.k} differs from the index's k={idx.k}; "
-                         f"engine hl needs --k {idx.k} or an index built with --k {args.k}")
-    return idx
+    return _load_index(args.index, g)
 
 
 def cmd_gen(args):
@@ -131,27 +127,27 @@ def cmd_build(args):
     g = _load_graph(args)
     hubs = select_hubs(g, _hub_count(args, g))
     idx = hub2.build(g, hubs, args.k)
-    hub2.serialize(idx, args.out)
+    data = hub2.to_bytes(idx)
+    with open(args.out, "wb") as fh:
+        fh.write(data)
     stats = hub2.index_stats(idx)
     print("hubs\tk\tavg_label_count\tmax_label_count\tmatrix_finite_fraction\tbytes\tbuild_seconds")
     print(f"{hubs.size}\t{args.k}\t{stats['avg_label_count']:.3f}\t{stats['max_label_count']}"
-          f"\t{stats['matrix_finite_fraction']:.4f}\t{stats['bytes']}"
+          f"\t{stats['matrix_finite_fraction']:.4f}\t{len(data)}"
           f"\t{idx.build_stats['build_seconds']:.3f}")
     return 0
 
 
 def cmd_query(args):
     g = _load_graph(args)
+    hubs = net = idx = None
     if args.engine == "hl":
-        res = hl_query(g, _load_hl_index(args, g), args.s, args.t)
+        idx = _load_hl_index(args, g)
     elif args.engine == "hn":
         hubs = select_hubs(g, _hub_count(args, g))
         net = discover(g, hubs, args.k)
-        res = hn_query(g, hubs, net, args.s, args.t, args.k)
-    elif args.engine == "bibfs":
-        res = bibfs_query(g, args.s, args.t, args.k)
-    else:
-        res = bfs_query(g, args.s, args.t, args.k)
+    res = query_with_engine(args.engine, g, args.s, args.t, args.k,
+                            hubs=hubs, net=net, idx=idx)
     dist = "none" if res.distance is None else str(res.distance)
     path = "none" if res.path is None else ",".join(str(v) for v in res.path)
     print(f"dist={dist} path={path} expanded={res.stats.visited} enqueued={res.stats.enqueued}")

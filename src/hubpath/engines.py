@@ -586,7 +586,10 @@ def reconstruct_estimated_path(idx: Hub2Index, g: Graph, s, x, y, t) -> list:
 
 
 def query_with_engine(engine, g, s, t, k, hubs=None, net=None, idx=None) -> QueryResult:
-    """Dispatch by engine name; used by the command-line front end."""
+    """Dispatch by engine name; used by the command-line front end and the bench.
+
+    hl answers up to the k its index was built for, so any other k is an error.
+    """
     if engine == "bfs":
         return bfs_query(g, s, t, k)
     if engine == "bibfs":
@@ -598,6 +601,9 @@ def query_with_engine(engine, g, s, t, k, hubs=None, net=None, idx=None) -> Quer
     if engine == "hl":
         if idx is None:
             raise ValueError("hl engine needs a built index")
+        if k != idx.k:
+            raise ValueError(f"k={k} differs from the index's k={idx.k}; engine hl "
+                             f"needs k={idx.k} or an index built with k={k}")
         return hl_query(g, idx, s, t)
     raise ValueError(f"unknown engine {engine!r}")
 

@@ -13,13 +13,11 @@ hub2 and engines pass it their tie-break keys.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 MAX_VERTEX_ID = 2**32 - 2
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 _EMPTY_I64 = np.empty(0, np.int64)
 _EMPTY_U32 = np.empty(0, np.uint32)
@@ -29,12 +27,16 @@ class EdgeListParseError(ValueError):
     """Malformed edge-list input (bad token, no edges, oversized id)."""
 
 
-def fnv1a_64(data, state: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a hash of a bytes-like object, optionally chained."""
-    h = state
-    for b in bytes(data):
-        h = ((h ^ b) * _FNV_PRIME) & _U64_MASK
-    return h
+def digest64(*buffers) -> int:
+    """64-bit blake2b digest of the buffers in order, read little-endian.
+
+    The one fingerprint of the package: the graph checksum and the index
+    file trailer both call it.
+    """
+    h = hashlib.blake2b(digest_size=8)
+    for buf in buffers:
+        h.update(buf)
+    return int.from_bytes(h.digest(), "little")
 
 
 class Graph:
@@ -85,7 +87,7 @@ class Graph:
             dst = (code % np.uint64(n)).astype(np.int64)
         else:
             src = dst = np.empty(0, np.int64)
-        out_offsets = _offsets_from_sorted(src, n)
+        out_offsets = offsets_from_counts(np.bincount(src, minlength=n))
         out_targets = dst.astype(np.uint32)
         if not directed:
             return cls(n, False, out_offsets, out_targets)
@@ -93,7 +95,8 @@ class Graph:
         rsrc = (rev // np.uint64(n)).astype(np.int64)
         rdst = (rev % np.uint64(n)).astype(np.int64)
         return cls(n, True, out_offsets, out_targets,
-                   _offsets_from_sorted(rsrc, n), rdst.astype(np.uint32))
+                   offsets_from_counts(np.bincount(rsrc, minlength=n)),
+                   rdst.astype(np.uint32))
 
     def adjacency(self, reverse=False):
         """(offsets, targets) pair; reverse selects in-edges on directed graphs."""
@@ -104,9 +107,6 @@ class Graph:
     def neighbors(self, v, reverse=False):
         offsets, targets = self.adjacency(reverse)
         return targets[offsets[v]:offsets[v + 1]]
-
-    def out_degrees(self):
-        return np.diff(self.out_offsets)
 
     def total_degrees(self):
         """Per-vertex degree; out+in for directed graphs."""
@@ -133,10 +133,10 @@ class Graph:
 
     @property
     def checksum(self) -> int:
-        """FNV-1a over the forward edge arrays; the graph fingerprint."""
+        """digest64 of the forward edge arrays; the graph fingerprint."""
         if self._checksum is None:
-            h = fnv1a_64(self.out_offsets.astype("<i8").tobytes())
-            self._checksum = fnv1a_64(self.out_targets.astype("<u4").tobytes(), h)
+            self._checksum = digest64(self.out_offsets.astype("<i8"),
+                                      self.out_targets.astype("<u4"))
         return self._checksum
 
     def __eq__(self, other):
@@ -151,9 +151,9 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-def _offsets_from_sorted(sorted_sources, n):
-    counts = np.bincount(sorted_sources, minlength=n) if sorted_sources.size else np.zeros(n, np.int64)
-    offsets = np.zeros(n + 1, np.int64)
+def offsets_from_counts(counts):
+    """CSR offsets (len(counts) + 1 cumulative int64 indices) of per-vertex counts."""
+    offsets = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets
 

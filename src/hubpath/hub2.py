@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_levels, first_parents, fnv1a_64, frontier_edges
+from .graph import (Graph, bfs_levels, digest64, first_parents, frontier_edges,
+                    offsets_from_counts)
 from .hubs import HubSet
 
 INF = 255
 MAX_K = 254
 
 MAGIC = b"HUB2"
-VERSION = 1
+VERSION = 2
 _FLAG_DIRECTED = 1
 
 _ENTRY_DTYPE = np.dtype([("rank", "<u4"), ("dist", "u1"), ("port", "<u4")])
@@ -62,9 +63,7 @@ class LabelTable:
         else:
             vertex = dist = rank = port = np.empty(0, np.int64)
         order = np.lexsort((rank, dist, vertex))
-        counts = np.bincount(vertex, minlength=n) if vertex.size else np.zeros(n, np.int64)
-        offsets = np.zeros(n + 1, np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
         return cls(offsets, rank[order].astype(np.int32),
                    dist[order].astype(np.uint8), port[order].astype(np.int32))
 
@@ -325,7 +324,7 @@ def core_hubs_oracle(g: Graph, hubs: HubSet, k: int, v: int, side="out"):
 
 
 def index_stats(idx: Hub2Index) -> dict:
-    """Aggregate sizes: label counts per non-hub vertex, matrix fill, bytes."""
+    """Aggregate sizes: label counts per non-hub vertex and matrix fill."""
     counts = idx.labels_in.counts()
     if idx.directed:
         counts = counts + idx.labels_out.counts()
@@ -337,7 +336,6 @@ def index_stats(idx: Hub2Index) -> dict:
         "avg_label_count": float(per_vertex.sum() / denom),
         "max_label_count": int(per_vertex.max()) if per_vertex.size else 0,
         "matrix_finite_fraction": finite / (idx.matrix.dim ** 2),
-        "bytes": len(to_bytes(idx)),
     }
 
 
@@ -359,30 +357,29 @@ def to_bytes(idx: Hub2Index) -> bytes:
                 continue
             tag, payload = idx.matrix.witness[(i, j)]
             if tag == "inline":
-                buf += struct.pack("<BB", 0, len(payload) - 1)
+                buf += struct.pack("<B", 0)
                 buf += payload.astype("<u4").tobytes()
             else:
                 buf += struct.pack("<BI", 1, payload)
-    _write_label_table(buf, idx.labels_in, idx.n)
+    _write_label_table(buf, idx.labels_in)
     if idx.directed:
-        _write_label_table(buf, idx.labels_out, idx.n)
-    buf += struct.pack("<Q", fnv1a_64(bytes(buf)))
+        _write_label_table(buf, idx.labels_out)
+    buf += struct.pack("<Q", digest64(buf))
     return bytes(buf)
 
 
-def _write_label_table(buf, table, n):
-    for v in range(n):
-        lo, hi = int(table.offsets[v]), int(table.offsets[v + 1])
-        count = hi - lo
-        if count > 0xFFFF:
-            raise IndexFormatError(f"vertex {v} has {count} labels; format caps at 65535")
-        buf += struct.pack("<H", count)
-        if count:
-            entries = np.empty(count, _ENTRY_DTYPE)
-            entries["rank"] = table.hub_rank[lo:hi]
-            entries["dist"] = table.dist[lo:hi]
-            entries["port"] = table.port[lo:hi]
-            buf += entries.tobytes()
+def _write_label_table(buf, table):
+    counts = table.counts()
+    over = np.flatnonzero(counts > 0xFFFF)
+    if over.size:
+        v = int(over[0])
+        raise IndexFormatError(f"vertex {v} has {counts[v]} labels; format caps at 65535")
+    entries = np.empty(table.total, _ENTRY_DTYPE)
+    entries["rank"] = table.hub_rank
+    entries["dist"] = table.dist
+    entries["port"] = table.port
+    buf += counts.astype("<u2").tobytes()
+    buf += entries.tobytes()
 
 
 def serialize(idx: Hub2Index, sink) -> None:
@@ -400,8 +397,9 @@ def from_bytes(data: bytes) -> Hub2Index:
     if len(data) < 8:
         raise IndexFormatError("truncated file: too short for checksum")
     stored = struct.unpack("<Q", data[-8:])[0]
-    if fnv1a_64(data[:-8]) != stored:
-        raise IndexFormatError("checksum mismatch: file is corrupted or truncated")
+    if digest64(data[:-8]) != stored:
+        raise IndexFormatError("checksum mismatch: file is corrupted, truncated or written "
+                               "by another format version; rebuild it")
     r = _Reader(data[:-8])
     if r.take(4) != MAGIC:
         raise IndexFormatError("bad magic")
@@ -432,10 +430,8 @@ def from_bytes(data: bytes) -> Hub2Index:
                 continue
             tag = r.take(1)[0]
             if tag == 0:
-                length = r.take(1)[0]
-                if length != dist[i, j]:
-                    raise IndexFormatError(f"inline witness length {length} != distance {dist[i, j]}")
-                verts = np.frombuffer(r.take(4 * (length + 1)), dtype="<u4").astype(np.uint32)
+                verts = np.frombuffer(r.take(4 * (int(dist[i, j]) + 1)),
+                                      dtype="<u4").astype(np.uint32)
                 if verts[0] != ids[i] or verts[-1] != ids[j] or np.any(verts >= n):
                     raise IndexFormatError("inline witness endpoints or bounds are wrong")
                 witness[(i, j)] = ("inline", verts)
@@ -458,33 +454,22 @@ def from_bytes(data: bytes) -> Hub2Index:
 
 
 def _read_label_table(r, n, dim, k):
-    chunks_v, chunks_e = [], []
-    for v in range(n):
-        count = struct.unpack("<H", r.take(2))[0]
-        if count:
-            entries = np.frombuffer(r.take(9 * count), dtype=_ENTRY_DTYPE)
-            chunks_v.append(np.full(count, v, np.int64))
-            chunks_e.append(entries)
-    if chunks_e:
-        vertex = np.concatenate(chunks_v)
-        entries = np.concatenate(chunks_e)
-        rank = entries["rank"].astype(np.int64)
-        dist = entries["dist"].astype(np.int64)
-        port = entries["port"].astype(np.int64)
-    else:
-        vertex = rank = dist = port = np.empty(0, np.int64)
+    counts = np.frombuffer(r.take(2 * n), dtype="<u2")
+    offsets = offsets_from_counts(counts)
+    entries = np.frombuffer(r.take(_ENTRY_DTYPE.itemsize * int(offsets[-1])), dtype=_ENTRY_DTYPE)
+    rank, dist, port = entries["rank"], entries["dist"], entries["port"]
     if rank.size:
         if rank.max() >= dim:
             raise IndexFormatError("label hub rank out of range")
         if dist.min() < 1 or dist.max() > k:
             raise IndexFormatError("label distance out of range")
-        # entries must already be sorted by (vertex, dist, rank): byte-stability
-        key_sorted = np.lexsort((rank, dist, vertex))
-        if np.any(key_sorted != np.arange(rank.size)):
+        # entries must already be sorted by (vertex, dist, rank): byte-stability.
+        # The vertex ascends by construction, so only each vertex's own
+        # (dist, rank) keys can descend.
+        vertex = np.repeat(np.arange(n), counts)
+        key = dist.astype(np.int64) << 32 | rank
+        if np.any((key[1:] < key[:-1]) & (vertex[1:] == vertex[:-1])):
             raise IndexFormatError("label entries not sorted by (level, hub rank)")
-    counts = np.bincount(vertex, minlength=n) if vertex.size else np.zeros(n, np.int64)
-    offsets = np.zeros(n + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
     return LabelTable(offsets, rank.astype(np.int32), dist.astype(np.uint8),
                       port.astype(np.int32))
 

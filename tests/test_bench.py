@@ -1,6 +1,9 @@
 import json
 
-from hubpath import make_workload, run_engine, select_hubs, summarize
+import pytest
+
+from hubpath import (build_index, gen_synthetic, load_edge_list, make_workload, run_engine,
+                     select_hubs, summarize)
 from hubpath.bench import summary_tsv
 
 from conftest import ba_graph
@@ -50,8 +53,17 @@ def test_run_engine_records_and_summary():
     assert len(tsv.strip().splitlines()) == 3
 
 
+def test_hl_rejects_k_other_than_the_index():
+    # on the 12-vertex chain d(0, 6) = 6: within the index's k = 8, beyond k = 3
+    g = load_edge_list(gen_synthetic("chain", 12))
+    idx = build_index(g, select_hubs(g, 1), 8)
+    assert run_engine("bibfs", g, [(0, 6)], 3)[0].distance == -1
+    with pytest.raises(ValueError, match="k=3 .*k=8"):
+        run_engine("hl", g, [(0, 6)], 3, idx=idx)
+    assert run_engine("hl", g, [(0, 6)], 8, idx=idx)[0].distance == 6
+
+
 def test_hub_pruning_shrinks_mean_search_space():
-    from hubpath import build_index
     g = ba_graph(2000, 5, seed=9)
     hubs = select_hubs(g, 20)
     idx = build_index(g, hubs, 6)

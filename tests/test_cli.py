@@ -44,6 +44,8 @@ def test_build_writes_index_and_stats(tmp_path, graph_file, capsys):
     header, row = stdout.strip().splitlines()
     assert header.split("\t")[0] == "hubs"
     assert row.split("\t")[0] == "10"
+    stats = dict(zip(header.split("\t"), row.split("\t")))
+    assert int(stats["bytes"]) == out.stat().st_size
 
 
 def test_build_deterministic_bytes(tmp_path, graph_file, capsys):

@@ -11,11 +11,13 @@ from hubpath import (
     Graph,
     HubSet,
     IndexFormatError,
+    IndexIntegrityError,
     build_index,
     core_hubs_oracle,
     deserialize,
     discover,
     gen_synthetic,
+    hl_query,
     index_stats,
     label_bfs,
     load_edge_list,
@@ -23,6 +25,7 @@ from hubpath import (
     serialize,
     validate_path,
 )
+from hubpath.graph import digest64
 
 from conftest import ba_graph, er_graph
 from oracles import adjacency_from_graph, all_pairs_dist, core_hub_set
@@ -239,7 +242,6 @@ def test_index_stats_star(star6):
     assert stats["avg_label_count"] == 1.0
     assert stats["max_label_count"] == 1
     assert stats["matrix_finite_fraction"] == 1.0
-    assert stats["bytes"] > 0
 
 
 # ------------------------------------------------------------ serialization
@@ -271,10 +273,10 @@ def test_matrix_cells_are_the_read_only_distances():
 
 @pytest.mark.parametrize("kind, param, seed, directed, index_sha, discover_sha", [
     ("ba", 3, 13, False,
-     "9cef54434f4921aa30fb3a7e609aaaab6109d7589f43448a33f4a254e9b23b75",
+     "c17ce7619920e541ad14a71b3ec70bdffc2a5b1ab0bb84cdc4aeb15671ee2680",
      "a82c63d44d8e87284fe823c5ce3400738dd303e3b7a77c09d355b23a388cf1ee"),
     ("er", 5, 12, True,
-     "5d8015785fa43f774a3e01bb780007b72d7220183b0160607ac7d9007ca20226",
+     "5fd0b52dcc22cac52ea578b67d3a334aac3077ce78db7d4ebc8c8f3e08a4443c",
      "80d3b49d35c5f706930155e2ec83cf99f564e9e30527f5b93a239fb975ee2c08"),
 ], ids=["ba-undirected", "er-directed"])
 def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha, discover_sha):
@@ -320,6 +322,46 @@ def test_every_flipped_byte_rejected_or_roundtrips(chain4):
         corrupted[pos] ^= 0xFF
         with pytest.raises(IndexFormatError):
             hub2.from_bytes(bytes(corrupted))
+
+
+def test_resealed_flips_load_or_fail_cleanly(chain4):
+    # a flip the digest cannot see: every body byte inverted, the trailer
+    # recomputed.  The reader must reject it or load it, and queries on what
+    # loads and still matches the graph must answer or report the corruption.
+    small = er_graph(24, 3, seed=7, directed=True)
+    cases = [(chain4, chain4_index(chain4)),
+             (small, build_index(small, select_hubs(small, 3), 3))]
+    for g, idx in cases:
+        body = hub2.to_bytes(idx)[:-8]
+        for pos in range(len(body)):
+            corrupted = bytearray(body)
+            corrupted[pos] ^= 0xFF
+            corrupted += digest64(corrupted).to_bytes(8, "little")
+            try:
+                back = hub2.from_bytes(bytes(corrupted))
+            except IndexFormatError:
+                continue
+            if not back.matches(g):
+                continue
+            for s in range(g.n):
+                for t in range(g.n):
+                    try:
+                        hl_query(g, back, s, t)
+                    except IndexIntegrityError:
+                        pass
+
+
+def test_unsorted_label_entries_rejected():
+    # swap a vertex's first two label entries and serialize again: only the
+    # reader's (vertex, dist, rank) order check can see it
+    g = er_graph(150, 6, seed=2)
+    idx = build_index(g, select_hubs(g, 8), 4)
+    v = int(np.flatnonzero(idx.labels_in.counts() >= 2)[0])
+    lo = int(idx.labels_in.offsets[v])
+    for arr in (idx.labels_in.hub_rank, idx.labels_in.dist, idx.labels_in.port):
+        arr[lo], arr[lo + 1] = arr[lo + 1], arr[lo]
+    with pytest.raises(IndexFormatError, match="not sorted"):
+        hub2.from_bytes(hub2.to_bytes(idx))
 
 
 def test_bad_magic_and_version(chain4):
