@@ -49,7 +49,6 @@ from .hub2 import (
     core_hubs_oracle,
     deserialize,
     index_stats,
-    label_bfs,
     serialize,
 )
 from .hubs import HubSet, select_hubs
@@ -74,7 +73,7 @@ __all__ = [
     "load_edge_list", "validate_path",
     "INF", "Hub2Index", "Hub2Matrix", "IndexFormatError", "IndexIntegrityError",
     "LabelTable", "build", "build_index", "core_hubs_oracle", "deserialize",
-    "index_stats", "label_bfs", "serialize",
+    "index_stats", "serialize",
     "HubSet", "select_hubs",
     "HubNetwork", "PreservationReport", "bfs_extract", "discover",
     "network_stats", "verify_distance_preserving",

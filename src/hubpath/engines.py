@@ -26,7 +26,7 @@ are checked against.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -504,23 +504,22 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int, collect=False) -> QueryRe
         return QueryResult(0, [s], stats)
     est = estimate(idx, s, t)
     stats.join_ops = est.join_ops
-    if idx.hubs.is_hub[s] or idx.hubs.is_hub[t]:
-        if est.value is None:
-            return QueryResult(None, None, stats)
-        x, y = est.argpair
-        path = reconstruct_estimated_path(idx, g, s, x, y, t)
-        return QueryResult(est.value, path, stats)
-    bound = est.value if est.value is not None else k + 1
-    res = hp_bbfs(g, idx.hubs.is_hub, s, t, bound, collect=collect)
-    res.stats.join_ops = est.join_ops
-    res.stats.engine = "hl"
-    if res.found:
-        return res
-    if est.value is not None:
-        x, y = est.argpair
-        path = reconstruct_estimated_path(idx, g, s, x, y, t)
-        return QueryResult(est.value, path, res.stats)
-    return QueryResult(None, None, res.stats)
+    if not (idx.hubs.is_hub[s] or idx.hubs.is_hub[t]):
+        bound = est.value if est.value is not None else k + 1
+        res = hp_bbfs(g, idx.hubs.is_hub, s, t, bound, collect=collect)
+        res.stats.join_ops = est.join_ops
+        res.stats.engine = "hl"
+        if res.found:
+            return res
+        stats = res.stats
+    if est.value is None:
+        return QueryResult(None, None, stats)
+    x, y = est.argpair
+    path = reconstruct_estimated_path(idx, g, s, x, y, t)
+    if len(path) != est.value + 1:
+        raise IndexIntegrityError(f"estimated path has {len(path) - 1} hops, not the "
+                                  f"estimate's {est.value}; index is corrupted")
+    return QueryResult(est.value, path, stats)
 
 
 def _port_step(idx, g, v, hub_rank, incoming):
@@ -554,22 +553,33 @@ def _walk_ports(idx, g, start, hub_vertex, incoming):
     return path
 
 
-def _expand_matrix_path(idx, i, j, depth=0):
-    """Vertex sequence between two hubs, recursing through via witnesses."""
+def _expand_matrix_path(idx, g, i, j, depth=0):
+    """Vertex sequence between two hubs, recursing through via witnesses.
+
+    The reader checks an inline chain's endpoints and bounds but not its
+    hops, so each hop is looked up in the graph here.
+    """
     if depth > idx.k:
         raise IndexIntegrityError("witness recursion exceeds the distance bound")
-    ids = idx.hubs.ids
+    matrix = idx.matrix
     if i == j:
-        return [int(ids[i])]
-    entry = idx.matrix.witness.get((i, j))
-    if entry is None:
+        return [int(idx.hubs.ids[i])]
+    if matrix.dist[i, j] == INF:
         raise IndexIntegrityError(f"missing witness for hub pair ({i}, {j})")
-    tag, payload = entry
-    if tag == "inline":
-        return [int(v) for v in payload]
-    left = _expand_matrix_path(idx, i, payload, depth + 1)
-    right = _expand_matrix_path(idx, payload, j, depth + 1)
-    return left + right[1:]
+    w = int(matrix.via[i, j])
+    if w >= 0:
+        left = _expand_matrix_path(idx, g, i, w, depth + 1)
+        right = _expand_matrix_path(idx, g, w, j, depth + 1)
+        return left + right[1:]
+    start = int(matrix.chain_start[i, j])
+    chain = matrix.chains[start:start + int(matrix.dist[i, j]) + 1].tolist()
+    adj = g.adj_lists()
+    for u, v in zip(chain, chain[1:]):
+        nbrs = adj[u]
+        pos = bisect_left(nbrs, v)
+        if pos == len(nbrs) or nbrs[pos] != v:
+            raise IndexIntegrityError(f"inline witness hop {u} -> {v} is not an edge")
+    return chain
 
 
 def reconstruct_estimated_path(idx: Hub2Index, g: Graph, s, x, y, t) -> list:
@@ -579,7 +589,7 @@ def reconstruct_estimated_path(idx: Hub2Index, g: Graph, s, x, y, t) -> list:
     if rank_x < 0 or rank_y < 0:
         raise IndexIntegrityError("estimate endpoints are not hubs")
     head = _walk_ports(idx, g, s, x, incoming=False)
-    middle = _expand_matrix_path(idx, rank_x, rank_y)
+    middle = _expand_matrix_path(idx, g, rank_x, rank_y)
     tail = _walk_ports(idx, g, t, y, incoming=True)
     tail.reverse()
     return head + middle[1:] + tail[1:]

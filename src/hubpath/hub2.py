@@ -1,11 +1,11 @@
 """Hub-pair distance matrix plus per-vertex core-hub labels with next-hop ports.
 
 One bounded BFS per hub fills its matrix row, records a path witness per
-reached hub (an inline vertex sequence for basic pairs, a decomposing hub for
-composite ones), and emits a label (hub, distance, port) for every non-hub
-vertex it reaches with no other hub strictly between.  Ports are offsets into
-the owning vertex's sorted adjacency slice and give the next hop toward the
-hub, which keeps path extraction memory-free.
+reached hub (an inline vertex chain for basic pairs, a splitting hub rank in
+the via row for composite ones), and emits a label (hub, distance, port) for
+every non-hub vertex it reaches with no other hub strictly between.  Ports are
+offsets into the owning vertex's sorted adjacency slice and give the next hop
+toward the hub, which keeps path extraction memory-free.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ INF = 255
 MAX_K = 254
 
 MAGIC = b"HUB2"
-VERSION = 2
+VERSION = 3
 _FLAG_DIRECTED = 1
 
 _ENTRY_DTYPE = np.dtype([("rank", "<u4"), ("dist", "u1"), ("port", "<u4")])
@@ -87,18 +87,28 @@ class LabelTable:
                 and np.array_equal(self.port, other.port))
 
 
+def _witnessed_pairs(dist):
+    """Mask of the finite off-diagonal hub pairs: those that carry a witness."""
+    return (dist != INF) & ~np.eye(len(dist), dtype=bool)
+
+
 @dataclass
 class Hub2Matrix:
     """Hub-pair distances (INF above k) with one path witness per finite entry.
 
-    witness[(i, j)] is ("inline", vertex array) when some shortest path has no
-    interior hub, else ("via", w) for a hub rank w splitting the distance.
+    Finite off-diagonal pair (i, j) has via[i, j] = w splitting its distance
+    (dist[i, w] + dist[w, j] == dist[i, j]), or -1 and an inline chain of
+    dist[i, j] + 1 vertex ids from chains[chain_start[i, j]], a shortest path
+    with no interior hub.  Chains are concatenated in row-major pair order, so
+    chain_start follows from dist and via and is never stored.
     """
 
     dim: int
     dist: np.ndarray
-    witness: dict = field(default_factory=dict)
+    via: np.ndarray
+    chains: np.ndarray
     cells: bytes = field(init=False, repr=False)
+    chain_start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # the label join reads one entry per candidate pair as cells[i * dim + j]:
@@ -107,24 +117,15 @@ class Hub2Matrix:
         # read-only view of the same buffer, so the two cannot drift apart.
         self.cells = self.dist.tobytes()
         self.dist = np.frombuffer(self.cells, np.uint8).reshape(self.dim, self.dim)
+        inline = _witnessed_pairs(self.dist) & (self.via < 0)
+        lengths = np.where(inline, self.dist.astype(np.int64) + 1, 0).ravel()
+        self.chain_start = (np.cumsum(lengths) - lengths).reshape(self.dim, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Hub2Matrix):
             return NotImplemented
-        if self.dim != other.dim or not np.array_equal(self.dist, other.dist):
-            return False
-        if self.witness.keys() != other.witness.keys():
-            return False
-        for key, (tag, payload) in self.witness.items():
-            tag2, payload2 = other.witness[key]
-            if tag != tag2:
-                return False
-            if tag == "inline":
-                if not np.array_equal(payload, payload2):
-                    return False
-            elif payload != payload2:
-                return False
-        return True
+        return (np.array_equal(self.dist, other.dist) and np.array_equal(self.via, other.via)
+                and np.array_equal(self.chains, other.chains))
 
 
 @dataclass
@@ -163,7 +164,10 @@ class Hub2Index:
 
 
 def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
-    """Bounded BFS from hub h: (matrix row, label contribution arrays, witnesses).
+    """Bounded BFS from hub h: (matrix row, via row, inline chains, label arrays).
+
+    A reached hub blocked on every shortest path gets a blocking hub's rank in
+    the via row (else -1); the others' chains, h first, are one list in rank order.
 
     reverse=True walks in-edges (directed graphs), producing outgoing-side
     labels whose ports index the out-slice; the forward walk produces
@@ -190,8 +194,9 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
     bflag[h] = 1
     frontier = np.array([h], dtype=np.int64)
 
+    via = np.full(dim, -1, np.int32)
     lab_vertex, lab_dist, lab_rank, lab_port = [], [], [], []
-    witnesses = {}
+    chains = {}
 
     for depth in range(k + 1):
         if depth > 0:
@@ -206,11 +211,10 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
                     while v != h:
                         v = int(parent[v])
                         chain.append(v)
-                    chain.reverse()
-                    witnesses[r] = ("inline", np.array(chain, dtype=np.uint32))
+                    chains[r] = chain[::-1]
                     bflag[u] = 0
                 else:
-                    witnesses[r] = ("via", int(rank[blocker[u]]))
+                    via[r] = rank[blocker[u]]
                 blocker[u] = u
             labeled = frontier[~hub_mask & (bflag[frontier] == 1)]
             if labeled.size:
@@ -240,7 +244,7 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
         level[new] = depth + 1
         frontier = new
     contribution = (lab_vertex, lab_dist, lab_rank, lab_port)
-    return row, contribution, witnesses
+    return row, via, [v for r in sorted(chains) for v in chains[r]], contribution
 
 
 def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
@@ -255,17 +259,15 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
         raise ValueError(f"k must be in [1, {MAX_K}]")
     t0 = time.monotonic()
     dim = hubs.size
-    dist = np.full((dim, dim), INF, np.uint8)
-    witness = {}
-    chunks_in, chunks_out = [], []
+    dist = np.empty((dim, dim), np.uint8)
+    via = np.empty((dim, dim), np.int32)
+    chains, chunks_in, chunks_out = [], [], []
     for i, h in enumerate(hubs.ids):
-        row, (lv, ld, lr, lp), wit = label_bfs(g, hubs, int(h), k)
-        dist[i] = row
-        for r, w in wit.items():
-            witness[(i, r)] = w
+        dist[i], via[i], row_chains, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k)
+        chains += row_chains
         chunks_in.extend(zip(lv, ld, lr, lp))
         if g.directed:
-            _, (lv, ld, lr, lp), _ = label_bfs(g, hubs, int(h), k, reverse=True)
+            *_, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k, reverse=True)
             chunks_out.extend(zip(lv, ld, lr, lp))
     labels_in = LabelTable.from_chunks(g.n, chunks_in)
     labels_out = LabelTable.from_chunks(g.n, chunks_out) if g.directed else labels_in
@@ -277,7 +279,7 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     }
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
-                     matrix=Hub2Matrix(dim, dist, witness),
+                     matrix=Hub2Matrix(dim, dist, via, np.array(chains, np.uint32)),
                      labels_in=labels_in, labels_out=labels_out,
                      build_stats=stats)
 
@@ -349,18 +351,10 @@ def to_bytes(idx: Hub2Index) -> bytes:
     buf += struct.pack("<I", idx.hubs.size)
     buf += idx.hubs.ids.astype("<u4").tobytes()
     buf += idx.matrix.dist.tobytes(order="C")
-    dim = idx.matrix.dim
-    dist = idx.matrix.dist
-    for i in range(dim):
-        for j in range(dim):
-            if i == j or dist[i, j] == INF:
-                continue
-            tag, payload = idx.matrix.witness[(i, j)]
-            if tag == "inline":
-                buf += struct.pack("<B", 0)
-                buf += payload.astype("<u4").tobytes()
-            else:
-                buf += struct.pack("<BI", 1, payload)
+    via = idx.matrix.via[_witnessed_pairs(idx.matrix.dist)]
+    buf += (via >= 0).astype(np.uint8).tobytes()
+    buf += via[via >= 0].astype("<u4").tobytes()
+    buf += idx.matrix.chains.astype("<u4").tobytes()
     _write_label_table(buf, idx.labels_in)
     if idx.directed:
         _write_label_table(buf, idx.labels_out)
@@ -423,25 +417,33 @@ def from_bytes(data: bytes) -> Hub2Index:
         raise IndexFormatError("matrix diagonal must be zero")
     if np.any((dist > k) & (dist != INF)):
         raise IndexFormatError("matrix distance exceeds k")
-    witness = {}
-    for i in range(dim):
-        for j in range(dim):
-            if i == j or dist[i, j] == INF:
-                continue
-            tag = r.take(1)[0]
-            if tag == 0:
-                verts = np.frombuffer(r.take(4 * (int(dist[i, j]) + 1)),
-                                      dtype="<u4").astype(np.uint32)
-                if verts[0] != ids[i] or verts[-1] != ids[j] or np.any(verts >= n):
-                    raise IndexFormatError("inline witness endpoints or bounds are wrong")
-                witness[(i, j)] = ("inline", verts)
-            elif tag == 1:
-                w = struct.unpack("<I", r.take(4))[0]
-                if w >= dim or w in (i, j):
-                    raise IndexFormatError(f"via witness rank {w} invalid for pair ({i},{j})")
-                witness[(i, j)] = ("via", w)
-            else:
-                raise IndexFormatError(f"unknown witness tag {tag}")
+    # witnesses: tags, then via ranks, then inline chains, each checked whole
+    pairs = _witnessed_pairs(dist)
+    tags = np.frombuffer(r.take(int(pairs.sum())), np.uint8)
+    if np.any(tags > 1):
+        raise IndexFormatError(f"unknown witness tag {tags.max()}")
+    split = np.zeros((dim, dim), bool)
+    split[pairs] = tags == 1
+    w = np.frombuffer(r.take(4 * int(split.sum())), "<u4").astype(np.int64)
+    if np.any(w >= dim):
+        raise IndexFormatError("via witness rank out of range")
+    i, j = np.nonzero(split)
+    if np.any((w == i) | (w == j)):
+        raise IndexFormatError("via witness rank is an endpoint of its pair")
+    d = dist.astype(np.int64)
+    if np.any(d[i, w] + d[w, j] != d[i, j]):
+        raise IndexFormatError("via witness does not split its pair's distance")
+    via = np.full((dim, dim), -1, np.int32)
+    via[split] = w
+    inline = pairs & ~split
+    chains = np.frombuffer(r.take(4 * int((d[inline] + 1).sum())), "<u4").astype(np.uint32)
+    if np.any(chains >= n):
+        raise IndexFormatError("inline witness vertex out of range")
+    matrix = Hub2Matrix(dim, dist, via, chains)
+    i, j = np.nonzero(inline)
+    start = matrix.chain_start[i, j]
+    if np.any(chains[start] != ids[i]) or np.any(chains[start + d[i, j]] != ids[j]):
+        raise IndexFormatError("inline witness endpoints are not its hub pair")
     labels_in = _read_label_table(r, n, dim, k)
     labels_out = _read_label_table(r, n, dim, k) if directed else labels_in
     if r.remaining():
@@ -449,8 +451,7 @@ def from_bytes(data: bytes) -> Hub2Index:
     hubs = HubSet(n, ids, dim)
     return Hub2Index(k=int(k), directed=directed, n=int(n), m=int(m),
                      graph_checksum=int(checksum), hubs=hubs,
-                     matrix=Hub2Matrix(dim, dist, witness),
-                     labels_in=labels_in, labels_out=labels_out)
+                     matrix=matrix, labels_in=labels_in, labels_out=labels_out)
 
 
 def _read_label_table(r, n, dim, k):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from hubpath import (
     gen_synthetic,
     hl_query,
     index_stats,
-    label_bfs,
     load_edge_list,
     select_hubs,
     serialize,
     validate_path,
 )
+from hubpath.engines import check_result
 from hubpath.graph import digest64
+from hubpath.hub2 import label_bfs
 
 from conftest import ba_graph, er_graph
 from oracles import adjacency_from_graph, all_pairs_dist, core_hub_set
@@ -33,6 +35,12 @@ from oracles import adjacency_from_graph, all_pairs_dist, core_hub_set
 
 def hubset(g, ids):
     return HubSet.from_ids(g.n, ids)
+
+
+def inline_chain(matrix, i, j):
+    """Hub pair (i, j)'s inline witness chain, read from the matrix arrays."""
+    start = int(matrix.chain_start[i, j])
+    return matrix.chains[start:start + int(matrix.dist[i, j]) + 1].tolist()
 
 
 def label_sets(idx, side="out"):
@@ -59,8 +67,7 @@ def chain4_index(chain4):
 def test_chain_matrix_and_labels(chain4):
     idx = chain4_index(chain4)
     assert idx.matrix.dist[0, 1] == 1
-    tag, payload = idx.matrix.witness[(0, 1)]
-    assert tag == "inline" and payload.tolist() == [1, 2]
+    assert idx.matrix.via[0, 1] == -1 and inline_chain(idx.matrix, 0, 1) == [1, 2]
     sets = label_sets(idx)
     assert sets[0] == {(1, 1)}   # hub 2 is blocked: d(0,2) = d(0,1) + d(1,2)
     assert sets[3] == {(2, 1)}
@@ -71,7 +78,7 @@ def test_five_chain_via_witness():
     g = Graph.from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=False)
     idx = build_index(g, hubset(g, [0, 2, 4]), 4)
     assert idx.matrix.dist[0, 2] == 4
-    assert idx.matrix.witness[(0, 2)] == ("via", 1)
+    assert idx.matrix.via[0, 2] == 1
     assert idx.matrix.dist[0, 1] == 2 and idx.matrix.dist[1, 2] == 2
 
 
@@ -91,8 +98,7 @@ def test_square_tie_breaks_through_smaller_id():
     g = Graph.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0], directed=False)
     idx = build_index(g, hubset(g, [0, 2]), 2)
     assert idx.matrix.dist[0, 1] == 2
-    tag, payload = idx.matrix.witness[(0, 1)]
-    assert tag == "inline" and payload.tolist() == [0, 1, 2]
+    assert idx.matrix.via[0, 1] == -1 and inline_chain(idx.matrix, 0, 1) == [0, 1, 2]
 
 
 def test_three_chain_label_and_port():
@@ -102,15 +108,15 @@ def test_three_chain_label_and_port():
     assert ranks.tolist() == [0, 1] and dists.tolist() == [1, 1]
     # vertex 1's sorted neighbors are [0, 2]: port 0 points at hub 0
     assert ports.tolist() == [0, 1]
-    assert idx.matrix.witness[(0, 1)][1].tolist() == [0, 1, 2]
+    assert inline_chain(idx.matrix, 0, 1) == [0, 1, 2]
 
 
 def test_triangle_single_hub_row():
     g = Graph.from_edges(3, [0, 0, 1], [1, 2, 2], directed=False)
     hubs = hubset(g, [0])
-    row, (lv, ld, lr, lp), wit = label_bfs(g, hubs, 0, 2)
+    row, via, chains, (lv, ld, lr, lp) = label_bfs(g, hubs, 0, 2)
     assert row.tolist() == [0]
-    assert wit == {}
+    assert via.tolist() == [-1] and chains == []
     labeled = np.concatenate(lv).tolist()
     assert sorted(labeled) == [1, 2]
     assert all(d == 1 for d in np.concatenate(ld))
@@ -189,17 +195,26 @@ def test_witness_soundness():
     hubs = select_hubs(g, 12)
     idx = build_index(g, hubs, k)
     is_hub = hubs.is_hub
-    for (i, j), (tag, payload) in idx.matrix.witness.items():
-        d = int(idx.matrix.dist[i, j])
-        if tag == "inline":
+    m = idx.matrix
+    pairs = (m.dist != INF) & ~np.eye(m.dim, dtype=bool)
+    inline = pairs & (m.via < 0)
+    # exactly one witness kind per finite off-diagonal pair: no via rank
+    # outside those pairs, and the chains are the inline pairs' and no more
+    assert pairs.any() and np.all(m.via[~pairs] == -1)
+    assert (m.via[pairs] >= 0).any() and inline.any()
+    assert m.chains.size == int((m.dist[inline].astype(int) + 1).sum())
+    for i, j in zip(*np.nonzero(pairs)):
+        d = int(m.dist[i, j])
+        if inline[i, j]:
+            payload = inline_chain(m, i, j)
             assert len(payload) == d + 1
             assert payload[0] == hubs.ids[i] and payload[-1] == hubs.ids[j]
-            assert validate_path(g, payload.tolist())
+            assert validate_path(g, payload)
             assert not any(is_hub[v] for v in payload[1:-1])
         else:
-            w = payload
+            w = int(m.via[i, j])
             assert w not in (i, j)
-            assert int(idx.matrix.dist[i, w]) + int(idx.matrix.dist[w, j]) == d
+            assert int(m.dist[i, w]) + int(m.dist[w, j]) == d
 
 
 def test_port_suffix_closure():
@@ -273,10 +288,10 @@ def test_matrix_cells_are_the_read_only_distances():
 
 @pytest.mark.parametrize("kind, param, seed, directed, index_sha, discover_sha", [
     ("ba", 3, 13, False,
-     "c17ce7619920e541ad14a71b3ec70bdffc2a5b1ab0bb84cdc4aeb15671ee2680",
+     "6cf07c7b1aef6cd3b3ce28c10877ffd0faf07d65a9998aa7bce252ff5aded89f",
      "a82c63d44d8e87284fe823c5ce3400738dd303e3b7a77c09d355b23a388cf1ee"),
     ("er", 5, 12, True,
-     "5fd0b52dcc22cac52ea578b67d3a334aac3077ce78db7d4ebc8c8f3e08a4443c",
+     "d540249ebc0712d29631c66ed7acd65626c74974b443d86cc09fd76245b56039",
      "80d3b49d35c5f706930155e2ec83cf99f564e9e30527f5b93a239fb975ee2c08"),
 ], ids=["ba-undirected", "er-directed"])
 def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha, discover_sha):
@@ -325,30 +340,59 @@ def test_every_flipped_byte_rejected_or_roundtrips(chain4):
 
 
 def test_resealed_flips_load_or_fail_cleanly(chain4):
-    # a flip the digest cannot see: every body byte inverted, the trailer
-    # recomputed.  The reader must reject it or load it, and queries on what
-    # loads and still matches the graph must answer or report the corruption.
+    # a flip the digest cannot see: a body byte's low bit or all its bits
+    # inverted, the trailer recomputed.  The reader must reject it or load it,
+    # and queries on what loads and still matches the graph must answer with
+    # a path that certifies or report the corruption.
     small = er_graph(24, 3, seed=7, directed=True)
+    five = Graph.from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=False)
     cases = [(chain4, chain4_index(chain4)),
+             (five, build_index(five, hubset(five, [0, 2, 4]), 4)),
              (small, build_index(small, select_hubs(small, 3), 3))]
     for g, idx in cases:
         body = hub2.to_bytes(idx)[:-8]
         for pos in range(len(body)):
-            corrupted = bytearray(body)
-            corrupted[pos] ^= 0xFF
-            corrupted += digest64(corrupted).to_bytes(8, "little")
-            try:
-                back = hub2.from_bytes(bytes(corrupted))
-            except IndexFormatError:
-                continue
-            if not back.matches(g):
-                continue
-            for s in range(g.n):
-                for t in range(g.n):
-                    try:
-                        hl_query(g, back, s, t)
-                    except IndexIntegrityError:
-                        pass
+            for flip in (0x01, 0xFF):
+                corrupted = bytearray(body)
+                corrupted[pos] ^= flip
+                corrupted += digest64(corrupted).to_bytes(8, "little")
+                try:
+                    back = hub2.from_bytes(bytes(corrupted))
+                except IndexFormatError:
+                    continue
+                if not back.matches(g):
+                    continue
+                for s in range(g.n):
+                    for t in range(g.n):
+                        try:
+                            res = hl_query(g, back, s, t)
+                        except IndexIntegrityError:
+                            continue
+                        assert check_result(g, res), (pos, flip, s, t, res)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("tag", 2, "unknown witness tag 2"),
+    ("via", 3, "via witness rank out of range"),
+    ("via", 0, "via witness rank is an endpoint of its pair"),
+    ("dist", 3, "via witness does not split its pair's distance"),
+    ("chain", 4, "inline witness endpoints are not its hub pair"),
+    ("chain", 5, "inline witness vertex out of range"),
+], ids=["tag", "via-range", "via-endpoint", "via-split", "chain-endpoint", "chain-range"])
+def test_witness_section_rejects_each_bad_field(field, value, match):
+    # 0-1-2-3-4 with hubs 0, 2, 4 (ranks 0-2): after the 3x3 matrix come six
+    # tags (row-major finite pairs), the via ranks of (0, 2) and (2, 0), and
+    # the four inline chains, the first being (0, 1)'s [0, 1, 2]
+    g = Graph.from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=False)
+    body = bytearray(hub2.to_bytes(build_index(g, hubset(g, [0, 2, 4]), 4))[:-8])
+    matrix_at = 40 + 4 * 3
+    tags_at = matrix_at + 9
+    at, fmt = {"dist": (matrix_at + 2, "<B"), "tag": (tags_at, "<B"),
+               "via": (tags_at + 6, "<I"), "chain": (tags_at + 14, "<I")}[field]
+    struct.pack_into(fmt, body, at, value)
+    body += digest64(body).to_bytes(8, "little")
+    with pytest.raises(IndexFormatError, match=match):
+        hub2.from_bytes(bytes(body))
 
 
 def test_unsorted_label_entries_rejected():
