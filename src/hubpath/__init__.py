@@ -26,7 +26,6 @@ from .engines import (
     estimate_full_join,
     hl_query,
     hn_query,
-    hp_bbfs,
     reconstruct_estimated_path,
 )
 from .generate import gen_synthetic
@@ -55,7 +54,6 @@ from .hubs import HubSet, select_hubs
 from .network import (
     HubNetwork,
     PreservationReport,
-    bfs_extract,
     discover,
     network_stats,
     verify_distance_preserving,
@@ -66,7 +64,7 @@ build_index = build
 __all__ = [
     "BenchRecord", "Workload", "make_workload", "run_engine", "summarize",
     "Estimate", "QueryResult", "SearchStats",
-    "bfs_query", "bibfs_query", "hl_query", "hn_query", "hp_bbfs",
+    "bfs_query", "bibfs_query", "hl_query", "hn_query",
     "estimate", "estimate_full_join", "reconstruct_estimated_path",
     "gen_synthetic",
     "EdgeListParseError", "Graph", "bounded_bfs", "induced_subgraph",
@@ -75,6 +73,6 @@ __all__ = [
     "LabelTable", "build", "build_index", "core_hubs_oracle", "deserialize",
     "index_stats", "serialize",
     "HubSet", "select_hubs",
-    "HubNetwork", "PreservationReport", "bfs_extract", "discover",
+    "HubNetwork", "PreservationReport", "discover",
     "network_stats", "verify_distance_preserving",
 ]

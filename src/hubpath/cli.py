@@ -220,6 +220,11 @@ def cmd_verify(args):
             return 1
         hubs = idx.hubs
         k = idx.k
+        # the digest only shows the file is intact; a rebuild shows it is right
+        same = hub2.build(g, hubs, k) == idx
+        print(f"index-rebuild: {'identical' if same else 'differs'}")
+        if not same:
+            failures.append(("index-rebuild", 1))
     else:
         hubs = select_hubs(g, _hub_count(args, g))
         k = args.k

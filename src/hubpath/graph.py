@@ -6,9 +6,9 @@ dropped and duplicate edges collapsed at load time.  Directed graphs carry a
 reverse adjacency next to the forward one.  The sorted slices are what make
 next-hop port offsets well defined and serialization deterministic.
 
-first_parents is the one place where a vectorized BFS level step decides
-which predecessor becomes a new vertex's parent; the traversals in network,
-hub2 and engines pass it their tie-break keys.
+first_parents is the one place where a vectorized single-source BFS level
+step decides which predecessor becomes a new vertex's parent; the traversals
+in network and engines pass it their tie-break keys.
 """
 
 from __future__ import annotations

@@ -1,24 +1,29 @@
 """Hub-pair distance matrix plus per-vertex core-hub labels with next-hop ports.
 
-One bounded BFS per hub fills its matrix row, records a path witness per
-reached hub (an inline vertex chain for basic pairs, a splitting hub rank in
-the via row for composite ones), and emits a label (hub, distance, port) for
-every non-hub vertex it reaches with no other hub strictly between.  Ports are
-offsets into the owning vertex's sorted adjacency slice and give the next hop
-toward the hub, which keeps path extraction memory-free.
+build runs one bit-parallel bounded BFS per block of 64 hubs in rank order,
+each hub owning one bit of a uint64 word per vertex (Akiba, Iwata and
+Yoshida's bit-parallel BFS in the multi-source form of Then et al.).  A level
+ORs each vertex's predecessors' frontier words, and a second OR over the
+frontier bits a hub blocks marks what is reached only behind another hub.
+Each hub's first reach of another fills its matrix cell and path witness (an
+inline vertex chain for basic pairs, a splitting hub rank in via for
+composite ones), and each unblocked first reach of a non-hub vertex is a
+label (hub, distance, port).  Ports are offsets into the owning vertex's
+sorted adjacency slice and give the next hop toward the hub, which keeps
+path extraction memory-free.  Every parent is the smallest-id predecessor a
+level earlier (for a blocked vertex, the smallest-id blocking one), so the
+index does not depend on how the hubs are grouped into blocks.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, bfs_levels, digest64, first_parents, frontier_edges,
-                    offsets_from_counts)
+from .graph import Graph, bfs_levels, digest64, offsets_from_counts
 from .hubs import HubSet
 
 INF = 255
@@ -29,6 +34,11 @@ VERSION = 3
 _FLAG_DIRECTED = 1
 
 _ENTRY_DTYPE = np.dtype([("rank", "<u4"), ("dist", "u1"), ("port", "<u4")])
+
+_BLOCK = 64               # hubs per build pass: one bit of a uint64 word each
+_ZERO, _ONE = np.uint64(0), np.uint64(1)
+_NO_LABELS = (np.empty(0, np.uint32), np.empty(0, np.uint8),
+              np.empty(0, np.int32), np.empty(0, np.int32))
 
 
 class IndexFormatError(ValueError):
@@ -47,25 +57,6 @@ class LabelTable:
         self.hub_rank = hub_rank
         self.dist = dist
         self.port = port
-
-    @classmethod
-    def from_chunks(cls, n, chunks):
-        """Merge per-hub contribution buffers into one deterministic table.
-
-        Sorting by (vertex, dist, hub_rank) makes the result independent of
-        the order the per-hub traversals ran in.
-        """
-        if chunks:
-            vertex = np.concatenate([c[0] for c in chunks])
-            dist = np.concatenate([c[1] for c in chunks])
-            rank = np.concatenate([c[2] for c in chunks])
-            port = np.concatenate([c[3] for c in chunks])
-        else:
-            vertex = dist = rank = port = np.empty(0, np.int64)
-        order = np.lexsort((rank, dist, vertex))
-        offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
-        return cls(offsets, rank[order].astype(np.int32),
-                   dist[order].astype(np.uint8), port[order].astype(np.int32))
 
     @property
     def total(self):
@@ -163,95 +154,148 @@ class Hub2Index:
         return True
 
 
-def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
-    """Bounded BFS from hub h: (matrix row, via row, inline chains, label arrays).
+def _set_bits(words):
+    """(index, bit) of every set bit of a uint64 array, by index, then bit."""
+    data = words.astype("<u8", copy=False).view(np.uint8)
+    byte = np.flatnonzero(data)
+    at = np.flatnonzero(np.unpackbits(data[byte], bitorder="little"))
+    byte = byte[at // 8]
+    return byte // 8, byte % 8 * 8 + at % 8
 
-    A reached hub blocked on every shortest path gets a blocking hub's rank in
-    the via row (else -1); the others' chains, h first, are one list in rank order.
 
-    reverse=True walks in-edges (directed graphs), producing outgoing-side
-    labels whose ports index the out-slice; the forward walk produces
-    incoming-side labels with ports into the in-slice (out-slice when
-    undirected).  Parent choice is the smallest-id predecessor on the previous
-    level, blocked predecessors first.
+def _first_carriers(offsets, sources, rows, need, carrier):
+    """Per set bit b of need[i], the first position in rows[i]'s slice whose source
+    carries b in carrier: returns (i, b, position in the slice, source).
+
+    Slices ascend, so that source is the smallest-id carrier.  A segmented
+    prefix OR by doubling gives the bits carried up to each position; a
+    position's firsts are the bits it carries that no earlier position does.
     """
-    if not hubs.is_hub[h]:
-        raise ValueError(f"vertex {h} is not a hub")
-    offsets, targets = g.adjacency(reverse)
-    port_lists = g.adj_lists(reverse=not reverse)
-    n = g.n
-    rank = hubs.rank
-    is_hub = hubs.is_hub
-    dim = hubs.size
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    seg = np.repeat(np.arange(rows.size), counts)
+    local = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    src = sources[starts[seg] + local]
+    first = carrier[src] & need[seg]
+    upto = first.copy()
+    step, longest = 1, counts.max(initial=0)
+    while step < longest:
+        upto[step:] |= np.where(local[step:] >= step, upto[:-step], _ZERO)
+        step *= 2
+    first[1:] &= ~np.where(local[1:] > 0, upto[:-1], _ZERO)
+    at = np.flatnonzero(first)
+    i, bit = _set_bits(first[at])
+    at = at[i]
+    return seg[at], bit, local[at], src[at]
 
-    row = np.full(dim, INF, np.uint8)
-    row[rank[h]] = 0
-    level = np.full(n, -1, np.int32)
-    bflag = np.zeros(n, np.uint8)
-    parent = np.full(n, -1, np.int32)
-    blocker = np.full(n, -1, np.int32)
-    level[h] = 0
-    bflag[h] = 1
-    frontier = np.array([h], dtype=np.int64)
 
-    via = np.full(dim, -1, np.int32)
-    lab_vertex, lab_dist, lab_rank, lab_port = [], [], [], []
-    chains = {}
+def _pick(offsets, sources, x, bit, carrier):
+    """Per pair (x[i], bit[i]), the smallest-id source in x's slice carrying the bit."""
+    key, inverse = np.unique(x * _BLOCK + bit, return_inverse=True)
+    rows, lo = np.unique(key // _BLOCK, return_index=True)
+    need = np.bitwise_or.reduceat(np.left_shift(_ONE, (key % _BLOCK).astype(np.uint64)), lo)
+    i, b, _, src = _first_carriers(offsets, sources, rows, need, carrier)
+    return src[np.argsort(rows[i] * _BLOCK + b)][inverse].astype(np.int64)
 
-    for depth in range(k + 1):
-        if depth > 0:
-            hub_mask = is_hub[frontier]
-            for u in frontier[hub_mask]:
-                u = int(u)
-                r = int(rank[u])
-                row[r] = depth
-                if bflag[u]:
-                    chain = [u]
-                    v = u
-                    while v != h:
-                        v = int(parent[v])
-                        chain.append(v)
-                    chains[r] = chain[::-1]
-                    bflag[u] = 0
-                else:
-                    via[r] = rank[blocker[u]]
-                blocker[u] = u
-            labeled = frontier[~hub_mask & (bflag[frontier] == 1)]
-            if labeled.size:
-                ports = np.empty(labeled.size, np.int32)
-                for i, v in enumerate(labeled):
-                    ports[i] = bisect_left(port_lists[v], int(parent[v]))
-                lab_vertex.append(labeled)
-                lab_dist.append(np.full(labeled.size, depth, np.int64))
-                lab_rank.append(np.full(labeled.size, rank[h], np.int64))
-                lab_port.append(ports.astype(np.int64))
-        if depth == k:
+
+def _walk_witnesses(offsets, sources, hubs, lo, depth, new, free, fronts, blocking, matrix):
+    """Fill the matrix cells of the hubs the block's roots first reach at depth.
+
+    A hub some shortest path reaches with no hub between gets an inline chain:
+    the smallest-id frontier parents walked back to the root, the parent rule
+    of the ports.  Any other gets a via rank: walking back the smallest-id
+    blocking carrier of each step reaches the hub that blocks it.
+    """
+    dist, via, chains = matrix
+    hub_ids = hubs.ids.astype(np.int64)
+    j, bit = _set_bits(new[hub_ids])
+    i = lo + bit
+    dist[i, j] = depth
+    inline = (free[hub_ids[j]] >> bit.astype(np.uint64)) & _ONE == _ONE
+    x, b = hub_ids[j[inline]], bit[inline]
+    if x.size:
+        path = [x]
+        for d in range(depth - 1, -1, -1):
+            path.append(_pick(offsets, sources, path[-1], b, fronts[d]))
+        chains.append((i[inline], j[inline], np.stack(path[::-1], axis=1)))
+    x, b, i, j = hub_ids[j[~inline]], bit[~inline], i[~inline], j[~inline]
+    for d in range(depth - 1, -1, -1):
+        if not x.size:
             break
-        srcs, dsts = frontier_edges(offsets, targets, frontier)
-        fresh = level[dsts] < 0
-        # blocked predecessors sort first, so the pick's flag is the AND of
-        # all predecessor flags and a blocked vertex inherits a blocking hub;
-        # labeled vertices have all-unblocked predecessors, so their parent is
-        # the smallest-id one; parents of blocked vertices are never walked
-        new, pred = first_parents(srcs[fresh], dsts[fresh], bflag)
-        if new.size == 0:
+        x = _pick(offsets, sources, x, b, blocking[d])
+        done = hubs.is_hub[x]
+        via[i[done], j[done]] = hubs.rank[x[done]]
+        x, b, i, j = x[~done], b[~done], i[~done], j[~done]
+
+
+def _pull(offsets, sources, words):
+    """Per vertex, the OR of words over its slice of sources (0 for an empty slice)."""
+    out = np.zeros(offsets.size - 1, np.uint64)
+    full = offsets[1:] > offsets[:-1]
+    if sources.size:
+        out[full] = np.bitwise_or.reduceat(words[sources], offsets[:-1][full])
+    return out
+
+
+def _pass(g, hubs, lo, k, reverse, matrix=None):
+    """Bounded BFS from the block of hubs ranked lo.. lo+63, bit b for rank lo + b.
+
+    Returns the block's label arrays and, given the matrix arrays, fills their
+    rows.  A vertex pulls over its slice of sources (its predecessors in walk
+    order), so the bits first reaching it are the OR of their frontier words
+    less those seen.  A reached hub blocks what lies behind it, a root keeps
+    its own bit: blocking[d] holds the depth-d frontier bits that are hubs or
+    were reached only through a blocking carrier, and a bit is free at a vertex
+    when no blocking carrier reaches it.  reverse=True walks in-edges (directed
+    graphs) and gives outgoing-side labels with ports into the out-slice; the
+    forward walk gives incoming-side labels with ports into the in-slice
+    (out-slice when undirected).
+    """
+    offsets, sources = g.adjacency(not reverse)
+    hub_ids = hubs.ids.astype(np.int64)
+    roots = hub_ids[lo:lo + _BLOCK]
+    front = np.zeros(g.n, np.uint64)
+    front[roots] = np.left_shift(_ONE, np.arange(roots.size, dtype=np.uint64))
+    seen = front.copy()
+    fronts, blocking, parts = [front], [np.zeros(g.n, np.uint64)], []
+    for depth in range(1, k + 1):
+        new = _pull(offsets, sources, fronts[-1]) & ~seen
+        if not new.any():
             break
-        chosen_b = bflag[pred]
-        blocked = chosen_b == 0
-        bflag[new] = chosen_b
-        blocker[new[blocked]] = blocker[pred[blocked]]
-        parent[new] = pred
-        level[new] = depth + 1
-        frontier = new
-    contribution = (lab_vertex, lab_dist, lab_rank, lab_port)
-    return row, via, [v for r in sorted(chains) for v in chains[r]], contribution
+        free = new & ~_pull(offsets, sources, blocking[-1])
+        seen |= new
+        rows = np.flatnonzero(free)
+        rows = rows[~hubs.is_hub[rows]]
+        i, bit, port, _ = _first_carriers(offsets, sources, rows, free[rows], fronts[-1])
+        parts.append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
+                      (lo + bit).astype(np.int32), port.astype(np.int32)))
+        if matrix is not None:
+            _walk_witnesses(offsets, sources, hubs, lo, depth, new, free,
+                            fronts, blocking, matrix)
+        blocked = new & ~free
+        blocked[hub_ids] = new[hub_ids]
+        fronts.append(new)
+        blocking.append(blocked)
+    return parts
+
+
+def _label_table(n, dim, parts):
+    """The (vertex, dist, rank)-sorted table of the passes' label arrays."""
+    vertex, dist, rank, port = (np.concatenate(f) for f in zip(_NO_LABELS, *parts))
+    # one distinct int64 key per entry: n < 2^32, dist < 2^8 and the dim^2
+    # matrix keeps dim far below 2^23, so keys stay under 2^63
+    order = np.argsort((vertex.astype(np.int64) * (MAX_K + 1) + dist) * dim + rank)
+    return LabelTable(offsets_from_counts(np.bincount(vertex, minlength=n)),
+                      rank[order], dist[order], port[order])
 
 
 def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
-    """Run one (two when directed) label traversal per hub and merge the output.
+    """Label every vertex and fill the hub matrix with one pass per 64-hub block.
 
-    The merge is a global sort by (vertex, level, hub rank), so the result does
-    not depend on traversal scheduling.
+    Each pass is a bit-parallel bounded BFS from the block's hubs, in rank
+    order; a directed graph adds a reverse pass for the outgoing labels.
+    Python loops over blocks and levels only, and every tie goes to the
+    smallest id, so the index is the same for any block size and order.
     """
     if hubs.size == 0:
         raise ValueError("cannot build an index over an empty hub set")
@@ -259,18 +303,19 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
         raise ValueError(f"k must be in [1, {MAX_K}]")
     t0 = time.monotonic()
     dim = hubs.size
-    dist = np.empty((dim, dim), np.uint8)
-    via = np.empty((dim, dim), np.int32)
-    chains, chunks_in, chunks_out = [], [], []
-    for i, h in enumerate(hubs.ids):
-        dist[i], via[i], row_chains, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k)
-        chains += row_chains
-        chunks_in.extend(zip(lv, ld, lr, lp))
+    dist = np.full((dim, dim), INF, np.uint8)
+    np.fill_diagonal(dist, 0)
+    via = np.full((dim, dim), -1, np.int32)
+    chains, parts_in, parts_out = [], [], []
+    for lo in range(0, dim, _BLOCK):
+        parts_in += _pass(g, hubs, lo, k, False, (dist, via, chains))
         if g.directed:
-            *_, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k, reverse=True)
-            chunks_out.extend(zip(lv, ld, lr, lp))
-    labels_in = LabelTable.from_chunks(g.n, chunks_in)
-    labels_out = LabelTable.from_chunks(g.n, chunks_out) if g.directed else labels_in
+            parts_out += _pass(g, hubs, lo, k, True)
+    labels_in = _label_table(g.n, dim, parts_in)
+    labels_out = _label_table(g.n, dim, parts_out) if g.directed else labels_in
+    matrix = Hub2Matrix(dim, dist, via, np.empty(sum(c.size for *_, c in chains), np.uint32))
+    for i, j, c in chains:
+        matrix.chains[matrix.chain_start[i, j][:, None] + np.arange(c.shape[1])] = c
     non_hubs = max(1, g.n - dim)
     entries = labels_in.total + (labels_out.total if g.directed else 0)
     stats = {
@@ -278,8 +323,7 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
         "build_seconds": time.monotonic() - t0,
     }
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
-                     graph_checksum=g.checksum, hubs=hubs,
-                     matrix=Hub2Matrix(dim, dist, via, np.array(chains, np.uint32)),
+                     graph_checksum=g.checksum, hubs=hubs, matrix=matrix,
                      labels_in=labels_in, labels_out=labels_out,
                      build_stats=stats)
 

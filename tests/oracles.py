@@ -2,10 +2,19 @@
 
 Everything here is deliberately written with plain queues and dicts, not the
 library's vectorized kernels, so a defect in the package cannot hide in its
-own verifier.
+own verifier.  The exception is build_reference at the end: the earlier
+per-hub index builder, kept as the byte-for-byte reference of hub2.build.
 """
 
+import time
+from bisect import bisect_left
 from collections import deque
+
+import numpy as np
+
+from hubpath.graph import Graph, first_parents, frontier_edges, offsets_from_counts
+from hubpath.hub2 import INF, MAX_K, Hub2Index, Hub2Matrix, LabelTable
+from hubpath.hubs import HubSet
 
 
 def adjacency_from_graph(g, reverse=False):
@@ -119,3 +128,150 @@ def masked_bfs_dist(adj, source, masked, max_depth=None):
                 dist[v] = du + 1
                 queue.append(v)
     return dist
+
+
+# ------------------------------------------------------- reference index build
+#
+# One vectorized bounded BFS per hub (two on a directed graph), as hub2.build
+# ran before its bit-parallel pass.  It uses the library's level-step helpers,
+# so it checks the pass, not those helpers.
+
+
+def table_from_chunks(n, chunks):
+    """Merge per-hub contribution buffers into one deterministic table.
+
+    Sorting by (vertex, dist, hub_rank) makes the result independent of
+    the order the per-hub traversals ran in.
+    """
+    if chunks:
+        vertex = np.concatenate([c[0] for c in chunks])
+        dist = np.concatenate([c[1] for c in chunks])
+        rank = np.concatenate([c[2] for c in chunks])
+        port = np.concatenate([c[3] for c in chunks])
+    else:
+        vertex = dist = rank = port = np.empty(0, np.int64)
+    order = np.lexsort((rank, dist, vertex))
+    offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
+    return LabelTable(offsets, rank[order].astype(np.int32),
+                      dist[order].astype(np.uint8), port[order].astype(np.int32))
+
+
+def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
+    """Bounded BFS from hub h: (matrix row, via row, inline chains, label arrays).
+
+    A reached hub blocked on every shortest path gets a blocking hub's rank in
+    the via row (else -1); the others' chains, h first, are one list in rank order.
+
+    reverse=True walks in-edges (directed graphs), producing outgoing-side
+    labels whose ports index the out-slice; the forward walk produces
+    incoming-side labels with ports into the in-slice (out-slice when
+    undirected).  Parent choice is the smallest-id predecessor on the previous
+    level, blocked predecessors first.
+    """
+    if not hubs.is_hub[h]:
+        raise ValueError(f"vertex {h} is not a hub")
+    offsets, targets = g.adjacency(reverse)
+    port_lists = g.adj_lists(reverse=not reverse)
+    n = g.n
+    rank = hubs.rank
+    is_hub = hubs.is_hub
+    dim = hubs.size
+
+    row = np.full(dim, INF, np.uint8)
+    row[rank[h]] = 0
+    level = np.full(n, -1, np.int32)
+    bflag = np.zeros(n, np.uint8)
+    parent = np.full(n, -1, np.int32)
+    blocker = np.full(n, -1, np.int32)
+    level[h] = 0
+    bflag[h] = 1
+    frontier = np.array([h], dtype=np.int64)
+
+    via = np.full(dim, -1, np.int32)
+    lab_vertex, lab_dist, lab_rank, lab_port = [], [], [], []
+    chains = {}
+
+    for depth in range(k + 1):
+        if depth > 0:
+            hub_mask = is_hub[frontier]
+            for u in frontier[hub_mask]:
+                u = int(u)
+                r = int(rank[u])
+                row[r] = depth
+                if bflag[u]:
+                    chain = [u]
+                    v = u
+                    while v != h:
+                        v = int(parent[v])
+                        chain.append(v)
+                    chains[r] = chain[::-1]
+                    bflag[u] = 0
+                else:
+                    via[r] = rank[blocker[u]]
+                blocker[u] = u
+            labeled = frontier[~hub_mask & (bflag[frontier] == 1)]
+            if labeled.size:
+                ports = np.empty(labeled.size, np.int32)
+                for i, v in enumerate(labeled):
+                    ports[i] = bisect_left(port_lists[v], int(parent[v]))
+                lab_vertex.append(labeled)
+                lab_dist.append(np.full(labeled.size, depth, np.int64))
+                lab_rank.append(np.full(labeled.size, rank[h], np.int64))
+                lab_port.append(ports.astype(np.int64))
+        if depth == k:
+            break
+        srcs, dsts = frontier_edges(offsets, targets, frontier)
+        fresh = level[dsts] < 0
+        # blocked predecessors sort first, so the pick's flag is the AND of
+        # all predecessor flags and a blocked vertex inherits a blocking hub;
+        # labeled vertices have all-unblocked predecessors, so their parent is
+        # the smallest-id one; parents of blocked vertices are never walked
+        new, pred = first_parents(srcs[fresh], dsts[fresh], bflag)
+        if new.size == 0:
+            break
+        chosen_b = bflag[pred]
+        blocked = chosen_b == 0
+        bflag[new] = chosen_b
+        blocker[new[blocked]] = blocker[pred[blocked]]
+        parent[new] = pred
+        level[new] = depth + 1
+        frontier = new
+    contribution = (lab_vertex, lab_dist, lab_rank, lab_port)
+    return row, via, [v for r in sorted(chains) for v in chains[r]], contribution
+
+
+def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
+    """Run one (two when directed) label traversal per hub and merge the output.
+
+    The merge is a global sort by (vertex, level, hub rank), so the result does
+    not depend on traversal scheduling.
+    """
+    if hubs.size == 0:
+        raise ValueError("cannot build an index over an empty hub set")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be in [1, {MAX_K}]")
+    t0 = time.monotonic()
+    dim = hubs.size
+    dist = np.empty((dim, dim), np.uint8)
+    via = np.empty((dim, dim), np.int32)
+    chains, chunks_in, chunks_out = [], [], []
+    for i, h in enumerate(hubs.ids):
+        dist[i], via[i], row_chains, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k)
+        chains += row_chains
+        chunks_in.extend(zip(lv, ld, lr, lp))
+        if g.directed:
+            *_, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k, reverse=True)
+            chunks_out.extend(zip(lv, ld, lr, lp))
+    labels_in = table_from_chunks(g.n, chunks_in)
+    labels_out = table_from_chunks(g.n, chunks_out) if g.directed else labels_in
+    non_hubs = max(1, g.n - dim)
+    entries = labels_in.total + (labels_out.total if g.directed else 0)
+    stats = {
+        "avg_labels_per_vertex": entries / non_hubs,
+        "build_seconds": time.monotonic() - t0,
+    }
+    return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
+                     graph_checksum=g.checksum, hubs=hubs,
+                     matrix=Hub2Matrix(dim, dist, via, np.array(chains, np.uint32)),
+                     labels_in=labels_in, labels_out=labels_out,
+                     build_stats=stats)

@@ -21,7 +21,6 @@ from hubpath import (
     estimate_full_join,
     hl_query,
     hn_query,
-    hp_bbfs,
     load_edge_list,
     make_workload,
     network_stats,
@@ -29,6 +28,7 @@ from hubpath import (
     validate_path,
     verify_distance_preserving,
 )
+from hubpath.engines import hp_bbfs
 from hubpath.generate import gen_synthetic
 
 from oracles import adjacency_from_graph, all_pairs_dist, some_shortest_path_has_hub

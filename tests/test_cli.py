@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hubpath.cli import main
+from hubpath.graph import digest64
 
 
 def run(capsys, *argv):
@@ -203,6 +204,24 @@ def test_verify_ok_and_corruption_detected(tmp_path, graph_file, capsys):
                        "--index", str(idx), "--pairs", "10")
     assert code == 1
     assert "checksum" in out
+
+
+def test_verify_rebuild_catches_resealed_label_flip(tmp_path, graph_file, capsys):
+    # a port byte of the last label entry flipped and the digest recomputed:
+    # the file loads, and only the rebuild comparison is sure to see it
+    idx = tmp_path / "g.hub2"
+    run(capsys, "build", "--graph", str(graph_file), "--hubs", "8", "--k", "4",
+        "--out", str(idx))
+    argv = ["verify", "--graph", str(graph_file), "--index", str(idx), "--pairs", "10"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "index-rebuild: identical" in out
+
+    body = bytearray(idx.read_bytes()[:-8])
+    body[-4] ^= 0x01
+    idx.write_bytes(bytes(body) + digest64(body).to_bytes(8, "little"))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "index-rebuild: differs" in out
 
 
 def test_verify_small_graph_runs_label_oracle(tmp_path, capsys):

@@ -17,12 +17,12 @@ from hubpath import (
     gen_synthetic,
     hl_query,
     hn_query,
-    hp_bbfs,
     load_edge_list,
     reconstruct_estimated_path,
     select_hubs,
     validate_path,
 )
+from hubpath.engines import hp_bbfs
 from hubpath.hub2 import MAX_K
 
 from conftest import ba_graph, er_graph

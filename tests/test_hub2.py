@@ -27,7 +27,6 @@ from hubpath import (
 )
 from hubpath.engines import check_result
 from hubpath.graph import digest64
-from hubpath.hub2 import label_bfs
 
 from conftest import ba_graph, er_graph
 from oracles import adjacency_from_graph, all_pairs_dist, core_hub_set
@@ -113,18 +112,12 @@ def test_three_chain_label_and_port():
 
 def test_triangle_single_hub_row():
     g = Graph.from_edges(3, [0, 0, 1], [1, 2, 2], directed=False)
-    hubs = hubset(g, [0])
-    row, via, chains, (lv, ld, lr, lp) = label_bfs(g, hubs, 0, 2)
-    assert row.tolist() == [0]
-    assert via.tolist() == [-1] and chains == []
-    labeled = np.concatenate(lv).tolist()
+    idx = build_index(g, hubset(g, [0]), 2)
+    assert idx.matrix.dist[0].tolist() == [0]
+    assert idx.matrix.via[0].tolist() == [-1] and idx.matrix.chains.tolist() == []
+    labeled = np.repeat(np.arange(g.n), idx.labels_in.counts()).tolist()
     assert sorted(labeled) == [1, 2]
-    assert all(d == 1 for d in np.concatenate(ld))
-
-
-def test_label_bfs_requires_hub(chain4):
-    with pytest.raises(ValueError):
-        label_bfs(chain4, hubset(chain4, [1, 2]), 0, 4)
+    assert all(d == 1 for d in idx.labels_in.dist)
 
 
 def test_build_rejects_empty_hubs_and_bad_k(chain4):
@@ -308,6 +301,29 @@ def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha,
     net = discover(g, hubs, 5)
     blob = json.dumps([net.basic_pairs, net.added_per_pair, net.members.tolist()])
     assert hashlib.sha256(blob.encode()).hexdigest() == discover_sha
+
+
+@pytest.mark.parametrize("beta, ba_sha, er_sha", [
+    (63, "438de1bcda1f821593fdbf13da54dad12634f6c0c252794b5076f6432b25fc5b",
+     "83eed6d7d9daa125d8ca8db66b554674fe30d7b0cb9454e7e3922e0f6d64326f"),
+    (64, "ab61e3cebc296424c50b6731255fd083bbe4778ea7ac3f8be3c65be767d405df",
+     "625fe1530111386acf29099a0c142586bb6889cca015877f5d4079a9e18fda6c"),
+    (65, "286083ac1951de63f695e6afdf43246a144c1557f62e50908281af5d03e9370f",
+     "3b41e5ca36f7e36ed1a7eb578d0d2f5a8801264ad78336acc0f6713a3ba7f49f"),
+    (130, "703d1fc674bc82cdb3a749f3063ddfa32cde16fa33ec15b8dfc44adae3ea2bac",
+     "38937cbaa65ea19cf1f5b47d3a95f326b749876aa1f3af00e90e2575a2030654"),
+])
+def test_pinned_index_across_hub_blocks(beta, ba_sha, er_sha):
+    """Index bytes at hub counts around the build's 64-hub blocks.
+
+    The graphs are test_pinned_index_and_network_output's, and the digests
+    come from the per-hub build that the block-wise one replaced.
+    """
+    for kind, param, seed, directed, sha in [("ba", 3, 13, False, ba_sha),
+                                             ("er", 5, 12, True, er_sha)]:
+        g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+        blob = hub2.to_bytes(build_index(g, select_hubs(g, beta), 5))
+        assert hashlib.sha256(blob).hexdigest() == sha, kind
 
 
 def test_serialize_file_roundtrip(tmp_path, chain4):

@@ -5,12 +5,12 @@ from hubpath import (
     Graph,
     HubNetwork,
     HubSet,
-    bfs_extract,
     discover,
     network_stats,
     select_hubs,
     verify_distance_preserving,
 )
+from hubpath.network import bfs_extract
 
 from conftest import ba_graph, er_graph
 from oracles import adjacency_from_graph, all_pairs_dist, classify_hub_pair

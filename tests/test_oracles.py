@@ -1,0 +1,41 @@
+"""The per-hub reference build, and the block-wise build checked against it."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hubpath.hub2 as hub2
+from hubpath import Graph, HubSet, select_hubs
+
+from oracles import build_reference, label_bfs
+
+
+def test_label_bfs_requires_hub(chain4):
+    with pytest.raises(ValueError):
+        label_bfs(chain4, HubSet.from_ids(chain4.n, [1, 2]), 0, 4)
+
+
+@st.composite
+def graphs_with_hubs(draw):
+    """A seeded random graph (directed or not) with trailing isolated vertices,
+    a hub set of any size (top degree or arbitrary) and a bound k."""
+    n = draw(st.integers(1, 150) | st.integers(65, 150))
+    isolated = draw(st.integers(0, min(10, n - 1)))
+    m = draw(st.integers(0, 4 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = rng.integers(0, n - isolated, size=(2, m))
+    g = Graph.from_edges(n, ends[0], ends[1], directed=draw(st.booleans()))
+    beta = draw(st.integers(1, n) | st.integers(max(1, n - 30), n))
+    if draw(st.booleans()):
+        hubs = select_hubs(g, beta)
+    else:
+        hubs = HubSet.from_ids(n, draw(st.permutations(range(n)))[:beta])
+    return g, hubs, draw(st.integers(1, 6) | st.integers(3, 6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs_with_hubs())
+def test_build_matches_reference(case):
+    g, hubs, k = case
+    assert hub2.to_bytes(hub2.build(g, hubs, k)) == hub2.to_bytes(build_reference(g, hubs, k))
