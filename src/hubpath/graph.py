@@ -8,7 +8,9 @@ next-hop port offsets well defined and serialization deterministic.
 
 first_parents is the one place where a vectorized single-source BFS level
 step decides which predecessor becomes a new vertex's parent; the traversals
-in network and engines pass it their tie-break keys.
+in network and engines pass it their tie-break keys.  bit_levels is the one
+bit-parallel level loop: hub2.build reads labels and witnesses from it, and
+network.discover reads each hub's unblocked region.
 """
 
 from __future__ import annotations
@@ -236,6 +238,49 @@ def first_parents(srcs, dsts, *keys):
     first = np.ones(ds.size, bool)
     first[1:] = ds[1:] != ds[:-1]
     return ds[first], srcs[order][first]
+
+
+def set_bits(words):
+    """(index, bit) of every set bit of a uint64 array, by index, then bit."""
+    data = words.astype("<u8", copy=False).view(np.uint8)
+    byte = np.flatnonzero(data)
+    at = np.flatnonzero(np.unpackbits(data[byte], bitorder="little"))
+    byte = byte[at // 8]
+    return byte // 8, byte % 8 * 8 + at % 8
+
+
+def pull_or(offsets, sources, words):
+    """Per vertex, the OR of words over its slice of sources (0 for an empty slice)."""
+    out = np.zeros(offsets.size - 1, np.uint64)
+    full = offsets[1:] > offsets[:-1]
+    if sources.size:
+        out[full] = np.bitwise_or.reduceat(words[sources], offsets[:-1][full])
+    return out
+
+
+def bit_levels(offsets, sources, hub_ids, roots, max_depth):
+    """Bit-parallel BFS bounded at max_depth from up to 64 roots, root i on bit i.
+
+    Yields (front, blocking, new, free) per depth 1, 2, ... while anything is
+    reached: the previous level's frontier and blocking words, then this
+    level's first-reach and free words, one uint64 per vertex each.  A vertex
+    ORs the frontier words over its slice of sources (its predecessors in walk
+    order).  Blocking bits are frontier bits at hubs or reached only through a
+    blocking carrier, and a bit is free where no blocking carrier reaches: no
+    hub lies strictly between root and vertex on any shortest path.
+    """
+    front = np.zeros(offsets.size - 1, np.uint64)
+    front[roots] = np.left_shift(np.uint64(1), np.arange(len(roots), dtype=np.uint64))
+    seen, blocking = front.copy(), np.zeros_like(front)
+    for _ in range(max_depth):
+        new = pull_or(offsets, sources, front) & ~seen
+        if not new.any():
+            return
+        free = new & ~pull_or(offsets, sources, blocking)
+        seen |= new
+        yield front, blocking, new, free
+        front, blocking = new, new & ~free
+        blocking[hub_ids] = new[hub_ids]
 
 
 def bfs_levels(offsets, targets, source, max_depth, n):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_levels, digest64, offsets_from_counts
+from .graph import Graph, bfs_levels, bit_levels, digest64, offsets_from_counts, set_bits
 from .hubs import HubSet
 
 INF = 255
@@ -154,15 +154,6 @@ class Hub2Index:
         return True
 
 
-def _set_bits(words):
-    """(index, bit) of every set bit of a uint64 array, by index, then bit."""
-    data = words.astype("<u8", copy=False).view(np.uint8)
-    byte = np.flatnonzero(data)
-    at = np.flatnonzero(np.unpackbits(data[byte], bitorder="little"))
-    byte = byte[at // 8]
-    return byte // 8, byte % 8 * 8 + at % 8
-
-
 def _first_carriers(offsets, sources, rows, need, carrier):
     """Per set bit b of need[i], the first position in rows[i]'s slice whose source
     carries b in carrier: returns (i, b, position in the slice, source).
@@ -184,7 +175,7 @@ def _first_carriers(offsets, sources, rows, need, carrier):
         step *= 2
     first[1:] &= ~np.where(local[1:] > 0, upto[:-1], _ZERO)
     at = np.flatnonzero(first)
-    i, bit = _set_bits(first[at])
+    i, bit = set_bits(first[at])
     at = at[i]
     return seg[at], bit, local[at], src[at]
 
@@ -208,7 +199,7 @@ def _walk_witnesses(offsets, sources, hubs, lo, depth, new, free, fronts, blocki
     """
     dist, via, chains = matrix
     hub_ids = hubs.ids.astype(np.int64)
-    j, bit = _set_bits(new[hub_ids])
+    j, bit = set_bits(new[hub_ids])
     i = lo + bit
     dist[i, j] = depth
     inline = (free[hub_ids[j]] >> bit.astype(np.uint64)) & _ONE == _ONE
@@ -228,54 +219,31 @@ def _walk_witnesses(offsets, sources, hubs, lo, depth, new, free, fronts, blocki
         x, b, i, j = x[~done], b[~done], i[~done], j[~done]
 
 
-def _pull(offsets, sources, words):
-    """Per vertex, the OR of words over its slice of sources (0 for an empty slice)."""
-    out = np.zeros(offsets.size - 1, np.uint64)
-    full = offsets[1:] > offsets[:-1]
-    if sources.size:
-        out[full] = np.bitwise_or.reduceat(words[sources], offsets[:-1][full])
-    return out
-
-
 def _pass(g, hubs, lo, k, reverse, matrix=None):
     """Bounded BFS from the block of hubs ranked lo.. lo+63, bit b for rank lo + b.
 
     Returns the block's label arrays and, given the matrix arrays, fills their
-    rows.  A vertex pulls over its slice of sources (its predecessors in walk
-    order), so the bits first reaching it are the OR of their frontier words
-    less those seen.  A reached hub blocks what lies behind it, a root keeps
-    its own bit: blocking[d] holds the depth-d frontier bits that are hubs or
-    were reached only through a blocking carrier, and a bit is free at a vertex
-    when no blocking carrier reaches it.  reverse=True walks in-edges (directed
-    graphs) and gives outgoing-side labels with ports into the out-slice; the
-    forward walk gives incoming-side labels with ports into the in-slice
-    (out-slice when undirected).
+    rows.  The levels come from graph.bit_levels; a label is a free first
+    reach of a non-hub.  reverse=True walks in-edges (directed graphs) and
+    gives outgoing-side labels with ports into the out-slice; the forward walk
+    gives incoming-side labels with ports into the in-slice (out-slice when
+    undirected).
     """
     offsets, sources = g.adjacency(not reverse)
     hub_ids = hubs.ids.astype(np.int64)
-    roots = hub_ids[lo:lo + _BLOCK]
-    front = np.zeros(g.n, np.uint64)
-    front[roots] = np.left_shift(_ONE, np.arange(roots.size, dtype=np.uint64))
-    seen = front.copy()
-    fronts, blocking, parts = [front], [np.zeros(g.n, np.uint64)], []
-    for depth in range(1, k + 1):
-        new = _pull(offsets, sources, fronts[-1]) & ~seen
-        if not new.any():
-            break
-        free = new & ~_pull(offsets, sources, blocking[-1])
-        seen |= new
+    fronts, blocking, parts = [], [], []
+    levels = bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + _BLOCK], k)
+    for depth, (front, block, new, free) in enumerate(levels, 1):
+        fronts.append(front)
+        blocking.append(block)
         rows = np.flatnonzero(free)
         rows = rows[~hubs.is_hub[rows]]
-        i, bit, port, _ = _first_carriers(offsets, sources, rows, free[rows], fronts[-1])
+        i, bit, port, _ = _first_carriers(offsets, sources, rows, free[rows], front)
         parts.append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
                       (lo + bit).astype(np.int32), port.astype(np.int32)))
         if matrix is not None:
             _walk_witnesses(offsets, sources, hubs, lo, depth, new, free,
                             fronts, blocking, matrix)
-        blocked = new & ~free
-        blocked[hub_ids] = new[hub_ids]
-        fronts.append(new)
-        blocking.append(blocked)
     return parts
 
 
@@ -434,11 +402,13 @@ def from_bytes(data: bytes) -> Hub2Index:
     """Parse and validate a serialized index; any corruption raises."""
     if len(data) < 8:
         raise IndexFormatError("truncated file: too short for checksum")
+    # sections are read in place through one view; only decoded arrays copy
+    body = memoryview(data)[:-8]
     stored = struct.unpack("<Q", data[-8:])[0]
-    if digest64(data[:-8]) != stored:
+    if digest64(body) != stored:
         raise IndexFormatError("checksum mismatch: file is corrupted, truncated or written "
                                "by another format version; rebuild it")
-    r = _Reader(data[:-8])
+    r = _Reader(body)
     if r.take(4) != MAGIC:
         raise IndexFormatError("bad magic")
     version, flags, k = struct.unpack("<HHB3x", r.take(8))

@@ -1,9 +1,12 @@
 """Greedy discovery of the distance-preserving hub network.
 
-One bounded BFS per hub classifies reachable hubs into basic pairs (no other
-hub strictly between on any shortest path) and composite pairs, and for each
-basic pair pulls one shortest path into the growing vertex set, preferring
-paths that reuse vertices already in the network.
+From each hub, in ascending id order, the greedy classifies the hubs within
+k into basic pairs (no other hub strictly between on any shortest path) and
+composite pairs, and for each basic pair pulls one shortest path into the
+growing vertex set, preferring paths that reuse vertices already in the
+network.  It walks only the hub's unblocked region, the vertices with no hub
+strictly between them and the hub, which one bit-parallel bounded BFS per
+block of 64 hubs finds.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_levels, first_parents, frontier_edges, induced_subgraph
+from .graph import (Graph, bfs_levels, bit_levels, first_parents, frontier_edges,
+                    induced_subgraph, offsets_from_counts, set_bits)
 from .hubs import HubSet
 
 
@@ -58,88 +62,64 @@ class PreservationReport:
         return not self.failures
 
 
-def bfs_extract(g: Graph, hubs: HubSet, source_hub: int, k: int, member: np.ndarray):
-    """Bounded flag/score BFS from one hub, growing `member` in place.
-
-    Per vertex the traversal maintains: exact level; flag b (1 iff no hub lies
-    strictly between the source and the vertex on any shortest path); and,
-    read only where b=1, score f (max count of network members along some
-    shortest path, counted at dequeue time) and the best predecessor (max f,
-    then smallest id).  Dequeuing a hub with b=1 records a basic pair, walks
-    the predecessor chain into `member`, then clears the flag so descendants
-    cannot form further basic pairs.
-
-    Returns (pairs, added_counts, total_added).
-    """
-    offsets, targets = g.adjacency()
-    n = g.n
-    is_hub = hubs.is_hub
-    level = np.full(n, -1, np.int32)
-    bflag = np.zeros(n, np.uint8)
-    fscore = np.zeros(n, np.int32)
-    parent = np.full(n, -1, np.int32)
-
-    level[source_hub] = 0
-    bflag[source_hub] = 1
-    frontier = np.array([source_hub], dtype=np.int64)
-    pairs, added_counts = [], []
-    total_added = 0
-
-    for depth in range(k + 1):
-        if depth > 0:
-            for u in frontier[is_hub[frontier]]:
-                u = int(u)
-                if bflag[u]:
-                    chain = []
-                    v = u
-                    while v != source_hub:
-                        chain.append(v)
-                        v = int(parent[v])
-                    added = 0
-                    for v in chain:
-                        if not member[v]:
-                            member[v] = True
-                            added += 1
-                    pairs.append((int(source_hub), u, depth))
-                    added_counts.append(added)
-                    total_added += added
-                    bflag[u] = 0
-        # score self-update happens at dequeue, before expansion; membership
-        # gained later in the traversal is not back-propagated
-        fscore[frontier] += member[frontier]
-        if depth == k:
-            break
-        srcs, dsts = frontier_edges(offsets, targets, frontier)
-        fresh = level[dsts] < 0
-        # blocked predecessors first, then highest score, then smallest id.
-        # Copying the pick's flag gives the AND of all predecessor flags.  An
-        # unblocked vertex has only unblocked predecessors, so its pick is
-        # (max score, min id); the score and parent of a blocked vertex are
-        # never read, since chains are walked only from unblocked hubs and
-        # scores only compared between unblocked predecessors.
-        new, pred = first_parents(srcs[fresh], dsts[fresh], -fscore, bflag)
-        if new.size == 0:
-            break
-        parent[new] = pred
-        fscore[new] = fscore[pred]
-        bflag[new] = bflag[pred]
-        level[new] = depth + 1
-        frontier = new
-    return pairs, added_counts, total_added
-
-
 def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
-    """Extract H*: process hubs in ascending id order, seeding H* = H."""
+    """Extract H*: process hubs in ascending id order, seeding H* = H.
+
+    From hub s, region R_d holds the vertices at distance d with no hub
+    strictly between s and them on any shortest path: the free bits of
+    graph.bit_levels, run once per block of 64 hubs.  All predecessors of an
+    R_d vertex one level up are non-hubs of R_{d-1} (or s), so pushing from
+    those finds every candidate parent.  The parent has the highest score,
+    then the smallest id, and f(v) = f(parent) + [v in H*].  Each hub in R_d
+    is a basic pair, and its parent chain joins H*, hubs in ascending id order.
+
+    This matches a full BFS from s that counts members when it dequeues them:
+    a chain pulled in at depth d holds vertices of levels below d only, so no
+    vertex joins H* between the start of s's walk and the reading of its own
+    membership, and scores depend only on H* as it stood before s.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     member = hubs.is_hub.copy()
     net = HubNetwork(member=member, members=None, k=k,
                      added_per_hub=np.zeros(hubs.size, np.int64))
-    for i, h in enumerate(hubs.ids):
-        pairs, added, total = bfs_extract(g, hubs, int(h), k, member)
-        net.basic_pairs.extend(pairs)
-        net.added_per_pair.extend(added)
-        net.added_per_hub[i] = total
+    offsets, targets = g.adjacency()
+    hub_ids = hubs.ids.astype(np.int64)
+    mark = np.zeros(g.n, np.int64)  # level in the current hub's region, 0 outside
+    score = np.zeros(g.n, np.int64)
+    parent = np.zeros(g.n, np.int64)
+    for lo in range(0, hub_ids.size, 64):
+        roots = hub_ids[lo:lo + 64]
+        levels = []
+        for *_, free in bit_levels(*g.adjacency(True), hub_ids, roots, k):
+            if not free.any():
+                break
+            vertex, bit = set_bits(free)
+            at = offsets_from_counts(np.bincount(bit, minlength=roots.size))
+            levels.append((vertex[np.argsort(bit, kind="stable")], at))
+        for b, s in enumerate(roots.tolist()):
+            regions = [vertex[at[b]:at[b + 1]] for vertex, at in levels]
+            front, total = np.array([s]), 0  # score[s] offsets all paths alike
+            for d, region in enumerate(regions, 1):
+                mark[region] = d
+                srcs, dsts = frontier_edges(offsets, targets, front)
+                keep = mark[dsts] == d
+                new, pred = first_parents(srcs[keep], dsts[keep], -score)
+                parent[new] = pred
+                score[new] = score[pred] + member[new]
+                for u in new[hubs.is_hub[new]].tolist():
+                    v, added = u, 0
+                    while v != s:
+                        added += not member[v]
+                        member[v] = True
+                        v = int(parent[v])
+                    net.basic_pairs.append((s, u, d))
+                    net.added_per_pair.append(added)
+                    total += added
+                front = new[~hubs.is_hub[new]]
+            for region in regions:
+                mark[region] = 0
+            net.added_per_hub[lo + b] = total
     net.members = np.flatnonzero(member).astype(np.uint32)
     return net
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with plain queues and dicts, not the
 library's vectorized kernels, so a defect in the package cannot hide in its
-own verifier.  The exception is build_reference at the end: the earlier
-per-hub index builder, kept as the byte-for-byte reference of hub2.build.
+own verifier.  The exceptions are build_reference and discover_reference at
+the end: the earlier per-hub index builder and hub-network discovery, kept as
+the references of hub2.build and network.discover.
 """
 
 import time
@@ -15,6 +16,7 @@ import numpy as np
 from hubpath.graph import Graph, first_parents, frontier_edges, offsets_from_counts
 from hubpath.hub2 import INF, MAX_K, Hub2Index, Hub2Matrix, LabelTable
 from hubpath.hubs import HubSet
+from hubpath.network import HubNetwork
 
 
 def adjacency_from_graph(g, reverse=False):
@@ -275,3 +277,96 @@ def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
                      matrix=Hub2Matrix(dim, dist, via, np.array(chains, np.uint32)),
                      labels_in=labels_in, labels_out=labels_out,
                      build_stats=stats)
+
+
+# ------------------------------------------------ reference hub-network discovery
+#
+# One full bounded BFS per hub, as network.discover ran before it walked only
+# each hub's unblocked region.  Like build_reference it uses the library's
+# level-step helpers.
+
+
+def bfs_extract(g: Graph, hubs: HubSet, source_hub: int, k: int, member: np.ndarray):
+    """Bounded flag/score BFS from one hub, growing `member` in place.
+
+    Per vertex the traversal maintains: exact level; flag b (1 iff no hub lies
+    strictly between the source and the vertex on any shortest path); and,
+    read only where b=1, score f (max count of network members along some
+    shortest path, counted at dequeue time) and the best predecessor (max f,
+    then smallest id).  Dequeuing a hub with b=1 records a basic pair, walks
+    the predecessor chain into `member`, then clears the flag so descendants
+    cannot form further basic pairs.
+
+    Returns (pairs, added_counts, total_added).
+    """
+    offsets, targets = g.adjacency()
+    n = g.n
+    is_hub = hubs.is_hub
+    level = np.full(n, -1, np.int32)
+    bflag = np.zeros(n, np.uint8)
+    fscore = np.zeros(n, np.int32)
+    parent = np.full(n, -1, np.int32)
+
+    level[source_hub] = 0
+    bflag[source_hub] = 1
+    frontier = np.array([source_hub], dtype=np.int64)
+    pairs, added_counts = [], []
+    total_added = 0
+
+    for depth in range(k + 1):
+        if depth > 0:
+            for u in frontier[is_hub[frontier]]:
+                u = int(u)
+                if bflag[u]:
+                    chain = []
+                    v = u
+                    while v != source_hub:
+                        chain.append(v)
+                        v = int(parent[v])
+                    added = 0
+                    for v in chain:
+                        if not member[v]:
+                            member[v] = True
+                            added += 1
+                    pairs.append((int(source_hub), u, depth))
+                    added_counts.append(added)
+                    total_added += added
+                    bflag[u] = 0
+        # score self-update happens at dequeue, before expansion; membership
+        # gained later in the traversal is not back-propagated
+        fscore[frontier] += member[frontier]
+        if depth == k:
+            break
+        srcs, dsts = frontier_edges(offsets, targets, frontier)
+        fresh = level[dsts] < 0
+        # blocked predecessors first, then highest score, then smallest id.
+        # Copying the pick's flag gives the AND of all predecessor flags.  An
+        # unblocked vertex has only unblocked predecessors, so its pick is
+        # (max score, min id); the score and parent of a blocked vertex are
+        # never read, since chains are walked only from unblocked hubs and
+        # scores only compared between unblocked predecessors.
+        new, pred = first_parents(srcs[fresh], dsts[fresh], -fscore, bflag)
+        if new.size == 0:
+            break
+        parent[new] = pred
+        fscore[new] = fscore[pred]
+        bflag[new] = bflag[pred]
+        level[new] = depth + 1
+        frontier = new
+    return pairs, added_counts, total_added
+
+
+def discover_reference(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
+    """Extract H*: process hubs in ascending id order, seeding H* = H."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    member = hubs.is_hub.copy()
+    net = HubNetwork(member=member, members=None, k=k,
+                     added_per_hub=np.zeros(hubs.size, np.int64))
+    for i, h in enumerate(hubs.ids):
+        pairs, added, total = bfs_extract(g, hubs, int(h), k, member)
+        net.basic_pairs.extend(pairs)
+        net.added_per_pair.extend(added)
+        net.added_per_hub[i] = total
+    net.members = np.flatnonzero(member).astype(np.uint32)
+    return net

@@ -1,6 +1,7 @@
-"""The quick demos run end to end, so an API or format change cannot break them silently.
+"""Demos 01-03 run end to end, so an API or format change cannot break them silently.
 
-Demos 02 and 04 take several seconds each and are left to be run by hand.
+Demo 02 takes about 4 s on a 2-vCPU VM; demo 04 takes longer and is left to
+be run by hand.
 """
 
 import os
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("name, expected", [
     ("01_graphs_and_search.py", ""),
+    ("02_hub_network.py", "0 failures"),
     ("03_hub_labeling_index.py", "round trip OK: True"),
 ])
 def test_demo_runs(name, expected):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -6,14 +9,15 @@ from hubpath import (
     HubNetwork,
     HubSet,
     discover,
+    gen_synthetic,
+    load_edge_list,
     network_stats,
     select_hubs,
     verify_distance_preserving,
 )
-from hubpath.network import bfs_extract
 
 from conftest import ba_graph, er_graph
-from oracles import adjacency_from_graph, all_pairs_dist, classify_hub_pair
+from oracles import adjacency_from_graph, all_pairs_dist, bfs_extract, classify_hub_pair
 
 
 def hubset(g, ids):
@@ -175,3 +179,28 @@ def test_discover_is_deterministic():
     assert np.array_equal(n1.members, n2.members)
     assert n1.basic_pairs == n2.basic_pairs
     assert n1.added_per_pair == n2.added_per_pair
+
+
+@pytest.mark.parametrize("beta, ba_sha, er_sha", [
+    (63, "6f6f34e76c0ddc37ead5ecb3aae4af3742f73c27621aeb51e03d5ce93a103e56",
+     "b162ce2965967c5a91e6993c832bee6c19fce50db2d9904e8d076f71e533ad46"),
+    (64, "e92666b88af7659ee659f816df4cc776e334154165db7dad5cefc4f013e4bbee",
+     "420ff3119f515777016b7fe1b8ca2666cafb043ebf4a81e344a83f11f70154f8"),
+    (65, "d68bd55377cccc1af61a504d4c9d9a3c9295f954fcccb1e06b5389af352f3e80",
+     "f01f0134cf8eed676f34049fe5f15dc6b321ee47427d6edd784b2262ac657fa8"),
+    (130, "123a78cc37782b606b7b73150bc0bd2477bcf88a5b758fe97201c5838080a6b1",
+     "a38e91eb301e45556198b86ae83f73c7da22c3aed5b1f41349dd016e172c1e33"),
+], ids=["63", "64", "65", "130"])
+def test_pinned_discover_across_hub_blocks(beta, ba_sha, er_sha):
+    """Discovered networks at hub counts around discover's 64-hub blocks.
+
+    The graphs and the digest are test_pinned_index_and_network_output's
+    (tests/test_hub2.py); the digests come from the full per-hub BFS that
+    the region walk replaced.
+    """
+    for kind, param, seed, directed, sha in [("ba", 3, 13, False, ba_sha),
+                                             ("er", 5, 12, True, er_sha)]:
+        g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+        net = discover(g, select_hubs(g, beta), 5)
+        blob = json.dumps([net.basic_pairs, net.added_per_pair, net.members.tolist()])
+        assert hashlib.sha256(blob.encode()).hexdigest() == sha, kind

@@ -1,4 +1,4 @@
-"""The per-hub reference build, and the block-wise build checked against it."""
+"""The per-hub reference build and discovery, and the block-wise code checked against them."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hubpath.hub2 as hub2
-from hubpath import Graph, HubSet, select_hubs
+from hubpath import Graph, HubSet, discover, select_hubs
 
-from oracles import build_reference, label_bfs
+from oracles import build_reference, discover_reference, label_bfs
 
 
 def test_label_bfs_requires_hub(chain4):
@@ -39,3 +39,35 @@ def graphs_with_hubs(draw):
 def test_build_matches_reference(case):
     g, hubs, k = case
     assert hub2.to_bytes(hub2.build(g, hubs, k)) == hub2.to_bytes(build_reference(g, hubs, k))
+
+
+def assert_same_network(got, want):
+    assert got.basic_pairs == want.basic_pairs
+    assert got.added_per_pair == want.added_per_pair
+    assert np.array_equal(got.added_per_hub, want.added_per_hub)
+    assert np.array_equal(got.members, want.members)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs_with_hubs())
+def test_discover_matches_reference(case):
+    g, hubs, k = case
+    assert_same_network(discover(g, hubs, k), discover_reference(g, hubs, k))
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["path", "cycle"])
+def test_discover_matches_reference_above_max_k(directed):
+    # discover has no cap on k (build's is hub2.MAX_K = 254): a 600-vertex
+    # path or 600-arc cycle at k = 700, with hub pairs up to 348 apart
+    n, k = 600, 700
+    src = np.arange(n - 1 + directed)
+    g = Graph.from_edges(n, src, (src + 1) % n, directed=directed)
+    hubs = HubSet.from_ids(n, [0, 7, 250, 251, 599])
+    assert_same_network(discover(g, hubs, k), discover_reference(g, hubs, k))
+
+
+def test_discover_matches_reference_isolated_and_empty_hubs():
+    g = Graph.from_edges(12, [0, 1, 2, 3], [1, 2, 3, 4])
+    for ids in ([0, 3, 8, 11], [9, 10], []):
+        hubs = HubSet.from_ids(g.n, ids)
+        assert_same_network(discover(g, hubs, 4), discover_reference(g, hubs, 4))
