@@ -150,7 +150,9 @@ def cmd_query(args):
                             hubs=hubs, net=net, idx=idx)
     dist = "none" if res.distance is None else str(res.distance)
     path = "none" if res.path is None else ",".join(str(v) for v in res.path)
-    print(f"dist={dist} path={path} expanded={res.stats.visited} enqueued={res.stats.enqueued}")
+    branch = "" if res.stats.answered_by is None else f" answered_by={res.stats.answered_by}"
+    print(f"dist={dist} path={path} expanded={res.stats.visited} "
+          f"enqueued={res.stats.enqueued}{branch}")
     return 0
 
 

@@ -49,6 +49,11 @@ class SearchStats:
     visited counts the frontier vertices expanded, enqueued the vertices
     labeled and join_ops the label pairs compared; expanded lists the
     expanded vertices themselves when the search was asked to collect them.
+    answered_by names the hl step whose answer was returned (None for the
+    other engines): "hub_endpoint" when s or t is a hub and the estimate is
+    exact, "search" when the hub-free search found the distance, "estimate"
+    when it found nothing shorter than the estimate, "none" when neither
+    reached t within k.  s == t counts as hub_endpoint or search.
     """
 
     engine: str
@@ -56,6 +61,7 @@ class SearchStats:
     enqueued: int = 0
     join_ops: int = 0
     expanded: np.ndarray = None
+    answered_by: str = None
 
 
 @dataclass
@@ -499,20 +505,24 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int, collect=False) -> QueryRe
     """
     _check_pair(g, s, t)
     k = idx.k
-    stats = SearchStats("hl")
+    hub_endpoint = bool(idx.hubs.is_hub[s] or idx.hubs.is_hub[t])
+    stats = SearchStats("hl", answered_by="hub_endpoint" if hub_endpoint else "search")
     if s == t:
         return QueryResult(0, [s], stats)
     est = estimate(idx, s, t)
     stats.join_ops = est.join_ops
-    if not (idx.hubs.is_hub[s] or idx.hubs.is_hub[t]):
+    if not hub_endpoint:
         bound = est.value if est.value is not None else k + 1
         res = hp_bbfs(g, idx.hubs.is_hub, s, t, bound, collect=collect)
         res.stats.join_ops = est.join_ops
         res.stats.engine = "hl"
         if res.found:
+            res.stats.answered_by = "search"
             return res
         stats = res.stats
+        stats.answered_by = "estimate"
     if est.value is None:
+        stats.answered_by = "none"
         return QueryResult(None, None, stats)
     x, y = est.argpair
     path = reconstruct_estimated_path(idx, g, s, x, y, t)

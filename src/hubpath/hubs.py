@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, sort_unique
 
 
 class HubSet:
@@ -24,7 +24,7 @@ class HubSet:
     @classmethod
     def from_ids(cls, n, ids):
         """Hub set over an explicit id list (ids are sorted and deduplicated)."""
-        ids = np.unique(np.asarray(ids, dtype=np.uint32))
+        ids = sort_unique(np.asarray(ids, dtype=np.uint32).ravel())
         return cls(n, ids, ids.size)
 
     @property

@@ -107,6 +107,21 @@ def test_query_reports_both_counters(graph_file, capsys):
     assert 0 < int(fields["expanded"]) < int(fields["enqueued"])
 
 
+def test_query_hl_reports_the_answering_step(tmp_path, capsys):
+    # on the 12-vertex chain the one hub is vertex 1, so d(0, 6) comes from the estimate
+    graph, idx = tmp_path / "chain.txt", tmp_path / "chain.hub2"
+    run(capsys, "gen", "--kind", "chain", "--n", "12", "--out", str(graph))
+    run(capsys, "build", "--graph", str(graph), "--hubs", "1", "--k", "8", "--out", str(idx))
+    for pair, branch in [(("0", "6"), "estimate"), (("2", "6"), "search"),
+                         (("1", "6"), "hub_endpoint"), (("0", "11"), "none")]:
+        code, out, _ = run(capsys, "query", "--graph", str(graph), "--index", str(idx),
+                           "--engine", "hl", "--k", "8", *pair)
+        assert code == 0
+        fields = dict(f.split("=", 1) for f in out.split())
+        assert list(fields) == ["dist", "path", "expanded", "enqueued", "answered_by"]
+        assert fields["answered_by"] == branch
+
+
 @pytest.mark.parametrize("past", ["degree", "u32_max"])
 def test_query_corrupt_port_is_an_error(tmp_path, graph_file, capsys, past):
     from hubpath import hub2, load_edge_list

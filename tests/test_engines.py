@@ -395,6 +395,19 @@ def test_hl_absent_when_beyond_k():
     assert hl_query(g, idx, 0, 7).distance is None
 
 
+def test_hl_reports_which_step_answered():
+    # the path 0..8 with hub 3 and k = 6
+    g = Graph.from_edges(9, range(8), range(1, 9), directed=False)
+    idx = build_index(g, hubset(g, [3]), 6)
+    cases = {(3, 5): ("hub_endpoint", 2), (5, 7): ("search", 2), (0, 5): ("estimate", 5),
+             (0, 8): ("none", None), (3, 3): ("hub_endpoint", 0), (4, 4): ("search", 0)}
+    for (s, t), (branch, dist) in cases.items():
+        res = hl_query(g, idx, s, t)
+        assert_certified(g, res, dist)
+        assert res.stats.answered_by == branch
+    assert bibfs_query(g, 0, 5, 6).stats.answered_by is None
+
+
 # ------------------------------------------------------------- reconstruction
 
 def test_reconstruct_star(star6):

@@ -1,6 +1,13 @@
+import io
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hubpath.graph as graph
 from hubpath import (
     EdgeListParseError,
     Graph,
@@ -11,7 +18,7 @@ from hubpath import (
     validate_path,
 )
 
-from hubpath.graph import first_parents
+from hubpath.graph import MAX_VERTEX_ID, first_parents
 
 from conftest import ba_graph, er_graph
 from oracles import adjacency_from_graph, bfs_dist
@@ -60,6 +67,104 @@ def test_load_extra_tokens_ignored():
 def test_load_errors_carry_line_numbers(payload, fragment):
     with pytest.raises(EdgeListParseError, match=fragment):
         load_edge_list(payload)
+
+
+@pytest.mark.parametrize("payload", [b"0 1\n\xc3\xa9 2\n", b"0 1\n# caf\xc3\xa9\n",
+                                     b"0 1\n2 3 m\xe9ta\n"])
+def test_load_non_ascii_bytes_name_the_line(payload):
+    with pytest.raises(EdgeListParseError, match="line 2: non-ASCII byte"):
+        load_edge_list(payload)
+    with pytest.raises(EdgeListParseError, match="line 2: non-ASCII byte"):
+        load_edge_list(io.BytesIO(payload))
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except Exception as exc:  # noqa: BLE001 -- the outcome is compared, not handled
+        return None, (type(exc), str(exc))
+
+
+def _line_loop_only():
+    return mock.patch.object(graph, "_parse_buffer", return_value=None)
+
+
+_IDS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 40).map(str),
+    st.text("0123456789", min_size=1, max_size=12),
+    st.integers(MAX_VERTEX_ID - 2, MAX_VERTEX_ID + 2).map(str),
+)
+_BLANKS = st.text(" \t", min_size=1, max_size=3)
+_ODD = st.sampled_from(["\r", "\x0b", "\x0c", "\x1c", "\x1f", "+", "-", "_", "#", "a",
+                        "Z", "\u00e9", "\uff11"])
+_LINE = st.one_of(
+    st.tuples(st.text(" \t", max_size=2), _IDS, _BLANKS, _IDS,
+              st.sampled_from(["", " 7", "\tx", " #"]), st.text(" \t", max_size=2)).map("".join),
+    st.sampled_from(["# comment", "", " \t"]),
+    st.lists(_IDS | _BLANKS | _ODD, max_size=5).map("".join),
+)
+_EDGE_TEXT = st.lists(
+    st.tuples(_LINE, st.sampled_from(["\n"] * 8 + ["\r\n"] * 3 + ["\r", "\x0b", "\x0c", "\x1c"])),
+    max_size=12,
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_EDGE_TEXT, st.booleans(), st.booleans())
+def test_vector_parse_matches_line_loop(text, as_bytes, directed):
+    data = text.encode("utf-8") if as_bytes else text
+    got, got_err = _outcome(lambda: graph._parse_edges(data))
+    want, want_err = _outcome(lambda: graph._parse_lines(data))
+    assert got_err == want_err
+    if as_bytes and want_err is not None:
+        assert want_err[0] is EdgeListParseError
+    if want_err is not None:
+        return
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    if want[0].size and max(want[0].max(), want[1].max()) >= 10**4:
+        return  # a graph over ids near MAX_VERTEX_ID allocates O(max id)
+    g, g_err = _outcome(lambda: load_edge_list(data, directed=directed))
+    with _line_loop_only():
+        h, h_err = _outcome(lambda: load_edge_list(data, directed=directed))
+    assert g_err == h_err
+    if h_err is None:
+        assert g == h and g.checksum == h.checksum
+        for a, b in zip(g.adjacency(reverse=True), h.adjacency(reverse=True)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_canonical_edge_list_takes_the_vector_path(monkeypatch):
+    def no_loop(data):
+        raise AssertionError("line loop reached")
+
+    monkeypatch.setattr(graph, "_parse_lines", no_loop)
+    text = ("# Directed graph (each unordered pair of nodes is saved once)\r\n"
+            "# FromNodeId\tToNodeId\r\n"
+            "0\t1\t1297\r\n1\t2\tmetadata\r\n  2   0 \r\n\r\n4967\t0\tx")
+    for source in (text.encode("ascii"), text, io.BytesIO(text.encode("ascii")),
+                   io.StringIO(text)):
+        g = load_edge_list(source, directed=True)
+        assert g.n == 4968 and g.m == 4
+        assert list(g.neighbors(0)) == [1] and list(g.neighbors(0, reverse=True)) == [2, 4967]
+
+
+def _load_peak(data):
+    tracemalloc.start()
+    try:
+        load_edge_list(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_vector_parse_peak_memory_at_most_the_line_loop():
+    data = gen_synthetic("ba", 20000, 5, seed=1)
+    vector = _load_peak(data)
+    with _line_loop_only():
+        loop = _load_peak(data)
+    assert vector <= loop
 
 
 def test_load_deterministic_bytes():
