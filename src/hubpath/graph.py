@@ -16,10 +16,11 @@ the format allows or names the line.  from_edges, bfs_levels and
 HubSet.from_ids deduplicate through sort_unique.
 
 first_parents is the one place where a vectorized single-source BFS level
-step decides which predecessor becomes a new vertex's parent; the traversals
-in network and engines pass it their tie-break keys.  bit_levels is the one
-bit-parallel level loop: hub2.build reads labels and witnesses from it, and
-network.discover reads each hub's unblocked region.
+step decides which predecessor becomes a new vertex's parent; it now serves
+bfs_query and the engines only.  bit_levels is the one bit-parallel level
+loop: hub2.build reads labels and witnesses from it, network.discover each
+hub's unblocked region, and the preservation check
+(network.verify_distance_preserving) the hub-pair distances.
 """
 
 from __future__ import annotations
@@ -371,7 +372,8 @@ def bit_levels(offsets, sources, hub_ids, roots, max_depth):
     ORs the frontier words over its slice of sources (its predecessors in walk
     order).  Blocking bits are frontier bits at hubs or reached only through a
     blocking carrier, and a bit is free where no blocking carrier reaches: no
-    hub lies strictly between root and vertex on any shortest path.
+    hub lies strictly between root and vertex on any shortest path.  With no
+    blocking bits, as at depth 1 or with no hub_ids, every new bit is free.
     """
     front = np.zeros(offsets.size - 1, np.uint64)
     front[roots] = np.left_shift(np.uint64(1), np.arange(len(roots), dtype=np.uint64))
@@ -380,7 +382,7 @@ def bit_levels(offsets, sources, hub_ids, roots, max_depth):
         new = pull_or(offsets, sources, front) & ~seen
         if not new.any():
             return
-        free = new & ~pull_or(offsets, sources, blocking)
+        free = new & ~pull_or(offsets, sources, blocking) if blocking.any() else new
         seen |= new
         yield front, blocking, new, free
         front, blocking = new, new & ~free

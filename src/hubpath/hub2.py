@@ -248,13 +248,24 @@ def _pass(g, hubs, lo, k, reverse, matrix=None):
 
 
 def _label_table(n, dim, parts):
-    """The (vertex, dist, rank)-sorted table of the passes' label arrays."""
+    """The (vertex, dist, rank)-sorted table of the passes' label arrays.
+
+    Empties parts, so the passes' arrays are freed before the sort.
+    """
     vertex, dist, rank, port = (np.concatenate(f) for f in zip(_NO_LABELS, *parts))
+    parts.clear()
+    offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
     # one distinct int64 key per entry: n < 2^32, dist < 2^8 and the dim^2
     # matrix keeps dim far below 2^23, so keys stay under 2^63
-    order = np.argsort((vertex.astype(np.int64) * (MAX_K + 1) + dist) * dim + rank)
-    return LabelTable(offsets_from_counts(np.bincount(vertex, minlength=n)),
-                      rank[order], dist[order], port[order])
+    key = vertex.astype(np.int64)
+    del vertex
+    key *= MAX_K + 1
+    key += dist
+    key *= dim
+    key += rank
+    order = np.argsort(key)
+    del key
+    return LabelTable(offsets, rank[order], dist[order], port[order])
 
 
 def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:

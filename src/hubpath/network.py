@@ -5,8 +5,11 @@ k into basic pairs (no other hub strictly between on any shortest path) and
 composite pairs, and for each basic pair pulls one shortest path into the
 growing vertex set, preferring paths that reuse vertices already in the
 network.  It walks only the hub's unblocked region, the vertices with no hub
-strictly between them and the hub, which one bit-parallel bounded BFS per
-block of 64 hubs finds.
+strictly between them and the hub, read from the free words that one
+bit-parallel bounded BFS per block of 64 hubs leaves, and picks each region
+vertex's parent by a pull over its in-slice, so no level is sorted.  The
+preservation check reads hub-pair distances from the same bit-parallel
+levels, run with no blocking hubs on G and on G[H*].
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, bfs_levels, bit_levels, first_parents, frontier_edges,
-                    induced_subgraph, offsets_from_counts, set_bits)
+from .graph import Graph, bit_levels, induced_subgraph
 from .hubs import HubSet
 
 
@@ -66,12 +68,16 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     """Extract H*: process hubs in ascending id order, seeding H* = H.
 
     From hub s, region R_d holds the vertices at distance d with no hub
-    strictly between s and them on any shortest path: the free bits of
-    graph.bit_levels, run once per block of 64 hubs.  All predecessors of an
-    R_d vertex one level up are non-hubs of R_{d-1} (or s), so pushing from
-    those finds every candidate parent.  The parent has the highest score,
-    then the smallest id, and f(v) = f(parent) + [v in H*].  Each hub in R_d
-    is a basic pair, and its parent chain joins H*, hubs in ascending id order.
+    strictly between s and them on any shortest path: bit b of the free words
+    graph.bit_levels yields at depth d, one pass per block of 64 hubs.  The
+    block keeps each level's free words, so np.flatnonzero of one word array
+    gives R_d in ascending order.  Every predecessor one level up of an R_d
+    vertex is s or a non-hub of R_{d-1}, and there is at least one, so
+    pulling over its in-slice (bottom-up, as in direction-optimizing BFS)
+    sees every candidate parent and never none.  The parent has the highest
+    score, then the smallest id, and f(v) = f(parent) + [v in H*].  Each hub
+    in R_d is a basic pair, and its parent chain joins H*, hubs in ascending
+    id order.
 
     This matches a full BFS from s that counts members when it dequeues them:
     a chain pulled in at depth d holds vertices of levels below d only, so no
@@ -83,72 +89,96 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     member = hubs.is_hub.copy()
     net = HubNetwork(member=member, members=None, k=k,
                      added_per_hub=np.zeros(hubs.size, np.int64))
-    offsets, targets = g.adjacency()
+    offsets, sources = g.adjacency(True)
+    n, one, is_hub = np.uint64(g.n), np.uint64(1), hubs.is_hub
     hub_ids = hubs.ids.astype(np.int64)
-    mark = np.zeros(g.n, np.int64)  # level in the current hub's region, 0 outside
-    score = np.zeros(g.n, np.int64)
+    # key[u] > 0 exactly at the candidate parents of the level being walked,
+    # the non-hubs of the level before: score * n + n - u with the score
+    # counted from s, so the largest key has the highest score, then the
+    # smallest id.  A score counts members among the d - 1 vertices after s
+    # on a shortest path, and d < n, so keys stay below n^2: within uint64
+    # for every n up to 2^32, and load_edge_list caps ids at MAX_VERTEX_ID
+    key = np.zeros(g.n, np.uint64)
     parent = np.zeros(g.n, np.int64)
     for lo in range(0, hub_ids.size, 64):
-        roots = hub_ids[lo:lo + 64]
-        levels = []
-        for *_, free in bit_levels(*g.adjacency(True), hub_ids, roots, k):
+        frees = []
+        for *_, free in bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + 64], k):
             if not free.any():
                 break
-            vertex, bit = set_bits(free)
-            at = offsets_from_counts(np.bincount(bit, minlength=roots.size))
-            levels.append((vertex[np.argsort(bit, kind="stable")], at))
-        for b, s in enumerate(roots.tolist()):
-            regions = [vertex[at[b]:at[b + 1]] for vertex, at in levels]
-            front, total = np.array([s]), 0  # score[s] offsets all paths alike
-            for d, region in enumerate(regions, 1):
-                mark[region] = d
-                srcs, dsts = frontier_edges(offsets, targets, front)
-                keep = mark[dsts] == d
-                new, pred = first_parents(srcs[keep], dsts[keep], -score)
-                parent[new] = pred
-                score[new] = score[pred] + member[new]
-                for u in new[hubs.is_hub[new]].tolist():
-                    v, added = u, 0
-                    while v != s:
-                        added += not member[v]
-                        member[v] = True
-                        v = int(parent[v])
-                    net.basic_pairs.append((s, u, d))
+            frees.append(free)
+        for b, s in enumerate(hub_ids[lo:lo + 64].tolist()):
+            front, total = np.empty(0, np.int64), 0
+            for d, free in enumerate(frees, 1):
+                region = np.flatnonzero(free & np.uint64(1 << b))
+                if not region.size:
+                    break
+                if d == 1:
+                    parent[region] = s
+                    score = member[region]
+                else:
+                    best = np.maximum.reduceat(*_slice_words(offsets, sources, region, key)) - one
+                    parent[region] = n - one - best % n
+                    score = best // n + member[region]
+                    key[front] = 0
+                on = ~is_hub[region]
+                front = region[on]
+                key[front] = score[on] * n + (n - front.astype(np.uint64))
+                for t in region[~on].tolist():
+                    w, added = t, 0
+                    while w != s:
+                        added += not member[w]
+                        member[w] = True
+                        w = int(parent[w])
+                    net.basic_pairs.append((s, t, d))
                     net.added_per_pair.append(added)
                     total += added
-                front = new[~hubs.is_hub[new]]
-            for region in regions:
-                mark[region] = 0
+            key[front] = 0
             net.added_per_hub[lo + b] = total
     net.members = np.flatnonzero(member).astype(np.uint32)
     return net
 
 
+def _slice_words(offsets, sources, rows, words):
+    """words at the rows' slices of sources, concatenated, and where each slice starts."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    at = np.cumsum(counts) - counts
+    pos = np.arange(int(at[-1] + counts[-1])) + np.repeat(starts - at, counts)
+    return words[sources[pos]], at
+
+
 def verify_distance_preserving(g: Graph, hubs: HubSet, net: HubNetwork, k: int) -> PreservationReport:
     """Compare hub-pair distances in G against the induced subgraph G[H*].
 
-    Checks every ordered hub pair within k; failures are reported, not thrown.
+    Checks every ordered hub pair within k; failures are reported, not thrown,
+    by source hub, then target hub in rank order.  The distances come from
+    graph.bit_levels with no blocking hubs, one pass per block of 64 source
+    hubs on each graph: bit b first set at hub j on depth d is d(root_b, j).
     """
     report = PreservationReport()
     if hubs.size == 0:
         return report
-    sub = induced_subgraph(g, net.member)
-    offsets, targets = g.adjacency()
-    soff, stgt = sub.adjacency()
     hub_ids = hubs.ids.astype(np.int64)
-    for h in hub_ids:
-        lv_g = bfs_levels(offsets, targets, h, k, g.n)
-        lv_s = bfs_levels(soff, stgt, h, k, g.n)
-        dg = lv_g[hub_ids]
-        ds = lv_s[hub_ids]
-        within = (dg > 0) & (dg <= k)
+    sub = induced_subgraph(g, net.member)
+    for lo in range(0, hub_ids.size, 64):
+        roots = hub_ids[lo:lo + 64]
+        dg, ds = (_hub_distances(graph, roots, hub_ids, k) for graph in (g, sub))
+        within = dg > 0
         report.checked += int(within.sum())
-        bad = within & (ds != dg)
-        for j in np.flatnonzero(bad):
-            v = int(hub_ids[j])
-            d_sub = int(ds[j]) if ds[j] >= 0 else None
-            report.failures.append((int(h), v, int(dg[j]), d_sub))
+        for b, j in zip(*np.nonzero(within & (ds != dg))):
+            d_sub = int(ds[b, j]) if ds[b, j] > 0 else None
+            report.failures.append((int(roots[b]), int(hub_ids[j]), int(dg[b, j]), d_sub))
     return report
+
+
+def _hub_distances(g, roots, hub_ids, k):
+    """(roots, hubs) int64 distances within k from each root, 0 where unreached."""
+    dist = np.zeros((roots.size, hub_ids.size), np.int64)
+    bits = np.arange(roots.size, dtype=np.uint64)[:, None]
+    no_hubs = np.empty(0, np.int64)
+    for d, (*_, new, _) in enumerate(bit_levels(*g.adjacency(True), no_hubs, roots, k), 1):
+        dist[(new[hub_ids] >> bits) & np.uint64(1) == 1] = d
+    return dist
 
 
 def network_stats(g: Graph, hubs: HubSet, net: HubNetwork) -> dict:

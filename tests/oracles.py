@@ -2,9 +2,10 @@
 
 Everything here is deliberately written with plain queues and dicts, not the
 library's vectorized kernels, so a defect in the package cannot hide in its
-own verifier.  The exceptions are build_reference and discover_reference at
-the end: the earlier per-hub index builder and hub-network discovery, kept as
-the references of hub2.build and network.discover.
+own verifier.  The exceptions are build_reference, discover_reference and
+verify_reference at the end: the earlier per-hub index builder, hub-network
+discovery and preservation check, kept as the references of hub2.build,
+network.discover and network.verify_distance_preserving.
 """
 
 import time
@@ -13,10 +14,11 @@ from collections import deque
 
 import numpy as np
 
-from hubpath.graph import Graph, first_parents, frontier_edges, offsets_from_counts
+from hubpath.graph import (Graph, bfs_levels, first_parents, frontier_edges, induced_subgraph,
+                           offsets_from_counts)
 from hubpath.hub2 import INF, MAX_K, Hub2Index, Hub2Matrix, LabelTable
 from hubpath.hubs import HubSet
-from hubpath.network import HubNetwork
+from hubpath.network import HubNetwork, PreservationReport
 
 
 def adjacency_from_graph(g, reverse=False):
@@ -370,3 +372,30 @@ def discover_reference(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
         net.added_per_hub[i] = total
     net.members = np.flatnonzero(member).astype(np.uint32)
     return net
+
+
+def verify_reference(g: Graph, hubs: HubSet, net: HubNetwork, k: int) -> PreservationReport:
+    """Compare hub-pair distances in G against the induced subgraph G[H*].
+
+    Checks every ordered hub pair within k; failures are reported, not thrown.
+    """
+    report = PreservationReport()
+    if hubs.size == 0:
+        return report
+    sub = induced_subgraph(g, net.member)
+    offsets, targets = g.adjacency()
+    soff, stgt = sub.adjacency()
+    hub_ids = hubs.ids.astype(np.int64)
+    for h in hub_ids:
+        lv_g = bfs_levels(offsets, targets, h, k, g.n)
+        lv_s = bfs_levels(soff, stgt, h, k, g.n)
+        dg = lv_g[hub_ids]
+        ds = lv_s[hub_ids]
+        within = (dg > 0) & (dg <= k)
+        report.checked += int(within.sum())
+        bad = within & (ds != dg)
+        for j in np.flatnonzero(bad):
+            v = int(hub_ids[j])
+            d_sub = int(ds[j]) if ds[j] >= 0 else None
+            report.failures.append((int(h), v, int(dg[j]), d_sub))
+    return report

@@ -41,6 +41,20 @@ def test_diamond_reuses_network_vertex(diamond):
     assert 4 not in net.members
 
 
+def test_parent_pull_prefers_score_then_smallest_id():
+    # hubs 0-4.  Hub 0 pulls 6 into H* on its way to hub 2.  Hub 1 then
+    # reaches hub 3 through 5 or 6: 6 has the higher score and the larger id
+    # and wins, adding nothing.  Hub 3 reaches hub 4 through 7 or 8 with equal
+    # scores: 7, the smaller id, wins.  Parents come from in-slices: the
+    # out-slices of 3 and 4 hold only 5 and 8 of those candidates
+    g = Graph.from_edges(9, [0, 0, 6, 6, 2, 2, 1, 1, 5, 3, 3, 3, 7, 8, 4],
+                         [6, 3, 2, 3, 6, 3, 5, 6, 3, 5, 7, 8, 4, 4, 8], directed=True)
+    net = discover(g, hubset(g, [0, 1, 2, 3, 4]), 3)
+    assert net.members.tolist() == [0, 1, 2, 3, 4, 6, 7]
+    assert net.basic_pairs == [(0, 3, 1), (0, 2, 2), (1, 2, 2), (1, 3, 2), (2, 3, 1), (3, 4, 2)]
+    assert net.added_per_pair == [0, 1, 0, 0, 0, 1]
+
+
 def test_bfs_extract_single_hub_star(star6):
     hubs = hubset(star6, [0])
     member = hubs.is_hub.copy()

@@ -1,4 +1,5 @@
-"""The per-hub reference build and discovery, and the block-wise code checked against them."""
+"""The per-hub reference build, discovery and preservation check, and the
+block-wise code checked against them."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hubpath.hub2 as hub2
-from hubpath import Graph, HubSet, discover, select_hubs
+from hubpath import Graph, HubNetwork, HubSet, discover, select_hubs, verify_distance_preserving
 
-from oracles import build_reference, discover_reference, label_bfs
+from oracles import build_reference, discover_reference, label_bfs, verify_reference
 
 
 def test_label_bfs_requires_hub(chain4):
@@ -71,3 +72,17 @@ def test_discover_matches_reference_isolated_and_empty_hubs():
     for ids in ([0, 3, 8, 11], [9, 10], []):
         hubs = HubSet.from_ids(g.n, ids)
         assert_same_network(discover(g, hubs, 4), discover_reference(g, hubs, 4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs_with_hubs(), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_preservation_check_matches_reference(case, drop, seed):
+    # members of the discovered network, hubs included, are dropped at random
+    # so that both checks have failures to report
+    g, hubs, k = case
+    member = discover(g, hubs, k).member
+    member &= np.random.default_rng(seed).random(g.n) >= drop
+    net = HubNetwork(member=member, members=np.flatnonzero(member), k=k)
+    got, want = verify_distance_preserving(g, hubs, net, k), verify_reference(g, hubs, net, k)
+    assert got.checked == want.checked
+    assert got.failures == want.failures
