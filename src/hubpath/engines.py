@@ -10,9 +10,12 @@ path when the distance is within k, otherwise report nothing.
 - hl_query: two steps -- a levelwise label join against the hub matrix for an
   upper bound, then a bidirectional BFS that never touches a hub.
 
-bibfs, hn and hl's search share one hybrid level step.  A frontier with at
-most SCALAR_EDGES out-edges is expanded by a plain Python loop over the
-graph's cached adjacency lists; a larger one by the vectorized CSR step.
+bibfs, hn and hl's search share one hybrid level step with no filter in it:
+each direction searches an adjacency view (offsets, targets, lists), hn's
+keeping only H* members in hub rows, and hl's search starts with the hubs
+labeled.  A frontier with at most SCALAR_EDGES out-edges is expanded by a
+plain Python loop over the view's lists; a larger one by the vectorized
+step over its CSR arrays.
 Fixed numpy cost per call dominates small levels and Python's per-edge cost
 dominates large ones; the threshold comes from a sweep over the perfbench
 workloads, where 256 to 512 were fastest for all three engines.  Both steps
@@ -128,27 +131,33 @@ def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
 
 
 class _Side:
-    """One direction of a bidirectional search.
+    """One direction of a bidirectional search over one adjacency view.
 
-    lv holds level + 1 (0 = unlabeled) and par the predecessor, which is
-    only read where lv is set.  Each is one numpy buffer, written by the
-    vectorized step and, through a memoryview, by the scalar one.  The
-    frontier is a list after a scalar step and an int64 array after a
-    vectorized one, ascending either way.
+    The view (offsets, targets, lists) holds the same rows as CSR arrays for
+    the vectorized step and as Python lists for the scalar one.  lv holds
+    level + 1 (0 = unlabeled) and par the predecessor, which is only read
+    where lv is set.  Each is one numpy buffer, written by the vectorized
+    step and, through a memoryview, by the scalar one.  The frontier is a
+    list after a scalar step and an int64 array after a vectorized one,
+    ascending either way.
+
+    Vertices in the labeled mask start labeled, so no step enters them, and
+    nothing reads their level: meets are checked on fresh labels only, and
+    paths are stitched from parents of vertices some step labeled.
     """
 
     __slots__ = ("lv", "lv_np", "par", "par_np", "frontier", "radius", "offsets",
                  "targets", "adj", "exhausted", "open_counts")
 
-    def __init__(self, g, start, reverse, cap):
-        self.lv_np = np.zeros(g.n, np.uint16)
-        self.par_np = np.empty(g.n, np.uint32)
+    def __init__(self, view, start, cap, labeled):
+        self.offsets, self.targets, self.adj = view
+        n = len(self.adj)
+        self.lv_np = np.zeros(n, np.uint16) if labeled is None else labeled.astype(np.uint16)
+        self.par_np = np.empty(n, np.uint32)
         self.lv, self.par = memoryview(self.lv_np), memoryview(self.par_np)
         self.lv[start] = 1
         self.frontier = [start]
         self.radius = 0
-        self.offsets, self.targets = g.adjacency(reverse)
-        self.adj = g.adj_lists(reverse)
         self.exhausted = False
         # labeled-but-not-met vertices per level; the minimum open level
         # bounds future meeting sums when levels are not true distances
@@ -162,7 +171,7 @@ class _Side:
         return _UNSET
 
 
-def _scalar_step(side, frontier, blocked, restrict):
+def _scalar_step(side, frontier):
     """Label the next level with Python scalars; frontier is an ascending list.
 
     Scanning the frontier in ascending order makes the first discoverer of a
@@ -172,12 +181,8 @@ def _scalar_step(side, frontier, blocked, restrict):
     mark = side.radius + 2
     new = []
     for v in frontier:
-        nbrs = adj[v]
-        if restrict is not None and restrict[0][v]:
-            member = restrict[1]
-            nbrs = [w for w in nbrs if member[w]]
-        for w in nbrs:
-            if not lv[w] and (blocked is None or not blocked[w]):
+        for w in adj[v]:
+            if not lv[w]:
                 lv[w] = mark
                 par[w] = v
                 new.append(w)
@@ -185,24 +190,10 @@ def _scalar_step(side, frontier, blocked, restrict):
     return new
 
 
-def _vector_step(side, frontier, blocked, restrict):
-    """Label the next level with whole-array operations; returns an int64 array."""
-    frontier = np.asarray(frontier, dtype=np.int64)
-    if restrict is None:
-        srcs, dsts = frontier_edges(side.offsets, side.targets, frontier)
-    else:
-        is_hub, member = restrict
-        on_hub = is_hub[frontier]
-        s1, d1 = frontier_edges(side.offsets, side.targets, frontier[on_hub])
-        if d1.size:
-            keep = member[d1]
-            s1, d1 = s1[keep], d1[keep]
-        s2, d2 = frontier_edges(side.offsets, side.targets, frontier[~on_hub])
-        srcs = np.concatenate([s1, s2])
-        dsts = np.concatenate([d1, d2])
+def _vector_step(side, frontier):
+    """Label the next level with whole-array operations; frontier and result are int64 arrays."""
+    srcs, dsts = frontier_edges(side.offsets, side.targets, frontier)
     fresh = side.lv_np[dsts] == 0
-    if blocked is not None:
-        fresh &= ~blocked[dsts]
     new, pred = first_parents(srcs[fresh], dsts[fresh])
     side.lv_np[new] = side.radius + 2
     side.par_np[new] = pred
@@ -217,13 +208,10 @@ def _out_edges(side, frontier):
     return int(offsets[frontier + 1].sum() - offsets[frontier].sum())
 
 
-def _expand(side, stats, masks, levels=None):
+def _expand(side, stats, levels=None):
     """Advance one side by one level; returns the newly labeled vertices.
 
-    masks holds each filter twice, as numpy arrays for the vectorized step
-    and as bytes for the scalar one: (blocked, restrict) where blocked
-    suppresses labeling of masked vertices entirely and restrict =
-    (is_hub, member) limits expansion of hub vertices to network members.
+    Neither step filters: the side's view and pre-labeled vertices decide.
     Frontiers with at most SCALAR_EDGES out-edges take the scalar step.
     levels, when given, collects every expanded frontier.
     """
@@ -235,11 +223,9 @@ def _expand(side, stats, masks, levels=None):
     if levels is not None:
         levels.append(frontier)
     if _out_edges(side, frontier) <= SCALAR_EDGES:
-        if not isinstance(frontier, list):
-            frontier = frontier.tolist()
-        new = _scalar_step(side, frontier, *masks[1])
+        new = _scalar_step(side, frontier if isinstance(frontier, list) else frontier.tolist())
     else:
-        new = _vector_step(side, frontier, *masks[0])
+        new = _vector_step(side, np.asarray(frontier, dtype=np.int64))
     side.frontier = new
     if len(new) == 0:
         side.exhausted = True
@@ -335,38 +321,36 @@ def _should_stop(fwd, bwd, best, cap, conservative):
     return bound >= target
 
 
-def _bidirectional(g, s, t, cap, engine, mask=None, hub_restrict=None,
+def _graph_views(g):
+    """g's own adjacency, forward and reverse, as the views a _Side searches."""
+    return (*g.adjacency(), g.adj_lists()), (*g.adjacency(True), g.adj_lists(True))
+
+
+def _bidirectional(views, s, t, cap, engine, labeled=None,
                    alternate=False, collect=False, conservative=False):
-    """Shared bidirectional core; only distances strictly below cap are reported."""
+    """Shared core over the (forward, reverse) views, labeled vertices excluded;
+    only distances strictly below cap are reported."""
     stats = SearchStats(engine)
     if s == t:
         return QueryResult(0 if 0 < cap else None, [s] if 0 < cap else None, stats)
     if cap + 2 > 0xFFFF:
         # levels are stored as level + 1 in uint16 and the radius can reach cap + 1
         raise ValueError(f"distance bound {cap} does not fit the 16-bit level buffer")
-    fwd = _Side(g, s, reverse=False, cap=cap)
-    bwd = _Side(g, t, reverse=True, cap=cap)
-    masks = ((mask, hub_restrict),
-             (None if mask is None else mask.tobytes(),
-              None if hub_restrict is None else tuple(m.tobytes() for m in hub_restrict)))
+    fwd = _Side(views[0], s, cap, labeled)
+    bwd = _Side(views[1], t, cap, labeled)
     levels = [] if collect else None
     stats.enqueued = 2
     best, meet = _UNSET, -1
     forward_turn = True
     while not _should_stop(fwd, bwd, best, cap, conservative):
-        if alternate:
+        if fwd.exhausted or bwd.exhausted:
+            side = bwd if fwd.exhausted else fwd
+        elif alternate:
             side = fwd if forward_turn else bwd
-            if side.exhausted:
-                side = bwd if side is fwd else fwd
             forward_turn = not forward_turn
         else:
-            if fwd.exhausted:
-                side = bwd
-            elif bwd.exhausted:
-                side = fwd
-            else:
-                side = fwd if len(fwd.frontier) <= len(bwd.frontier) else bwd
-        new = _expand(side, stats, masks, levels)
+            side = fwd if len(fwd.frontier) <= len(bwd.frontier) else bwd
+        new = _expand(side, stats, levels)
         other = bwd if side is fwd else fwd
         best, meet = _register_meets(new, side, other, best, meet)
     if levels:
@@ -379,32 +363,34 @@ def _bidirectional(g, s, t, cap, engine, mask=None, hub_restrict=None,
 def bibfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     """Bidirectional BFS, expanding the smaller frontier first."""
     _check_pair(g, s, t)
-    return _bidirectional(g, s, t, k + 1, "bibfs")
+    return _bidirectional(_graph_views(g), s, t, k + 1, "bibfs")
 
 
 def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) -> QueryResult:
     """Bidirectional BFS where hubs expand only inside the hub network.
 
-    Levels on vertices shadowed by restricted hubs can exceed true distances,
-    but every shortest path within k keeps some vertex exact in both
-    directions, so the minimum over meeting vertices is still the distance.
-    Directions alternate strictly.
+    Both directions search net.search_views.  Levels on vertices shadowed by
+    restricted hubs can exceed true distances, but every shortest path within
+    k keeps some vertex exact in both directions, so the minimum over meeting
+    vertices is still the distance.  Directions alternate strictly.
     """
     _check_pair(g, s, t)
-    return _bidirectional(g, s, t, k + 1, "hn",
-                          hub_restrict=(hubs.is_hub, net.member),
+    return _bidirectional(net.search_views(g, hubs), s, t, k + 1, "hn",
                           alternate=True, conservative=True)
 
 
 def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int, collect=False):
     """Bidirectional BFS that never enqueues a masked vertex.
 
-    Returns a QueryResult whose distance is strictly below bound, or absent.
+    Masked vertices start labeled (hub_mask is the initial level buffer), so
+    no level step enters one.  Returns a QueryResult whose distance is
+    strictly below bound, or absent.
     """
     _check_pair(g, s, t)
     if hub_mask[s] or hub_mask[t]:
         raise ValueError("hub-pruning search requires unmasked endpoints")
-    return _bidirectional(g, s, t, bound, "hp-bbfs", mask=hub_mask, collect=collect)
+    return _bidirectional(_graph_views(g), s, t, bound, "hp-bbfs", labeled=hub_mask,
+                          collect=collect)
 
 
 def _label_slice(idx, v, side):

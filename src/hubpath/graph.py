@@ -31,9 +31,6 @@ import numpy as np
 
 MAX_VERTEX_ID = 2**32 - 2
 
-_EMPTY_I64 = np.empty(0, np.int64)
-_EMPTY_U32 = np.empty(0, np.uint32)
-
 
 class EdgeListParseError(ValueError):
     """Malformed edge-list input (bad token, no edges, oversized id)."""
@@ -319,15 +316,18 @@ def _parse_lines(data):
     return np.array(srcs, np.int64), np.array(dsts, np.int64)
 
 
+def csr_slices(offsets, rows):
+    """(positions, counts, at): the rows' CSR slice positions concatenated in
+    row order, each slice's length, and where it starts among the positions."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    at = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(starts - at, counts), counts, at
+
+
 def frontier_edges(offsets, targets, frontier):
     """All (src, dst) pairs leaving the frontier, concatenated in slice order."""
-    starts = offsets[frontier]
-    counts = offsets[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY_I64, _EMPTY_I64
-    shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    pos = np.arange(total) + np.repeat(starts - shift, counts)
+    pos, counts, _ = csr_slices(offsets, frontier)
     return np.repeat(frontier, counts), targets[pos].astype(np.int64)
 
 

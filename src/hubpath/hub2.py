@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_levels, bit_levels, digest64, offsets_from_counts, set_bits
+from .graph import (Graph, bfs_levels, bit_levels, csr_slices, digest64, offsets_from_counts,
+                    set_bits)
 from .hubs import HubSet
 
 INF = 255
@@ -162,11 +163,10 @@ def _first_carriers(offsets, sources, rows, need, carrier):
     prefix OR by doubling gives the bits carried up to each position; a
     position's firsts are the bits it carries that no earlier position does.
     """
-    starts = offsets[rows]
-    counts = offsets[rows + 1] - starts
+    pos, counts, at = csr_slices(offsets, rows)
     seg = np.repeat(np.arange(rows.size), counts)
-    local = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    src = sources[starts[seg] + local]
+    local = np.arange(pos.size) - np.repeat(at, counts)
+    src = sources[pos]
     first = carrier[src] & need[seg]
     upto = first.copy()
     step, longest = 1, counts.max(initial=0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bit_levels, induced_subgraph
+from .graph import Graph, bit_levels, csr_slices, induced_subgraph, offsets_from_counts
 from .hubs import HubSet
 
 
@@ -37,6 +37,7 @@ class HubNetwork:
     basic_pairs: list = field(default_factory=list)
     added_per_pair: list = field(default_factory=list)
     added_per_hub: np.ndarray = None
+    _views: tuple = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def size(self):
@@ -52,6 +53,27 @@ class HubNetwork:
                 seen.add(key)
                 total += d - 1
         return total
+
+    def search_views(self, g: Graph, hubs: HubSet):
+        """hn's (forward, reverse) views (offsets, targets, lists): hub rows keep
+        only H* members, non-hub rows are g's own list objects, and an
+        undirected graph shares one view.  Cached on first use, so they belong
+        to the (g, hubs) this network was discovered from.
+        """
+        if self._views is None:
+            fwd = _hub_view(g, hubs.is_hub, self.member, False)
+            self._views = (fwd, _hub_view(g, hubs.is_hub, self.member, True) if g.directed else fwd)
+        return self._views
+
+
+def _hub_view(g, is_hub, member, reverse):
+    offsets, targets = g.adjacency(reverse)
+    keep = member[targets] | np.repeat(~is_hub, np.diff(offsets))
+    offsets, targets = offsets_from_counts(keep)[offsets], targets[keep]
+    lists = list(g.adj_lists(reverse))
+    for v in np.flatnonzero(is_hub).tolist():
+        lists[v] = targets[offsets[v]:offsets[v + 1]].tolist()
+    return offsets, targets, lists
 
 
 @dataclass
@@ -116,7 +138,8 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
                     parent[region] = s
                     score = member[region]
                 else:
-                    best = np.maximum.reduceat(*_slice_words(offsets, sources, region, key)) - one
+                    pos, _, at = csr_slices(offsets, region)
+                    best = np.maximum.reduceat(key[sources[pos]], at) - one
                     parent[region] = n - one - best % n
                     score = best // n + member[region]
                     key[front] = 0
@@ -136,15 +159,6 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
             net.added_per_hub[lo + b] = total
     net.members = np.flatnonzero(member).astype(np.uint32)
     return net
-
-
-def _slice_words(offsets, sources, rows, words):
-    """words at the rows' slices of sources, concatenated, and where each slice starts."""
-    starts = offsets[rows]
-    counts = offsets[rows + 1] - starts
-    at = np.cumsum(counts) - counts
-    pos = np.arange(int(at[-1] + counts[-1])) + np.repeat(starts - at, counts)
-    return words[sources[pos]], at
 
 
 def verify_distance_preserving(g: Graph, hubs: HubSet, net: HubNetwork, k: int) -> PreservationReport:

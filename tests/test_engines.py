@@ -551,3 +551,28 @@ def test_pinned_answers(kind, param, seed, directed, answers_sha):
                     hl_query(g, idx, s, t)):
             answers.append([res.distance, res.path])
     assert hashlib.sha256(json.dumps(answers).encode()).hexdigest() == answers_sha
+
+
+@pytest.mark.parametrize("kind, param, seed, directed, work_sha", [
+    ("ba", 3, 13, False, "c4f5cc9a3fd53051df8ce74785bf68277c093870c0b6e90c06fa61af5cff918b"),
+    ("er", 5, 12, True, "c74553d2569d7b9e9cf0dcd2e2a3d1596939da900b9711410e4908f9d700b992"),
+], ids=["ba-undirected", "er-directed"])
+def test_pinned_work_counters(kind, param, seed, directed, work_sha):
+    """visited and enqueued of bibfs, hn and hl over test_pinned_answers' pairs.
+
+    The counters follow the search order, which no oracle check fixes, so a
+    refactor of the level step must leave these digests as they are.  A
+    change that alters the search order on purpose recomputes them and says
+    so in CHANGES.md.
+    """
+    g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+    hubs = select_hubs(g, 24)
+    net = discover(g, hubs, 5)
+    idx = build_index(g, hubs, 5)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    work = []
+    for s, t in rng.integers(0, g.n, size=(300, 2)).tolist():
+        for res in (bibfs_query(g, s, t, 5), hn_query(g, hubs, net, s, t, 5),
+                    hl_query(g, idx, s, t)):
+            work.append([res.stats.visited, res.stats.enqueued])
+    assert hashlib.sha256(json.dumps(work).encode()).hexdigest() == work_sha

@@ -154,6 +154,28 @@ def test_symmetric_second_discovery_adds_nothing():
         seen.add((u, v))
 
 
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_search_views_keep_hub_rows_inside_the_network(directed):
+    g = ba_graph(300, 3, seed=81, directed=directed)
+    hubs = select_hubs(g, 12)
+    net = discover(g, hubs, 4)
+    views = net.search_views(g, hubs)
+    assert net.search_views(g, hubs) is views
+    assert (views[0] is views[1]) == (not directed)
+    dropped = 0
+    for reverse, (offsets, targets, lists) in zip((False, True), views):
+        own = g.adj_lists(reverse)
+        for v in range(g.n):
+            row = targets[offsets[v]:offsets[v + 1]].tolist()
+            assert lists[v] == row
+            if hubs.is_hub[v]:
+                assert row == [w for w in own[v] if net.member[w]]
+                dropped += len(own[v]) - len(row)
+            else:
+                assert lists[v] is own[v]
+    assert dropped > 0
+
+
 def test_network_stats_chain(chain4):
     hubs = hubset(chain4, [1, 2])
     net = discover(chain4, hubs, 4)
