@@ -63,6 +63,8 @@ def make_workload(g: Graph, count: int, seed: int, k: int = None,
         raise ValueError("non_hub_only filtering needs a hub set")
     if min_dist > 0 and k is None:
         raise ValueError("min_dist filtering needs k")
+    if min_dist > 0 and min_dist > k:
+        raise ValueError(f"min_dist {min_dist} exceeds k={k}: no pair can pass the filter")
     rng = np.random.Generator(np.random.PCG64(seed))
     pairs = []
     attempts = 0
@@ -70,7 +72,8 @@ def make_workload(g: Graph, count: int, seed: int, k: int = None,
     while len(pairs) < count:
         attempts += 1
         if attempts > limit:
-            raise RuntimeError("workload filters rejected too many samples")
+            raise ValueError(f"workload filters passed {len(pairs)} of {limit} sampled "
+                             f"pairs; {count} are needed")
         s, t = (int(x) for x in rng.integers(0, g.n, size=2))
         if s == t:
             continue
@@ -89,14 +92,13 @@ def make_workload(g: Graph, count: int, seed: int, k: int = None,
     return Workload(seed=seed, pairs=pairs, filter=name)
 
 
-def run_engine(engine, g, pairs, k, hubs=None, net=None, idx=None, warmup=True):
+def run_engine(engine, g, pairs, k, hubs=None, net=None, idx=None):
     """Benchmark one engine over the workload, records in pair order.
 
     One unmeasured warm-up pass per engine precedes the measured one.
     """
-    if warmup:
-        for s, t in pairs:
-            query_with_engine(engine, g, s, t, k, hubs=hubs, net=net, idx=idx)
+    for s, t in pairs:
+        query_with_engine(engine, g, s, t, k, hubs=hubs, net=net, idx=idx)
     records = []
     for s, t in pairs:
         t0 = time.perf_counter_ns()

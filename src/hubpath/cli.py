@@ -284,12 +284,8 @@ def cmd_verify(args):
 
 
 def _label_set(idx, v, side):
-    if idx.hubs.is_hub[v]:
-        return {(int(v), 0)}
-    table = idx.labels_out if side == "out" else idx.labels_in
-    ranks, dists, _ = table.vertex_slice(v)
-    ids = idx.hubs.ids
-    return {(int(ids[r]), int(d)) for r, d in zip(ranks, dists)}
+    ranks, dists = idx.labels(v, side)
+    return {(int(idx.hubs.ids[r]), int(d)) for r, d in zip(ranks, dists)}
 
 
 def main(argv=None) -> int:

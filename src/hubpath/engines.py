@@ -3,7 +3,7 @@
 Four engines share one contract: return the exact distance and one shortest
 path when the distance is within k, otherwise report nothing.
 
-- bfs_query: plain bounded BFS, the ground-truth oracle.
+- bfs_query: plain bounded BFS (graph.bfs_tree), the ground-truth oracle.
 - bibfs_query: bidirectional BFS, smaller frontier first, level-sum cutoff.
 - hn_query: bidirectional BFS in which hubs expand only their neighbors
   inside the discovered hub network.
@@ -20,11 +20,14 @@ Fixed numpy cost per call dominates small levels and Python's per-edge cost
 dominates large ones; the threshold comes from a sweep over the perfbench
 workloads, where 256 to 512 were fastest for all three engines.  Both steps
 pick the smallest-id predecessor as parent -- the scalar one by scanning the
-frontier in ascending id order, the vectorized one (like bfs_query) through
-graph.first_parents -- so answers, paths and counters do not depend on which
-step ran.  The label join is likewise a scalar loop.  bfs_query and
-estimate_full_join stay vectorized and serve as the oracles the fast paths
-are checked against.
+frontier in ascending id order, the vectorized one (like graph.bfs_tree)
+through graph.first_parents -- so answers, paths and counters do not depend
+on which step ran.  The label join is likewise a scalar loop.
+
+bfs_query and estimate_full_join are the oracles the fast paths are checked
+against, so they share no level step or join with them: bfs_query runs
+graph.bfs_tree, the library's other single-source level loop, and
+estimate_full_join joins whole label arrays at once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, first_parents, frontier_edges, validate_path
+from .graph import Graph, bfs_tree, first_parents, frontier_edges, validate_path
 from .hub2 import INF, Hub2Index, IndexIntegrityError
 from .hubs import HubSet
 from .network import HubNetwork
@@ -93,41 +96,24 @@ def _check_pair(g, s, t):
 
 
 def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
-    """Bounded BFS from s; the reference engine the others are checked against."""
+    """Bounded BFS from s; the reference engine the others are checked against.
+
+    It runs graph.bfs_tree, not the engines' level step, so a fault in that
+    step cannot hide in its own reference.
+    """
     _check_pair(g, s, t)
     stats = SearchStats("bfs")
     if s == t:
         return QueryResult(0, [s], stats)
-    offsets, targets = g.adjacency()
-    level = np.full(g.n, -1, np.int32)
-    parent = np.full(g.n, -1, np.int32)
-    level[s] = 0
-    stats.enqueued = 1
-    frontier = np.array([s], dtype=np.int64)
-    dist = None
-    for depth in range(k):
-        stats.visited += int(frontier.size)
-        srcs, dsts = frontier_edges(offsets, targets, frontier)
-        fresh = level[dsts] < 0
-        new, pred = first_parents(srcs[fresh], dsts[fresh])
-        if new.size == 0:
-            break
-        level[new] = depth + 1
-        parent[new] = pred
-        stats.enqueued += int(new.size)
-        if level[t] >= 0:
-            dist = depth + 1
-            break
-        frontier = new
-    if dist is None:
+    level, parent, stats.visited = bfs_tree(*g.adjacency(), s, k, stop=t)
+    stats.enqueued = int(np.count_nonzero(level >= 0))
+    if level[t] < 0:
         return QueryResult(None, None, stats)
     path = [t]
-    v = t
-    while v != s:
-        v = int(parent[v])
-        path.append(v)
+    while path[-1] != s:
+        path.append(int(parent[path[-1]]))
     path.reverse()
-    return QueryResult(dist, path, stats)
+    return QueryResult(int(level[t]), path, stats)
 
 
 class _Side:
@@ -326,10 +312,17 @@ def _graph_views(g):
     return (*g.adjacency(), g.adj_lists()), (*g.adjacency(True), g.adj_lists(True))
 
 
-def _bidirectional(views, s, t, cap, engine, labeled=None,
-                   alternate=False, collect=False, conservative=False):
+def _bidirectional(views, s, t, cap, engine, labeled=None, collect=False,
+                   conservative=False):
     """Shared core over the (forward, reverse) views, labeled vertices excluded;
-    only distances strictly below cap are reported."""
+    only distances strictly below cap are reported.
+
+    Exact levels expand the smaller frontier first.  Conservative levels (hn)
+    alternate the directions strictly, the only order their stop rule has
+    been checked with: under smaller frontier first one side ran past the
+    cap + 2 slots of open_counts (an IndexError in _register_meets on the
+    perfbench ba-directed graph, seed 21).
+    """
     stats = SearchStats(engine)
     if s == t:
         return QueryResult(0 if 0 < cap else None, [s] if 0 < cap else None, stats)
@@ -345,7 +338,7 @@ def _bidirectional(views, s, t, cap, engine, labeled=None,
     while not _should_stop(fwd, bwd, best, cap, conservative):
         if fwd.exhausted or bwd.exhausted:
             side = bwd if fwd.exhausted else fwd
-        elif alternate:
+        elif conservative:
             side = fwd if forward_turn else bwd
             forward_turn = not forward_turn
         else:
@@ -375,8 +368,7 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     vertices is still the distance.  Directions alternate strictly.
     """
     _check_pair(g, s, t)
-    return _bidirectional(net.search_views(g, hubs), s, t, k + 1, "hn",
-                          alternate=True, conservative=True)
+    return _bidirectional(net.search_views(g, hubs), s, t, k + 1, "hn", conservative=True)
 
 
 def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int, collect=False):
@@ -393,22 +385,9 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int, collect=False):
                           collect=collect)
 
 
-def _label_slice(idx, v, side):
-    """Hub ranks and label distances of v, sorted by (distance, rank).
-
-    A hub owns only its implicit self label (rank, 0).
-    """
-    if idx.hubs.is_hub[v]:
-        return np.array([idx.hubs.rank[v]]), np.zeros(1, np.uint8)
-    table = idx.labels_out if side == "out" else idx.labels_in
-    ranks, dists, _ = table.vertex_slice(v)
-    return ranks, dists
-
-
 def _label_lists(idx, v, side):
     """Hub ranks keyed by label distance, as Python lists."""
-    ranks, dists = _label_slice(idx, v, side)
-    ranks, dists = ranks.tolist(), dists.tolist()
+    ranks, dists = (a.tolist() for a in idx.labels(v, side))
     classes = {}
     lo = 0
     while lo < len(dists):
@@ -465,8 +444,8 @@ def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
 def estimate_full_join(idx: Hub2Index, s: int, t: int) -> Estimate:
     """Exhaustive pairwise join over both label lists; the levelwise oracle."""
     k = idx.k
-    xs, dxs = _label_slice(idx, s, "out")
-    ys, dys = _label_slice(idx, t, "in")
+    xs, dxs = idx.labels(s, "out")
+    ys, dys = idx.labels(t, "in")
     ids = idx.hubs.ids
     join_ops = int(xs.size * ys.size)
     if join_ops == 0:

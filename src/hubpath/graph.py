@@ -12,15 +12,17 @@ Horner's rule, one gather per digit column.  A line that is not two plain
 digit tokens -- fewer tokens, a sign, an underscore or other non-digit, more
 than 10 digits or an id above MAX_VERTEX_ID, a line break other than LF or
 CRLF, non-ASCII text -- sends the input to the line loop, which accepts it as
-the format allows or names the line.  from_edges, bfs_levels and
-HubSet.from_ids deduplicate through sort_unique.
+the format allows or names the line.  from_edges and HubSet.from_ids
+deduplicate through sort_unique.
 
-first_parents is the one place where a vectorized single-source BFS level
-step decides which predecessor becomes a new vertex's parent; it now serves
-bfs_query and the engines only.  bit_levels is the one bit-parallel level
-loop: hub2.build reads labels and witnesses from it, network.discover each
-hub's unblocked region, and the preservation check
-(network.verify_distance_preserving) the hub-pair distances.
+bfs_tree is the one single-source BFS level loop outside the engines: the
+reference engine bfs_query, bounded_bfs and the label oracle
+hub2.core_hubs_oracle run on it.  first_parents decides which predecessor
+becomes a new vertex's parent, in bfs_tree and in the engines' vectorized
+step alike.  bit_levels is the one bit-parallel level loop: hub2.build reads
+labels and witnesses from it, network.discover each hub's unblocked region,
+and the preservation check (network.verify_distance_preserving) the hub-pair
+distances.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def sort_unique(values):
 
     Sorts and keeps each value that differs from its predecessor.  numpy 2.4's
     np.unique hashes integer arrays instead, which is 5 to 50 times slower on
-    the edge codes and BFS frontiers deduplicated here.
+    the edge codes and hub ids deduplicated here.
     """
     out = np.sort(values)
     if out.size > 1:
@@ -389,18 +391,32 @@ def bit_levels(offsets, sources, hub_ids, roots, max_depth):
         blocking[hub_ids] = new[hub_ids]
 
 
-def bfs_levels(offsets, targets, source, max_depth, n):
-    """Level-synchronous BFS bounded at max_depth; int32 levels, -1 unreached."""
-    level = np.full(n, -1, np.int32)
+def bfs_tree(offsets, targets, source, max_depth, stop=None):
+    """Level-synchronous BFS from source bounded at max_depth.
+
+    Returns (level, parent, expanded): int32 levels (-1 unreached), int32
+    parents picked by first_parents -- each vertex's smallest-id predecessor
+    one level up, -1 at the source and at unreached vertices -- and the count
+    of frontier vertices expanded.  The search ends after the level that
+    labels stop.
+    """
+    level = np.full(offsets.size - 1, -1, np.int32)
+    parent = np.full_like(level, -1)
     level[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    for depth in range(max_depth):
-        _, dsts = frontier_edges(offsets, targets, frontier)
-        frontier = sort_unique(dsts[level[dsts] < 0])
+    expanded = 0
+    for depth in range(1, max_depth + 1):
+        if stop is not None and level[stop] >= 0:
+            break
+        expanded += int(frontier.size)
+        srcs, dsts = frontier_edges(offsets, targets, frontier)
+        fresh = level[dsts] < 0
+        frontier, pred = first_parents(srcs[fresh], dsts[fresh])
         if frontier.size == 0:
             break
-        level[frontier] = depth + 1
-    return level
+        level[frontier] = depth
+        parent[frontier] = pred
+    return level, parent, expanded
 
 
 def bounded_bfs(g: Graph, source, max_depth, reverse=False):
@@ -412,8 +428,7 @@ def bounded_bfs(g: Graph, source, max_depth, reverse=False):
         raise ValueError(f"source {source} out of range [0, {g.n})")
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    offsets, targets = g.adjacency(reverse)
-    level = bfs_levels(offsets, targets, source, max_depth, g.n)
+    level = bfs_tree(*g.adjacency(reverse), source, max_depth)[0]
     reached = np.flatnonzero(level >= 0)
     return {int(v): int(level[v]) for v in reached}
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, bfs_levels, bit_levels, csr_slices, digest64, offsets_from_counts,
+from .graph import (Graph, bfs_tree, bit_levels, csr_slices, digest64, offsets_from_counts,
                     set_bits)
 from .hubs import HubSet
 
@@ -138,6 +138,15 @@ class Hub2Index:
     def matches(self, g: Graph) -> bool:
         return (self.n == g.n and self.m == g.m and self.directed == g.directed
                 and self.graph_checksum == g.checksum)
+
+    def labels(self, v, side):
+        """Hub ranks and label distances of v's "out" or "in" labels, sorted by
+        (distance, rank).  A hub owns only its implicit self label (rank, 0)."""
+        if self.hubs.is_hub[v]:
+            return np.array([self.hubs.rank[v]]), np.zeros(1, np.uint8)
+        table = self.labels_out if side == "out" else self.labels_in
+        ranks, dists, _ = table.vertex_slice(v)
+        return ranks, dists
 
     def __eq__(self, other):
         if not isinstance(other, Hub2Index):
@@ -319,33 +328,19 @@ def core_hubs_oracle(g: Graph, hubs: HubSet, k: int, v: int, side="out"):
         raise ValueError("side must be 'out' or 'in'")
     if hubs.is_hub[v]:
         return {(int(v), 0)}
-    n = g.n
     # side="out": BFS from v along out-edges gives d(v, .); the blocking test
     # needs d(h2, h).  side="in": everything runs on reversed edges, so a BFS
     # from v gives d(., v) and a BFS from h2 gives d(., h2) == d(h, h2) read
     # at h, which is exactly the mirrored strictly-between test.
     offsets, targets = g.adjacency(reverse=(side == "in"))
-    lv = bfs_levels(offsets, targets, v, k, n)
     hub_ids = hubs.ids.astype(np.int64)
-    dv = lv[hub_ids]
-    candidates = [(int(hub_ids[i]), int(dv[i]))
-                  for i in range(hub_ids.size) if 0 < dv[i] <= k]
-    result = set()
-    if not candidates:
-        return result
-    hub_lv = {h: bfs_levels(offsets, targets, h, k, n) for h, _ in candidates}
-    for h, d in candidates:
-        blocked = False
-        for h2, d2 in candidates:
-            if h2 == h:
-                continue
-            between = int(hub_lv[h2][h])
-            if between >= 0 and d2 + between == d:
-                blocked = True
-                break
-        if not blocked:
-            result.add((h, d))
-    return result
+    d = bfs_tree(offsets, targets, v, k)[0][hub_ids]
+    cand, d = hub_ids[d > 0], d[d > 0]
+    # between[i, j] = d(cand_i, cand_j); only i == j has distance 0
+    between = np.array([bfs_tree(offsets, targets, h, k)[0][cand] for h in cand.tolist()],
+                       np.int32).reshape(cand.size, cand.size)
+    blocked = ((between > 0) & (d[:, None] + between == d[None, :])).any(axis=0)
+    return {(h, dh) for h, dh in zip(cand[~blocked].tolist(), d[~blocked].tolist())}
 
 
 def index_stats(idx: Hub2Index) -> dict:

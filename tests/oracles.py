@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from hubpath.graph import (Graph, bfs_levels, first_parents, frontier_edges, induced_subgraph,
+from hubpath.graph import (Graph, bfs_tree, first_parents, frontier_edges, induced_subgraph,
                            offsets_from_counts)
 from hubpath.hub2 import INF, MAX_K, Hub2Index, Hub2Matrix, LabelTable
 from hubpath.hubs import HubSet
@@ -387,8 +387,8 @@ def verify_reference(g: Graph, hubs: HubSet, net: HubNetwork, k: int) -> Preserv
     soff, stgt = sub.adjacency()
     hub_ids = hubs.ids.astype(np.int64)
     for h in hub_ids:
-        lv_g = bfs_levels(offsets, targets, h, k, g.n)
-        lv_s = bfs_levels(soff, stgt, h, k, g.n)
+        lv_g = bfs_tree(offsets, targets, h, k)[0]
+        lv_s = bfs_tree(soff, stgt, h, k)[0]
         dg = lv_g[hub_ids]
         ds = lv_s[hub_ids]
         within = (dg > 0) & (dg <= k)

@@ -36,6 +36,19 @@ def test_workload_min_dist_filter():
     assert w.filter == "dist_ge:4"
 
 
+def test_workload_min_dist_above_k_fails_fast():
+    g = ba_graph(300, 3, seed=5)
+    with pytest.raises(ValueError, match="exceeds k"):
+        make_workload(g, 1000, seed=1, k=2, min_dist=3)
+
+
+def test_workload_exhausted_samples_is_a_value_error():
+    g = ba_graph(300, 3, seed=5)
+    every_vertex = select_hubs(g, g.n)
+    with pytest.raises(ValueError, match="sampled pairs"):
+        make_workload(g, 5, seed=1, non_hub_only=True, hubs=every_vertex)
+
+
 def test_run_engine_records_and_summary():
     g = ba_graph(300, 3, seed=5)
     pairs = make_workload(g, 25, seed=1).pairs

@@ -204,6 +204,16 @@ def test_bench_same_seed_same_pairs(tmp_path, graph_file, capsys):
     assert paths[0] == paths[1]
 
 
+def test_bench_min_dist_above_k_is_an_error(tmp_path, capsys):
+    chain = tmp_path / "chain30.txt"
+    assert run(capsys, "gen", "--kind", "chain", "--n", "30", "--out", str(chain))[0] == 0
+    code, out, err = run(capsys, "bench", "--graph", str(chain), "--engines", "bfs",
+                         "--k", "2", "--min-dist", "3", "--pairs", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: min_dist 3 exceeds k=2")
+
+
 def test_verify_ok_and_corruption_detected(tmp_path, graph_file, capsys):
     idx = tmp_path / "g.hub2"
     run(capsys, "build", "--graph", str(graph_file), "--hubs", "8", "--k", "4",

@@ -576,3 +576,19 @@ def test_pinned_work_counters(kind, param, seed, directed, work_sha):
                     hl_query(g, idx, s, t)):
             work.append([res.stats.visited, res.stats.enqueued])
     assert hashlib.sha256(json.dumps(work).encode()).hexdigest() == work_sha
+
+
+@pytest.mark.parametrize("kind, param, seed, directed, bfs_sha", [
+    ("ba", 3, 13, False, "48d63b1ead8d659efe01a451c8e6da6de009ad85e061e1617fd972e766431422"),
+    ("er", 5, 12, True, "f5f90280a895bae5059c28ed95977988b5e02559e808d1277d38f215b584b2f5"),
+], ids=["ba-undirected", "er-directed"])
+def test_pinned_bfs_work(kind, param, seed, directed, bfs_sha):
+    """Distance, path, visited and enqueued of bfs_query over test_pinned_answers'
+    pairs: the reference engine's parent rule and counters, pinned."""
+    g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    work = []
+    for s, t in rng.integers(0, g.n, size=(300, 2)).tolist():
+        res = bfs_query(g, s, t, 5)
+        work.append([res.distance, res.path, res.stats.visited, res.stats.enqueued])
+    assert hashlib.sha256(json.dumps(work).encode()).hexdigest() == bfs_sha

@@ -18,7 +18,7 @@ from hubpath import (
     validate_path,
 )
 
-from hubpath.graph import MAX_VERTEX_ID, first_parents
+from hubpath.graph import MAX_VERTEX_ID, bfs_tree, first_parents
 
 from conftest import ba_graph, er_graph
 from oracles import adjacency_from_graph, bfs_dist
@@ -231,6 +231,35 @@ def test_directed_forward_reverse_duality():
 def test_bounded_bfs_validates_source(chain4):
     with pytest.raises(ValueError):
         bounded_bfs(chain4, 9, 2)
+
+
+@st.composite
+def _bfs_cases(draw):
+    """A small seeded random graph, a source, a depth bound and maybe a stop vertex."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ends = rng.integers(0, n, size=(2, draw(st.integers(0, 3 * n))))
+    g = Graph.from_edges(n, ends[0], ends[1], directed=draw(st.booleans()))
+    stop = draw(st.none() | st.integers(0, n - 1))
+    return g, draw(st.integers(0, n - 1)), draw(st.integers(0, 6)), stop
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bfs_cases())
+def test_bfs_tree_levels_parents_and_stop(case):
+    g, source, max_depth, stop = case
+    level, parent, expanded = bfs_tree(*g.adjacency(), source, max_depth, stop=stop)
+    truth = bfs_dist(adjacency_from_graph(g), source, max_depth)
+    last = max_depth
+    if stop is not None and stop in truth:
+        last = truth[stop]
+        truth = {v: d for v, d in truth.items() if d <= last}
+    assert {v: int(level[v]) for v in np.flatnonzero(level >= 0).tolist()} == truth
+    into = adjacency_from_graph(g, reverse=True)
+    for v in range(g.n):
+        up = [u for u in into[v] if level[v] > 0 and level[u] == level[v] - 1]
+        assert parent[v] == (min(up) if up else -1)
+    assert expanded == sum(1 for d in truth.values() if d < last)
 
 
 def test_first_parents():
