@@ -18,6 +18,7 @@ from hubpath import (
     build_index,
     discover,
     gen_synthetic,
+    index_stats,
     load_edge_list,
     make_workload,
     run_engine,
@@ -32,7 +33,7 @@ hubs = select_hubs(g, 200)
 net = discover(g, hubs, k)
 idx = build_index(g, hubs, k)
 print(f"{g}, {hubs.size} hubs, k={k}")
-print(f"index: {idx.build_stats['avg_labels_per_vertex']:.1f} labels/vertex, "
+print(f"index: {index_stats(idx)['avg_label_count']:.1f} labels/vertex, "
       f"built in {idx.build_stats['build_seconds']:.1f}s\n")
 
 # A seeded workload of non-hub pairs (the pruned search is defined for

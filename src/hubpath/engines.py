@@ -6,7 +6,8 @@ path when the distance is within k, otherwise report nothing.
 - bfs_query: plain bounded BFS (graph.bfs_tree), the ground-truth oracle.
 - bibfs_query: bidirectional BFS, smaller frontier first, level-sum cutoff.
 - hn_query: bidirectional BFS in which hubs expand only their neighbors
-  inside the discovered hub network.
+  inside the discovered hub network; it stops once no hub labeled by one
+  side only can close a path below the best meet.
 - hl_query: two steps -- a levelwise label join against the hub matrix for an
   upper bound, then a bidirectional BFS that never touches a hub.
 
@@ -15,7 +16,8 @@ each direction searches an adjacency view (offsets, targets, lists), hn's
 keeping only H* members in hub rows, and hl's search starts with the hubs
 labeled.  A frontier with at most SCALAR_EDGES out-edges is expanded by a
 plain Python loop over the view's lists; a larger one by the vectorized
-step over its CSR arrays.
+step over its CSR arrays.  One rule, _next_side, picks the side to expand
+and stops all three searches.
 Fixed numpy cost per call dominates small levels and Python's per-edge cost
 dominates large ones; the threshold comes from a sweep over the perfbench
 workloads, where 256 to 512 were fastest for all three engines.  Both steps
@@ -130,12 +132,16 @@ class _Side:
     Vertices in the labeled mask start labeled, so no step enters them, and
     nothing reads their level: meets are checked on fresh labels only, and
     paths are stitched from parents of vertices some step labeled.
+
+    Given hn's hub mask (is_hub, a memoryview of is_hub_np), hubs lists the
+    hubs this side labeled in level order, its start included.  Labels are
+    never cleared, so the met hubs before hub_head stay met for good.
     """
 
     __slots__ = ("lv", "lv_np", "par", "par_np", "frontier", "radius", "offsets",
-                 "targets", "adj", "exhausted", "open_counts")
+                 "targets", "adj", "exhausted", "is_hub", "is_hub_np", "hubs", "hub_head")
 
-    def __init__(self, view, start, cap, labeled):
+    def __init__(self, view, start, labeled, hub_mask):
         self.offsets, self.targets, self.adj = view
         n = len(self.adj)
         self.lv_np = np.zeros(n, np.uint16) if labeled is None else labeled.astype(np.uint16)
@@ -145,16 +151,26 @@ class _Side:
         self.frontier = [start]
         self.radius = 0
         self.exhausted = False
-        # labeled-but-not-met vertices per level; the minimum open level
-        # bounds future meeting sums when levels are not true distances
-        self.open_counts = [0] * (cap + 2)
-        self.open_counts[0] = 1
+        self.is_hub_np = hub_mask
+        self.is_hub = None if hub_mask is None else memoryview(hub_mask)
+        self.hubs = [start] if hub_mask is not None and hub_mask[start] else []
+        self.hub_head = 0
 
-    def min_open(self):
-        for level, count in enumerate(self.open_counts):
-            if count:
-                return level
-        return _UNSET
+    def add_hubs(self, new):
+        """Append the hubs among the fresh labels new, one level's worth."""
+        if isinstance(new, list):
+            is_hub = self.is_hub
+            self.hubs += [w for w in new if is_hub[w]]
+        else:
+            self.hubs += new[self.is_hub_np[new]].tolist()
+
+    def min_open_hub(self, other):
+        """Level of the first hub this side labeled and other has not; _UNSET if none."""
+        hubs, head, other_lv = self.hubs, self.hub_head, other.lv
+        while head < len(hubs) and other_lv[hubs[head]]:
+            head += 1
+        self.hub_head = head
+        return self.lv[hubs[head]] - 1 if head < len(hubs) else _UNSET
 
 
 def _scalar_step(side, frontier):
@@ -202,9 +218,6 @@ def _expand(side, stats, levels=None):
     levels, when given, collects every expanded frontier.
     """
     frontier = side.frontier
-    if len(frontier) == 0:
-        side.exhausted = True
-        return frontier
     stats.visited += len(frontier)
     if levels is not None:
         levels.append(frontier)
@@ -224,42 +237,25 @@ def _expand(side, stats, levels=None):
 def _register_meets(new, side, other, best, meet):
     """Fold newly double-labeled vertices into the best meeting candidate.
 
-    Fresh labels that meet the other direction leave both open sets; the rest
-    join this side's open set at their level.  Candidates are scanned in
-    ascending id order and only a strictly smaller sum replaces the best, so
-    the meeting vertex is the smallest id among those attaining the minimum.
+    Candidates are scanned in ascending id order and only a strictly smaller
+    sum replaces the best, so the meeting vertex is the smallest id among
+    those attaining the minimum.
     """
     radius = side.radius
-    other_open = other.open_counts
     if isinstance(new, list):
         other_lv = other.lv
-        unmet = 0
         for w in new:
             hit = other_lv[w]
-            if hit:
-                other_open[hit - 1] -= 1
-                if radius + hit - 1 < best:
-                    best, meet = radius + hit - 1, w
-            else:
-                unmet += 1
-        side.open_counts[radius] += unmet
+            if hit and radius + hit - 1 < best:
+                best, meet = radius + hit - 1, w
         return best, meet
-    if new.size == 0:
-        return best, meet
-    other_lv = other.lv_np[new]
-    seen = other_lv > 0
-    met = int(np.count_nonzero(seen))
-    side.open_counts[radius] += int(new.size) - met
-    if not met:
-        return best, meet
-    cand = new[seen]
-    hit = other_lv[seen].astype(np.int64) - 1
-    for level, count in enumerate(np.bincount(hit).tolist()):
-        other_open[level] -= count
-    sums = radius + hit
-    pos = int(np.argmin(sums))
-    if int(sums[pos]) < best:
-        return int(sums[pos]), int(cand[pos])
+    hits = other.lv_np[new]
+    seen = np.flatnonzero(hits)
+    if seen.size:
+        sums = hits[seen].astype(np.int64) + (radius - 1)
+        pos = int(np.argmin(sums))
+        if int(sums[pos]) < best:
+            return int(sums[pos]), int(new[seen[pos]])
     return best, meet
 
 
@@ -277,34 +273,45 @@ def _stitch(fwd, bwd, meet, s, t):
     return left
 
 
-def _should_stop(fwd, bwd, best, cap, conservative):
-    """True once no unexpanded level can yield a meeting sum below min(best, cap).
+def _next_side(fwd, bwd, best, cap):
+    """The side to expand next, or None once no meet can sum below min(best, cap).
 
-    Exact levels (bibfs, hp_bbfs): stop at radius_f + radius_b >= target - 1.
-    A path of length L <= radius_f + radius_b has a vertex at distance at
-    most radius_f from s and at most radius_b to t; both sides have labeled
-    it, so best <= L already.  As target <= best, no path shorter than
-    target exists, and every later meet would sum to at least target.  Only
-    a strictly smaller sum replaces best, so the meeting vertex is the one
-    the search would end with anyway, and labels and parents once set never
-    change, so the stitched path is the same as well.
+    Let target = min(best, cap).  (A) While r_f + r_b < target - 1 the
+    smaller frontier among the sides not exhausted grows.  After that,
+    forward grows while r_f + 1 + open_b < target and backward while
+    open_f + r_b + 1 < target, where open_x is the level of the first hub
+    side x labeled and the other side has not, or _UNSET.  An exhausted side
+    never grows; when both can, the smaller frontier goes first.  bibfs and
+    hp_bbfs keep no hubs, so they stop right after (A).
 
-    Conservative levels (hn) can exceed true distances, so the path argument
-    does not apply; each class of future meets is bounded instead.
+    Why no path shorter than target is missed.  Let P be a shortest s-t
+    path of length L < target.  If P has no hub, both views keep all of it,
+    so once r_f + r_b >= L some vertex of P is labeled by both sides at its
+    true distances and best <= L already.  Otherwise let x be P's first hub
+    and y its last, and replace P's x..y part by a shortest x-y path in
+    G[H*] (discovery preserves hub-pair distances within k).  The forward
+    view keeps every edge of P up to y and the reverse view every edge from
+    x, so forward levels are exact on P up to y, backward levels from x,
+    and a vertex of x..y labeled by both sides gives best <= L.  A stop
+    short of that needs one of three cases, and none can stop the search.
+    Forward labeled x and backward did not: then open_f <= pos(x), and
+    backward, not exhausted (it would have labeled x), grows until
+    r_b >= L - pos(x) and labels x.  Backward labeled y and forward did
+    not: the mirror case.  Forward has not reached x nor backward y: then
+    r_f + r_b <= L - 2 and (A) goes on.
+
+    The stitched path is the one the search would end with anyway: only a
+    strictly smaller sum replaces best, and labels and parents never change.
     """
     target = min(best, cap)
-    if fwd.exhausted and bwd.exhausted:
-        return True
-    if not conservative:
-        return fwd.radius + bwd.radius >= target - 1
-    # levels may exceed true distances (restricted expansion): bound each
-    # class of future meets instead.  A vertex labeled on one side only can
-    # still meet at (its level) + (other radius + 1); an unlabeled vertex at
-    # (radius_f + 1) + (radius_b + 1).
-    new_f = _UNSET if fwd.exhausted else fwd.radius + 1
-    new_b = _UNSET if bwd.exhausted else bwd.radius + 1
-    bound = min(fwd.min_open() + new_b, new_f + bwd.min_open(), new_f + new_b)
-    return bound >= target
+    if fwd.radius + bwd.radius < target - 1:
+        grow_f, grow_b = not fwd.exhausted, not bwd.exhausted
+    else:
+        grow_f = not fwd.exhausted and fwd.radius + 1 + bwd.min_open_hub(fwd) < target
+        grow_b = not bwd.exhausted and fwd.min_open_hub(bwd) + bwd.radius + 1 < target
+    if grow_f and grow_b:
+        return fwd if len(fwd.frontier) <= len(bwd.frontier) else bwd
+    return fwd if grow_f else bwd if grow_b else None
 
 
 def _graph_views(g):
@@ -312,38 +319,26 @@ def _graph_views(g):
     return (*g.adjacency(), g.adj_lists()), (*g.adjacency(True), g.adj_lists(True))
 
 
-def _bidirectional(views, s, t, cap, engine, labeled=None, collect=False,
-                   conservative=False):
+def _bidirectional(views, s, t, cap, engine, labeled=None, collect=False, hub_mask=None):
     """Shared core over the (forward, reverse) views, labeled vertices excluded;
-    only distances strictly below cap are reported.
-
-    Exact levels expand the smaller frontier first.  Conservative levels (hn)
-    alternate the directions strictly, the only order their stop rule has
-    been checked with: under smaller frontier first one side ran past the
-    cap + 2 slots of open_counts (an IndexError in _register_meets on the
-    perfbench ba-directed graph, seed 21).
+    only distances strictly below cap are reported.  _next_side picks each
+    side to expand and ends the search; hub_mask (hn) gives it open hubs.
     """
     stats = SearchStats(engine)
     if s == t:
         return QueryResult(0 if 0 < cap else None, [s] if 0 < cap else None, stats)
     if cap + 2 > 0xFFFF:
-        # levels are stored as level + 1 in uint16 and the radius can reach cap + 1
+        # levels are stored as level + 1 in uint16
         raise ValueError(f"distance bound {cap} does not fit the 16-bit level buffer")
-    fwd = _Side(views[0], s, cap, labeled)
-    bwd = _Side(views[1], t, cap, labeled)
+    fwd = _Side(views[0], s, labeled, hub_mask)
+    bwd = _Side(views[1], t, labeled, hub_mask)
     levels = [] if collect else None
     stats.enqueued = 2
     best, meet = _UNSET, -1
-    forward_turn = True
-    while not _should_stop(fwd, bwd, best, cap, conservative):
-        if fwd.exhausted or bwd.exhausted:
-            side = bwd if fwd.exhausted else fwd
-        elif conservative:
-            side = fwd if forward_turn else bwd
-            forward_turn = not forward_turn
-        else:
-            side = fwd if len(fwd.frontier) <= len(bwd.frontier) else bwd
+    while (side := _next_side(fwd, bwd, best, cap)) is not None:
         new = _expand(side, stats, levels)
+        if hub_mask is not None:
+            side.add_hubs(new)
         other = bwd if side is fwd else fwd
         best, meet = _register_meets(new, side, other, best, meet)
     if levels:
@@ -363,12 +358,15 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     """Bidirectional BFS where hubs expand only inside the hub network.
 
     Both directions search net.search_views.  Levels on vertices shadowed by
-    restricted hubs can exceed true distances, but every shortest path within
-    k keeps some vertex exact in both directions, so the minimum over meeting
-    vertices is still the distance.  Directions alternate strictly.
+    restricted hubs can exceed true distances, but some shortest path within
+    k has its stretch from first to last hub (all of it, if hub-free) at true
+    levels in both directions, so the minimum over meeting vertices is still
+    the distance.  The search stops once neither the radius sum nor a hub
+    labeled by one side only leaves room for a shorter path (_next_side).
     """
     _check_pair(g, s, t)
-    return _bidirectional(net.search_views(g, hubs), s, t, k + 1, "hn", conservative=True)
+    return _bidirectional(net.search_views(g, hubs), s, t, k + 1, "hn",
+                          hub_mask=hubs.is_hub)
 
 
 def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int, collect=False):

@@ -304,12 +304,7 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     matrix = Hub2Matrix(dim, dist, via, np.empty(sum(c.size for *_, c in chains), np.uint32))
     for i, j, c in chains:
         matrix.chains[matrix.chain_start[i, j][:, None] + np.arange(c.shape[1])] = c
-    non_hubs = max(1, g.n - dim)
-    entries = labels_in.total + (labels_out.total if g.directed else 0)
-    stats = {
-        "avg_labels_per_vertex": entries / non_hubs,
-        "build_seconds": time.monotonic() - t0,
-    }
+    stats = {"build_seconds": time.monotonic() - t0}
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs, matrix=matrix,
                      labels_in=labels_in, labels_out=labels_out,

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with plain queues and dicts, not the
 library's vectorized kernels, so a defect in the package cannot hide in its
-own verifier.  The exceptions are build_reference, discover_reference and
+own verifier.  The exceptions are hn_wrong_answers, which runs hn_query
+against bfs_query on every pair, and build_reference, discover_reference and
 verify_reference at the end: the earlier per-hub index builder, hub-network
 discovery and preservation check, kept as the references of hub2.build,
 network.discover and network.verify_distance_preserving.
@@ -14,11 +15,12 @@ from collections import deque
 
 import numpy as np
 
+from hubpath.engines import bfs_query, check_result, hn_query
 from hubpath.graph import (Graph, bfs_tree, first_parents, frontier_edges, induced_subgraph,
                            offsets_from_counts)
 from hubpath.hub2 import INF, MAX_K, Hub2Index, Hub2Matrix, LabelTable
-from hubpath.hubs import HubSet
-from hubpath.network import HubNetwork, PreservationReport
+from hubpath.hubs import HubSet, select_hubs
+from hubpath.network import HubNetwork, PreservationReport, discover
 
 
 def adjacency_from_graph(g, reverse=False):
@@ -116,6 +118,25 @@ def plain_landmark_estimate(dist_rows, s, t, hub_ids, k):
         if total <= k and (best is None or total < best):
             best = total
     return best
+
+
+def hn_wrong_answers(g, betas, ks):
+    """hn_query on every ordered pair of g, per hub count beta and bound k.
+
+    Returns the (beta, k, s, t) whose answer is not bfs_query's distance with
+    a path check_result certifies.
+    """
+    wrong = []
+    for beta in betas:
+        hubs = select_hubs(g, beta)
+        for k in ks:
+            net = discover(g, hubs, k)
+            for s in range(g.n):
+                for t in range(g.n):
+                    res = hn_query(g, hubs, net, s, t, k)
+                    if not check_result(g, res, bfs_query(g, s, t, k).distance):
+                        wrong.append((beta, k, s, t))
+    return wrong
 
 
 def masked_bfs_dist(adj, source, masked, max_depth=None):
@@ -268,12 +289,7 @@ def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
             chunks_out.extend(zip(lv, ld, lr, lp))
     labels_in = table_from_chunks(g.n, chunks_in)
     labels_out = table_from_chunks(g.n, chunks_out) if g.directed else labels_in
-    non_hubs = max(1, g.n - dim)
-    entries = labels_in.total + (labels_out.total if g.directed else 0)
-    stats = {
-        "avg_labels_per_vertex": entries / non_hubs,
-        "build_seconds": time.monotonic() - t0,
-    }
+    stats = {"build_seconds": time.monotonic() - t0}
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
                      matrix=Hub2Matrix(dim, dist, via, np.array(chains, np.uint32)),
