@@ -64,8 +64,8 @@ if est.value is not None:
     print("reconstructed path:", path)
 
 # The index serializes to a little-endian blob: header, hub ids, matrix,
-# the witnesses as tag, splitting-rank and chain arrays, then each label
-# table as one count array and one entry array, sealed by a trailing 64-bit
+# the witnesses as tag and splitting-rank arrays, then each label table as
+# one count array and one entry array, sealed by a trailing 64-bit
 # blake2b digest.  Identical inputs produce
 # identical bytes, and any corruption the digest sees is rejected on read.
 sink = io.BytesIO()

@@ -9,10 +9,10 @@ import numpy as np
 
 from . import hub2
 from .bench import ENGINES, make_workload, run_engine, summarize, summary_tsv
-from .engines import (bfs_query, bibfs_query, estimate, estimate_full_join, hl_query,
-                      hn_query, query_with_engine)
+from .engines import (bfs_query, bibfs_query, check_result, estimate, estimate_full_join,
+                      hl_query, hn_query, query_with_engine)
 from .generate import KINDS, gen_synthetic
-from .graph import EdgeListParseError, load_edge_list, validate_path
+from .graph import EdgeListParseError, load_edge_list
 from .hub2 import IndexFormatError, IndexIntegrityError, core_hubs_oracle
 from .hubs import default_beta, select_hubs
 from .network import discover, network_stats, verify_distance_preserving
@@ -261,14 +261,9 @@ def cmd_verify(args):
         truth = bfs_query(g, s, t, k)
         others = [bibfs_query(g, s, t, k), hn_query(g, hubs, net, s, t, k),
                   hl_query(g, idx, s, t)]
-        for res in others:
-            if res.distance != truth.distance:
-                bad_pairs += 1
-                break
-            if res.found and (len(res.path) != res.distance + 1
-                              or not validate_path(g, res.path)):
-                bad_pairs += 1
-                break
+        if any(res.distance != truth.distance or not check_result(g, res, truth.distance)
+               for res in others):
+            bad_pairs += 1
         est = estimate(idx, s, t)
         if est.value != estimate_full_join(idx, s, t).value:
             bad_pairs += 1

@@ -34,7 +34,7 @@ estimate_full_join joins whole label arrays at once.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,8 +363,13 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     levels in both directions, so the minimum over meeting vertices is still
     the distance.  The search stops once neither the radius sum nor a hub
     labeled by one side only leaves room for a shorter path (_next_side).
+    Discovery preserves hub-pair distances only up to net.k, so a larger k
+    is an error.
     """
     _check_pair(g, s, t)
+    if k > net.k:
+        raise ValueError(f"k={k} exceeds the hub network's k={net.k}; engine hn "
+                         f"needs k <= {net.k} or a network discovered with k={k}")
     return _bidirectional(net.search_views(g, hubs), s, t, k + 1, "hn",
                           hub_mask=hubs.is_hub)
 
@@ -529,14 +534,15 @@ def _walk_ports(idx, g, start, hub_vertex, incoming):
 def _expand_matrix_path(idx, g, i, j, depth=0):
     """Vertex sequence between two hubs, recursing through via witnesses.
 
-    The reader checks an inline chain's endpoints and bounds but not its
-    hops, so each hop is looked up in the graph here.
+    A pair with no via rank is basic: hub j's incoming port walk to hub i,
+    reversed, is its path.
     """
     if depth > idx.k:
         raise IndexIntegrityError("witness recursion exceeds the distance bound")
     matrix = idx.matrix
+    ids = idx.hubs.ids
     if i == j:
-        return [int(idx.hubs.ids[i])]
+        return [int(ids[i])]
     if matrix.dist[i, j] == INF:
         raise IndexIntegrityError(f"missing witness for hub pair ({i}, {j})")
     w = int(matrix.via[i, j])
@@ -544,15 +550,7 @@ def _expand_matrix_path(idx, g, i, j, depth=0):
         left = _expand_matrix_path(idx, g, i, w, depth + 1)
         right = _expand_matrix_path(idx, g, w, j, depth + 1)
         return left + right[1:]
-    start = int(matrix.chain_start[i, j])
-    chain = matrix.chains[start:start + int(matrix.dist[i, j]) + 1].tolist()
-    adj = g.adj_lists()
-    for u, v in zip(chain, chain[1:]):
-        nbrs = adj[u]
-        pos = bisect_left(nbrs, v)
-        if pos == len(nbrs) or nbrs[pos] != v:
-            raise IndexIntegrityError(f"inline witness hop {u} -> {v} is not an edge")
-    return chain
+    return _walk_ports(idx, g, int(ids[j]), int(ids[i]), incoming=True)[::-1]
 
 
 def reconstruct_estimated_path(idx: Hub2Index, g: Graph, s, x, y, t) -> list:

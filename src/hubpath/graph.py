@@ -333,14 +333,13 @@ def frontier_edges(offsets, targets, frontier):
     return np.repeat(frontier, counts), targets[pos].astype(np.int64)
 
 
-def first_parents(srcs, dsts, *keys):
+def first_parents(srcs, dsts):
     """Pick each new vertex's parent from the fresh edges of one BFS level.
 
     Returns the distinct destinations in ascending order and, for each, the
-    source with the smallest (keys..., id).  Each key is a per-vertex array
-    read at the source; the last key is the most significant.
+    smallest-id source.
     """
-    order = np.lexsort((srcs, *(key[srcs] for key in keys), dsts))
+    order = np.lexsort((srcs, dsts))
     ds = dsts[order]
     first = np.ones(ds.size, bool)
     first[1:] = ds[1:] != ds[:-1]

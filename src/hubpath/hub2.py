@@ -5,14 +5,15 @@ each hub owning one bit of a uint64 word per vertex (Akiba, Iwata and
 Yoshida's bit-parallel BFS in the multi-source form of Then et al.).  A level
 ORs each vertex's predecessors' frontier words, and a second OR over the
 frontier bits a hub blocks marks what is reached only behind another hub.
-Each hub's first reach of another fills its matrix cell and path witness (an
-inline vertex chain for basic pairs, a splitting hub rank in via for
-composite ones), and each unblocked first reach of a non-hub vertex is a
-label (hub, distance, port).  Ports are offsets into the owning vertex's
-sorted adjacency slice and give the next hop toward the hub, which keeps
-path extraction memory-free.  Every parent is the smallest-id predecessor a
-level earlier (for a blocked vertex, the smallest-id blocking one), so the
-index does not depend on how the hubs are grouped into blocks.
+Each hub's first reach of another fills its matrix cell, and each unblocked
+first reach of a vertex is a label (hub, distance, port).  Ports are offsets
+into the owning vertex's sorted adjacency slice and give the next hop toward
+the hub, which keeps path extraction memory-free.  A hub pair's shortest
+path with no hub between (a basic pair) is the port walk of the far hub's
+label; a composite pair stores a splitting hub rank in via.  Every parent is
+the smallest-id predecessor a level earlier (for a blocked vertex, the
+smallest-id blocking one), so the index does not depend on how the hubs are
+grouped into blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ INF = 255
 MAX_K = 254
 
 MAGIC = b"HUB2"
-VERSION = 3
+VERSION = 4
 _FLAG_DIRECTED = 1
 
 _ENTRY_DTYPE = np.dtype([("rank", "<u4"), ("dist", "u1"), ("port", "<u4")])
@@ -89,18 +90,15 @@ class Hub2Matrix:
     """Hub-pair distances (INF above k) with one path witness per finite entry.
 
     Finite off-diagonal pair (i, j) has via[i, j] = w splitting its distance
-    (dist[i, w] + dist[w, j] == dist[i, j]), or -1 and an inline chain of
-    dist[i, j] + 1 vertex ids from chains[chain_start[i, j]], a shortest path
-    with no interior hub.  Chains are concatenated in row-major pair order, so
-    chain_start follows from dist and via and is never stored.
+    (dist[i, w] + dist[w, j] == dist[i, j]), or -1 when some shortest i-j
+    path has no interior hub: hub j's incoming label (i, dist[i, j], port)
+    walks that path back to hub i.
     """
 
     dim: int
     dist: np.ndarray
     via: np.ndarray
-    chains: np.ndarray
     cells: bytes = field(init=False, repr=False)
-    chain_start: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # the label join reads one entry per candidate pair as cells[i * dim + j]:
@@ -109,15 +107,11 @@ class Hub2Matrix:
         # read-only view of the same buffer, so the two cannot drift apart.
         self.cells = self.dist.tobytes()
         self.dist = np.frombuffer(self.cells, np.uint8).reshape(self.dim, self.dim)
-        inline = _witnessed_pairs(self.dist) & (self.via < 0)
-        lengths = np.where(inline, self.dist.astype(np.int64) + 1, 0).ravel()
-        self.chain_start = (np.cumsum(lengths) - lengths).reshape(self.dim, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Hub2Matrix):
             return NotImplemented
-        return (np.array_equal(self.dist, other.dist) and np.array_equal(self.via, other.via)
-                and np.array_equal(self.chains, other.chains))
+        return np.array_equal(self.dist, other.dist) and np.array_equal(self.via, other.via)
 
 
 @dataclass
@@ -141,7 +135,8 @@ class Hub2Index:
 
     def labels(self, v, side):
         """Hub ranks and label distances of v's "out" or "in" labels, sorted by
-        (distance, rank).  A hub owns only its implicit self label (rank, 0)."""
+        (distance, rank).  For a hub that is its implicit self label (rank, 0)
+        alone; its table entries are path witnesses, not core hubs."""
         if self.hubs.is_hub[v]:
             return np.array([self.hubs.rank[v]]), np.zeros(1, np.uint8)
         table = self.labels_out if side == "out" else self.labels_in
@@ -198,34 +193,26 @@ def _pick(offsets, sources, x, bit, carrier):
     return src[np.argsort(rows[i] * _BLOCK + b)][inverse].astype(np.int64)
 
 
-def _walk_witnesses(offsets, sources, hubs, lo, depth, new, free, fronts, blocking, matrix):
+def _walk_witnesses(offsets, sources, hubs, lo, depth, new, free, blocking, matrix):
     """Fill the matrix cells of the hubs the block's roots first reach at depth.
 
-    A hub some shortest path reaches with no hub between gets an inline chain:
-    the smallest-id frontier parents walked back to the root, the parent rule
-    of the ports.  Any other gets a via rank: walking back the smallest-id
-    blocking carrier of each step reaches the hub that blocks it.
+    A hub some shortest path reaches with no hub between needs no more: its
+    label is the witness.  Any other gets a via rank: walking back the
+    smallest-id blocking carrier of each step reaches the hub that blocks it.
     """
-    dist, via, chains = matrix
+    dist, via = matrix
     hub_ids = hubs.ids.astype(np.int64)
     j, bit = set_bits(new[hub_ids])
-    i = lo + bit
-    dist[i, j] = depth
-    inline = (free[hub_ids[j]] >> bit.astype(np.uint64)) & _ONE == _ONE
-    x, b = hub_ids[j[inline]], bit[inline]
-    if x.size:
-        path = [x]
-        for d in range(depth - 1, -1, -1):
-            path.append(_pick(offsets, sources, path[-1], b, fronts[d]))
-        chains.append((i[inline], j[inline], np.stack(path[::-1], axis=1)))
-    x, b, i, j = hub_ids[j[~inline]], bit[~inline], i[~inline], j[~inline]
+    dist[lo + bit, j] = depth
+    j, bit = set_bits(new[hub_ids] & ~free[hub_ids])
+    x, i = hub_ids[j], lo + bit
     for d in range(depth - 1, -1, -1):
         if not x.size:
             break
-        x = _pick(offsets, sources, x, b, blocking[d])
+        x = _pick(offsets, sources, x, bit, blocking[d])
         done = hubs.is_hub[x]
         via[i[done], j[done]] = hubs.rank[x[done]]
-        x, b, i, j = x[~done], b[~done], i[~done], j[~done]
+        x, bit, i, j = x[~done], bit[~done], i[~done], j[~done]
 
 
 def _pass(g, hubs, lo, k, reverse, matrix=None):
@@ -233,26 +220,27 @@ def _pass(g, hubs, lo, k, reverse, matrix=None):
 
     Returns the block's label arrays and, given the matrix arrays, fills their
     rows.  The levels come from graph.bit_levels; a label is a free first
-    reach of a non-hub.  reverse=True walks in-edges (directed graphs) and
-    gives outgoing-side labels with ports into the out-slice; the forward walk
-    gives incoming-side labels with ports into the in-slice (out-slice when
+    reach.  The pass that fills the matrix labels hubs too, as the witnesses
+    of basic pairs; the other one, whose hub labels nothing reads, does not.
+    reverse=True walks in-edges (directed graphs) and gives outgoing-side
+    labels with ports into the out-slice; the forward walk gives
+    incoming-side labels with ports into the in-slice (out-slice when
     undirected).
     """
     offsets, sources = g.adjacency(not reverse)
     hub_ids = hubs.ids.astype(np.int64)
-    fronts, blocking, parts = [], [], []
+    blocking, parts = [], []
     levels = bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + _BLOCK], k)
     for depth, (front, block, new, free) in enumerate(levels, 1):
-        fronts.append(front)
         blocking.append(block)
         rows = np.flatnonzero(free)
-        rows = rows[~hubs.is_hub[rows]]
+        if matrix is None:
+            rows = rows[~hubs.is_hub[rows]]
         i, bit, port, _ = _first_carriers(offsets, sources, rows, free[rows], front)
         parts.append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
                       (lo + bit).astype(np.int32), port.astype(np.int32)))
         if matrix is not None:
-            _walk_witnesses(offsets, sources, hubs, lo, depth, new, free,
-                            fronts, blocking, matrix)
+            _walk_witnesses(offsets, sources, hubs, lo, depth, new, free, blocking, matrix)
     return parts
 
 
@@ -294,20 +282,17 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     dist = np.full((dim, dim), INF, np.uint8)
     np.fill_diagonal(dist, 0)
     via = np.full((dim, dim), -1, np.int32)
-    chains, parts_in, parts_out = [], [], []
+    parts_in, parts_out = [], []
     for lo in range(0, dim, _BLOCK):
-        parts_in += _pass(g, hubs, lo, k, False, (dist, via, chains))
+        parts_in += _pass(g, hubs, lo, k, False, (dist, via))
         if g.directed:
             parts_out += _pass(g, hubs, lo, k, True)
     labels_in = _label_table(g.n, dim, parts_in)
     labels_out = _label_table(g.n, dim, parts_out) if g.directed else labels_in
-    matrix = Hub2Matrix(dim, dist, via, np.empty(sum(c.size for *_, c in chains), np.uint32))
-    for i, j, c in chains:
-        matrix.chains[matrix.chain_start[i, j][:, None] + np.arange(c.shape[1])] = c
     stats = {"build_seconds": time.monotonic() - t0}
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
-                     graph_checksum=g.checksum, hubs=hubs, matrix=matrix,
-                     labels_in=labels_in, labels_out=labels_out,
+                     graph_checksum=g.checksum, hubs=hubs,
+                     matrix=Hub2Matrix(dim, dist, via), labels_in=labels_in, labels_out=labels_out,
                      build_stats=stats)
 
 
@@ -367,7 +352,6 @@ def to_bytes(idx: Hub2Index) -> bytes:
     via = idx.matrix.via[_witnessed_pairs(idx.matrix.dist)]
     buf += (via >= 0).astype(np.uint8).tobytes()
     buf += via[via >= 0].astype("<u4").tobytes()
-    buf += idx.matrix.chains.astype("<u4").tobytes()
     _write_label_table(buf, idx.labels_in)
     if idx.directed:
         _write_label_table(buf, idx.labels_out)
@@ -407,8 +391,7 @@ def from_bytes(data: bytes) -> Hub2Index:
     body = memoryview(data)[:-8]
     stored = struct.unpack("<Q", data[-8:])[0]
     if digest64(body) != stored:
-        raise IndexFormatError("checksum mismatch: file is corrupted, truncated or written "
-                               "by another format version; rebuild it")
+        raise IndexFormatError("checksum mismatch: file is corrupted or truncated; rebuild it")
     r = _Reader(body)
     if r.take(4) != MAGIC:
         raise IndexFormatError("bad magic")
@@ -432,7 +415,7 @@ def from_bytes(data: bytes) -> Hub2Index:
         raise IndexFormatError("matrix diagonal must be zero")
     if np.any((dist > k) & (dist != INF)):
         raise IndexFormatError("matrix distance exceeds k")
-    # witnesses: tags, then via ranks, then inline chains, each checked whole
+    # witnesses: tags, then via ranks, each checked whole
     pairs = _witnessed_pairs(dist)
     tags = np.frombuffer(r.take(int(pairs.sum())), np.uint8)
     if np.any(tags > 1):
@@ -450,15 +433,6 @@ def from_bytes(data: bytes) -> Hub2Index:
         raise IndexFormatError("via witness does not split its pair's distance")
     via = np.full((dim, dim), -1, np.int32)
     via[split] = w
-    inline = pairs & ~split
-    chains = np.frombuffer(r.take(4 * int((d[inline] + 1).sum())), "<u4").astype(np.uint32)
-    if np.any(chains >= n):
-        raise IndexFormatError("inline witness vertex out of range")
-    matrix = Hub2Matrix(dim, dist, via, chains)
-    i, j = np.nonzero(inline)
-    start = matrix.chain_start[i, j]
-    if np.any(chains[start] != ids[i]) or np.any(chains[start + d[i, j]] != ids[j]):
-        raise IndexFormatError("inline witness endpoints are not its hub pair")
     labels_in = _read_label_table(r, n, dim, k)
     labels_out = _read_label_table(r, n, dim, k) if directed else labels_in
     if r.remaining():
@@ -466,7 +440,8 @@ def from_bytes(data: bytes) -> Hub2Index:
     hubs = HubSet(n, ids, dim)
     return Hub2Index(k=int(k), directed=directed, n=int(n), m=int(m),
                      graph_checksum=int(checksum), hubs=hubs,
-                     matrix=matrix, labels_in=labels_in, labels_out=labels_out)
+                     matrix=Hub2Matrix(dim, dist, via), labels_in=labels_in,
+                     labels_out=labels_out)
 
 
 def _read_label_table(r, n, dim, k):

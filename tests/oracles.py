@@ -16,8 +16,7 @@ from collections import deque
 import numpy as np
 
 from hubpath.engines import bfs_query, check_result, hn_query
-from hubpath.graph import (Graph, bfs_tree, first_parents, frontier_edges, induced_subgraph,
-                           offsets_from_counts)
+from hubpath.graph import Graph, bfs_tree, frontier_edges, induced_subgraph, offsets_from_counts
 from hubpath.hub2 import INF, MAX_K, Hub2Index, Hub2Matrix, LabelTable
 from hubpath.hubs import HubSet, select_hubs
 from hubpath.network import HubNetwork, PreservationReport, discover
@@ -158,8 +157,23 @@ def masked_bfs_dist(adj, source, masked, max_depth=None):
 # ------------------------------------------------------- reference index build
 #
 # One vectorized bounded BFS per hub (two on a directed graph), as hub2.build
-# ran before its bit-parallel pass.  It uses the library's level-step helpers,
-# so it checks the pass, not those helpers.
+# ran before its bit-parallel pass.  It uses the library's frontier_edges, so
+# it checks the pass, not that helper; parents are picked by its own
+# first_parents, keyed by the flags the bit-parallel pass does not keep.
+
+
+def first_parents(srcs, dsts, *keys):
+    """Pick each new vertex's parent from the fresh edges of one BFS level.
+
+    Returns the distinct destinations in ascending order and, for each, the
+    source with the smallest (keys..., id).  Each key is a per-vertex array
+    read at the source; the last key is the most significant.
+    """
+    order = np.lexsort((srcs, *(key[srcs] for key in keys), dsts))
+    ds = dsts[order]
+    first = np.ones(ds.size, bool)
+    first[1:] = ds[1:] != ds[:-1]
+    return ds[first], srcs[order][first]
 
 
 def table_from_chunks(n, chunks):
@@ -182,16 +196,16 @@ def table_from_chunks(n, chunks):
 
 
 def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
-    """Bounded BFS from hub h: (matrix row, via row, inline chains, label arrays).
+    """Bounded BFS from hub h: (matrix row, via row, label arrays).
 
     A reached hub blocked on every shortest path gets a blocking hub's rank in
-    the via row (else -1); the others' chains, h first, are one list in rank order.
+    the via row (else -1); an unblocked one gets a label, its pair's witness.
 
     reverse=True walks in-edges (directed graphs), producing outgoing-side
-    labels whose ports index the out-slice; the forward walk produces
-    incoming-side labels with ports into the in-slice (out-slice when
-    undirected).  Parent choice is the smallest-id predecessor on the previous
-    level, blocked predecessors first.
+    labels whose ports index the out-slice, for non-hubs only; the forward
+    walk produces incoming-side labels with ports into the in-slice (out-slice
+    when undirected).  Parent choice is the smallest-id predecessor on the
+    previous level, blocked predecessors first.
     """
     if not hubs.is_hub[h]:
         raise ValueError(f"vertex {h} is not a hub")
@@ -214,27 +228,21 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
 
     via = np.full(dim, -1, np.int32)
     lab_vertex, lab_dist, lab_rank, lab_port = [], [], [], []
-    chains = {}
 
     for depth in range(k + 1):
         if depth > 0:
             hub_mask = is_hub[frontier]
+            labeled = frontier[bflag[frontier] == 1]
+            if reverse:
+                labeled = labeled[~is_hub[labeled]]
             for u in frontier[hub_mask]:
                 u = int(u)
                 r = int(rank[u])
                 row[r] = depth
-                if bflag[u]:
-                    chain = [u]
-                    v = u
-                    while v != h:
-                        v = int(parent[v])
-                        chain.append(v)
-                    chains[r] = chain[::-1]
-                    bflag[u] = 0
-                else:
+                if not bflag[u]:
                     via[r] = rank[blocker[u]]
+                bflag[u] = 0
                 blocker[u] = u
-            labeled = frontier[~hub_mask & (bflag[frontier] == 1)]
             if labeled.size:
                 ports = np.empty(labeled.size, np.int32)
                 for i, v in enumerate(labeled):
@@ -262,7 +270,7 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
         level[new] = depth + 1
         frontier = new
     contribution = (lab_vertex, lab_dist, lab_rank, lab_port)
-    return row, via, [v for r in sorted(chains) for v in chains[r]], contribution
+    return row, via, contribution
 
 
 def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
@@ -279,10 +287,9 @@ def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     dim = hubs.size
     dist = np.empty((dim, dim), np.uint8)
     via = np.empty((dim, dim), np.int32)
-    chains, chunks_in, chunks_out = [], [], []
+    chunks_in, chunks_out = [], []
     for i, h in enumerate(hubs.ids):
-        dist[i], via[i], row_chains, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k)
-        chains += row_chains
+        dist[i], via[i], (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k)
         chunks_in.extend(zip(lv, ld, lr, lp))
         if g.directed:
             *_, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k, reverse=True)
@@ -292,7 +299,7 @@ def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     stats = {"build_seconds": time.monotonic() - t0}
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
-                     matrix=Hub2Matrix(dim, dist, via, np.array(chains, np.uint32)),
+                     matrix=Hub2Matrix(dim, dist, via),
                      labels_in=labels_in, labels_out=labels_out,
                      build_stats=stats)
 

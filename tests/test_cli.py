@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -122,7 +123,7 @@ def test_query_hl_reports_the_answering_step(tmp_path, capsys):
         assert fields["answered_by"] == branch
 
 
-@pytest.mark.parametrize("past", ["degree", "u32_max"])
+@pytest.mark.parametrize("past", ["degree", "u32_max", "hub"])
 def test_query_corrupt_port_is_an_error(tmp_path, graph_file, capsys, past):
     from hubpath import hub2, load_edge_list
     from hubpath.engines import estimate
@@ -132,18 +133,25 @@ def test_query_corrupt_port_is_an_error(tmp_path, graph_file, capsys, past):
         "--out", str(path))
     g = load_edge_list(graph_file.read_bytes())
     idx = hub2.deserialize(str(path))
-    # a non-hub vertex with labels; every one of its ports now points past
-    # its adjacency slice, and serializing recomputes the trailing checksum.
-    # The file stores ports as u32; 2**32 - 1 loads as -1 in the int32 table.
+    # a non-hub vertex with labels, or for "hub" a hub with witness labels;
+    # every one of its ports now points past its adjacency slice, and
+    # serializing recomputes the trailing checksum.  The file stores ports
+    # as u32; 2**32 - 1 loads as -1 in the int32 table.
+    hub = past == "hub"
     v = next(v for v in range(g.n)
-             if not idx.hubs.is_hub[v] and idx.labels_in.counts()[v] > 0)
+             if idx.hubs.is_hub[v] == hub and idx.labels_in.counts()[v] > 0)
     lo, hi = idx.labels_in.offsets[v], idx.labels_in.offsets[v + 1]
-    idx.labels_in.port[lo:hi] = len(g.neighbors(v)) if past == "degree" else -1
+    idx.labels_in.port[lo:hi] = -1 if past == "u32_max" else len(g.neighbors(v))
     hub2.serialize(idx, str(path))
-    t = int(idx.hubs.ids[0])
-    assert estimate(idx, v, t).value is not None
+    s, t = v, int(idx.hubs.ids[0])
+    if hub:
+        # the path from the hub of v's first label to v is v's port walk
+        i, j = idx.labels_in.hub_rank[lo], idx.hubs.rank[v]
+        assert idx.matrix.via[i, j] == -1
+        s, t = int(idx.hubs.ids[i]), v
+    assert estimate(idx, s, t).value is not None
     code, out, err = run(capsys, "query", "--graph", str(graph_file), "--index", str(path),
-                         "--engine", "hl", str(v), str(t))
+                         "--engine", "hl", str(s), str(t))
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "out of range" in err
@@ -229,6 +237,21 @@ def test_verify_ok_and_corruption_detected(tmp_path, graph_file, capsys):
                        "--index", str(idx), "--pairs", "10")
     assert code == 1
     assert "checksum" in out
+
+
+def test_query_index_of_another_version_is_an_error(tmp_path, graph_file, capsys):
+    # a version 3 file (inline vertex chains) passes the digest but not the reader
+    idx = tmp_path / "g.hub2"
+    run(capsys, "build", "--graph", str(graph_file), "--hubs", "8", "--k", "4",
+        "--out", str(idx))
+    body = bytearray(idx.read_bytes()[:-8])
+    assert struct.unpack_from("<H", body, 4) == (4,)
+    struct.pack_into("<H", body, 4, 3)
+    idx.write_bytes(bytes(body) + digest64(body).to_bytes(8, "little"))
+    code, out, err = run(capsys, "query", "--graph", str(graph_file), "--index", str(idx),
+                         "--engine", "hl", "--k", "4", "0", "1")
+    assert code == 1 and out == ""
+    assert err == "error: unsupported version 3\n"
 
 
 def test_verify_rebuild_catches_resealed_label_flip(tmp_path, graph_file, capsys):

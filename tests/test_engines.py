@@ -157,6 +157,25 @@ def test_hn_exact_on_every_pair():
         assert hn_wrong_answers(g, (1, 3, g.n // 5), (1, 2, 3, 5)) == []
 
 
+def test_hn_rejects_k_above_the_network():
+    # discover preserves hub-pair distances only up to its own k: on this
+    # graph a network discovered at k = 1 made hn answer 3 for (7, 5) at
+    # k = 6, whose distance is 2
+    g = load_edge_list(gen_synthetic("ba", 300, 2, seed=0))
+    hubs = select_hubs(g, 20)
+    net = discover(g, hubs, 1)
+    for k in (2, 6):
+        with pytest.raises(ValueError, match=f"k={k} exceeds the hub network's k=1"):
+            hn_query(g, hubs, net, 7, 5, k)
+    for net_k in (1, 2):
+        net = discover(g, hubs, net_k)
+        for k in range(1, net_k + 1):
+            for s in range(0, g.n, 10):
+                for t in range(g.n):
+                    res = hn_query(g, hubs, net, s, t, k)
+                    assert_certified(g, res, bfs_query(g, s, t, k).distance)
+
+
 # ----------------------------------------------------------------- estimation
 
 def test_estimate_chain(chain4):

@@ -265,26 +265,12 @@ def test_bfs_tree_levels_parents_and_stop(case):
 def test_first_parents():
     srcs = np.array([7, 2, 5, 3, 4, 9], np.int64)
     dsts = np.array([8, 6, 8, 1, 6, 8], np.int64)
-    bflag = np.ones(10, np.uint8)
-    bflag[[4, 7, 9]] = 0
-    score = np.zeros(10, np.int32)
-    score[[4, 5, 7, 9]] = [2, 5, 1, 3]
-
-    def pick(*keys):
-        new, parent = first_parents(srcs, dsts, *keys)
-        return new.tolist(), parent.tolist()
-
-    # destinations ascending, smallest-id source without keys
-    assert pick() == ([1, 6, 8], [3, 2, 5])
-    # blocked predecessors (flag 0) win over unblocked ones with smaller ids
-    assert pick(bflag) == ([1, 6, 8], [3, 4, 7])
-    # the last key is the most significant: blocked first, then highest score
-    assert pick(-score, bflag) == ([1, 6, 8], [3, 4, 9])
-    assert pick(bflag, -score) == ([1, 6, 8], [3, 4, 5])
+    new, parent = first_parents(srcs, dsts)
+    # destinations ascending, each with its smallest-id source
+    assert (new.tolist(), parent.tolist()) == ([1, 6, 8], [3, 2, 5])
     empty = np.empty(0, np.int64)
-    for keys in ((), (bflag,)):
-        new, parent = first_parents(empty, empty, *keys)
-        assert new.size == 0 and parent.size == 0
+    new, parent = first_parents(empty, empty)
+    assert new.size == 0 and parent.size == 0
 
 
 def test_validate_path_cases(chain4):

@@ -25,7 +25,7 @@ from hubpath import (
     serialize,
     validate_path,
 )
-from hubpath.engines import check_result
+from hubpath.engines import _expand_matrix_path, check_result
 from hubpath.graph import digest64
 
 from conftest import ba_graph, er_graph
@@ -36,10 +36,10 @@ def hubset(g, ids):
     return HubSet.from_ids(g.n, ids)
 
 
-def inline_chain(matrix, i, j):
-    """Hub pair (i, j)'s inline witness chain, read from the matrix arrays."""
-    start = int(matrix.chain_start[i, j])
-    return matrix.chains[start:start + int(matrix.dist[i, j]) + 1].tolist()
+def inline_chain(idx, g, i, j):
+    """Hub pair (i, j)'s inline witness: hub j's port walk back to hub i."""
+    assert idx.matrix.via[i, j] == -1
+    return _expand_matrix_path(idx, g, i, j)
 
 
 def label_sets(idx, side="out"):
@@ -66,7 +66,7 @@ def chain4_index(chain4):
 def test_chain_matrix_and_labels(chain4):
     idx = chain4_index(chain4)
     assert idx.matrix.dist[0, 1] == 1
-    assert idx.matrix.via[0, 1] == -1 and inline_chain(idx.matrix, 0, 1) == [1, 2]
+    assert inline_chain(idx, chain4, 0, 1) == [1, 2]
     sets = label_sets(idx)
     assert sets[0] == {(1, 1)}   # hub 2 is blocked: d(0,2) = d(0,1) + d(1,2)
     assert sets[3] == {(2, 1)}
@@ -97,7 +97,7 @@ def test_square_tie_breaks_through_smaller_id():
     g = Graph.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0], directed=False)
     idx = build_index(g, hubset(g, [0, 2]), 2)
     assert idx.matrix.dist[0, 1] == 2
-    assert idx.matrix.via[0, 1] == -1 and inline_chain(idx.matrix, 0, 1) == [0, 1, 2]
+    assert inline_chain(idx, g, 0, 1) == [0, 1, 2]
 
 
 def test_three_chain_label_and_port():
@@ -107,14 +107,14 @@ def test_three_chain_label_and_port():
     assert ranks.tolist() == [0, 1] and dists.tolist() == [1, 1]
     # vertex 1's sorted neighbors are [0, 2]: port 0 points at hub 0
     assert ports.tolist() == [0, 1]
-    assert inline_chain(idx.matrix, 0, 1) == [0, 1, 2]
+    assert inline_chain(idx, g, 0, 1) == [0, 1, 2]
 
 
 def test_triangle_single_hub_row():
     g = Graph.from_edges(3, [0, 0, 1], [1, 2, 2], directed=False)
     idx = build_index(g, hubset(g, [0]), 2)
     assert idx.matrix.dist[0].tolist() == [0]
-    assert idx.matrix.via[0].tolist() == [-1] and idx.matrix.chains.tolist() == []
+    assert idx.matrix.via[0].tolist() == [-1]
     labeled = np.repeat(np.arange(g.n), idx.labels_in.counts()).tolist()
     assert sorted(labeled) == [1, 2]
     assert all(d == 1 for d in idx.labels_in.dist)
@@ -192,14 +192,19 @@ def test_witness_soundness():
     pairs = (m.dist != INF) & ~np.eye(m.dim, dtype=bool)
     inline = pairs & (m.via < 0)
     # exactly one witness kind per finite off-diagonal pair: no via rank
-    # outside those pairs, and the chains are the inline pairs' and no more
+    # outside those pairs, and each hub's incoming labels are its inline
+    # pairs' and no more
     assert pairs.any() and np.all(m.via[~pairs] == -1)
     assert (m.via[pairs] >= 0).any() and inline.any()
-    assert m.chains.size == int((m.dist[inline].astype(int) + 1).sum())
+    for j, h in enumerate(hubs.ids):
+        ranks, dists, _ = idx.labels_in.vertex_slice(h)
+        want = {(int(i), int(m.dist[i, j])) for i in np.flatnonzero(inline[:, j])}
+        assert len(ranks) == len(want)
+        assert set(zip(ranks.tolist(), dists.tolist())) == want
     for i, j in zip(*np.nonzero(pairs)):
         d = int(m.dist[i, j])
         if inline[i, j]:
-            payload = inline_chain(m, i, j)
+            payload = inline_chain(idx, g, i, j)
             assert len(payload) == d + 1
             assert payload[0] == hubs.ids[i] and payload[-1] == hubs.ids[j]
             assert validate_path(g, payload)
@@ -281,10 +286,10 @@ def test_matrix_cells_are_the_read_only_distances():
 
 @pytest.mark.parametrize("kind, param, seed, directed, index_sha, discover_sha", [
     ("ba", 3, 13, False,
-     "6cf07c7b1aef6cd3b3ce28c10877ffd0faf07d65a9998aa7bce252ff5aded89f",
+     "c01fb74fe0bd55ec5a11c4ed72e4752062e2a1e4bec5fafb2ee6e715b57ad312",
      "a82c63d44d8e87284fe823c5ce3400738dd303e3b7a77c09d355b23a388cf1ee"),
     ("er", 5, 12, True,
-     "d540249ebc0712d29631c66ed7acd65626c74974b443d86cc09fd76245b56039",
+     "bbda4f4cb22d53df239dbf4773218281b6bf522d3d30eaa786ceb683eb8031a3",
      "80d3b49d35c5f706930155e2ec83cf99f564e9e30527f5b93a239fb975ee2c08"),
 ], ids=["ba-undirected", "er-directed"])
 def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha, discover_sha):
@@ -304,20 +309,22 @@ def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha,
 
 
 @pytest.mark.parametrize("beta, ba_sha, er_sha", [
-    (63, "438de1bcda1f821593fdbf13da54dad12634f6c0c252794b5076f6432b25fc5b",
-     "83eed6d7d9daa125d8ca8db66b554674fe30d7b0cb9454e7e3922e0f6d64326f"),
-    (64, "ab61e3cebc296424c50b6731255fd083bbe4778ea7ac3f8be3c65be767d405df",
-     "625fe1530111386acf29099a0c142586bb6889cca015877f5d4079a9e18fda6c"),
-    (65, "286083ac1951de63f695e6afdf43246a144c1557f62e50908281af5d03e9370f",
-     "3b41e5ca36f7e36ed1a7eb578d0d2f5a8801264ad78336acc0f6713a3ba7f49f"),
-    (130, "703d1fc674bc82cdb3a749f3063ddfa32cde16fa33ec15b8dfc44adae3ea2bac",
-     "38937cbaa65ea19cf1f5b47d3a95f326b749876aa1f3af00e90e2575a2030654"),
-])
+    (63, "f036f03ee1b3c1bd72b34c53cf67231fdad8f1d2017cf290c67546e621e3b951",
+     "4a49a6dc6ecb4696cfd6f9f3aa4bee0a671ebd6dc2bd1930e18441fd8c34ae9b"),
+    (64, "83ce3ca339fc2b8cc62f3f6b217e0fd7311e59bd40d2948f79f9d03acce184e8",
+     "957789970d95c21e6347fb165bb79296b8e25c58ebcb3b0551dc32ab04465ab7"),
+    (65, "092b391f915084cb4f399064f5682a6a0524970a224457c765a2a15ffb8049b2",
+     "258284528101c157d91e6af546144ab9943d27af06cb780c780589719edda706"),
+    (130, "d7a302adcdd928929ceb73a205e61c46f48b87f57f11574c73bc7620676ff4c3",
+     "43f17b4497eec2b465a3731bd89a30325eb739baf816659d642bf64a68a6c55b"),
+], ids=["63", "64", "65", "130"])
 def test_pinned_index_across_hub_blocks(beta, ba_sha, er_sha):
     """Index bytes at hub counts around the build's 64-hub blocks.
 
     The graphs are test_pinned_index_and_network_output's, and the digests
-    come from the per-hub build that the block-wise one replaced.
+    come from the per-hub build that the block-wise one replaced
+    (tests/oracles.build_reference).  The ids name beta alone, so that a
+    deliberate format change updates the digests without renaming the test.
     """
     for kind, param, seed, directed, sha in [("ba", 3, 13, False, ba_sha),
                                              ("er", 5, 12, True, er_sha)]:
@@ -392,19 +399,16 @@ def test_resealed_flips_load_or_fail_cleanly(chain4):
     ("via", 3, "via witness rank out of range"),
     ("via", 0, "via witness rank is an endpoint of its pair"),
     ("dist", 3, "via witness does not split its pair's distance"),
-    ("chain", 4, "inline witness endpoints are not its hub pair"),
-    ("chain", 5, "inline witness vertex out of range"),
-], ids=["tag", "via-range", "via-endpoint", "via-split", "chain-endpoint", "chain-range"])
+], ids=["tag", "via-range", "via-endpoint", "via-split"])
 def test_witness_section_rejects_each_bad_field(field, value, match):
     # 0-1-2-3-4 with hubs 0, 2, 4 (ranks 0-2): after the 3x3 matrix come six
-    # tags (row-major finite pairs), the via ranks of (0, 2) and (2, 0), and
-    # the four inline chains, the first being (0, 1)'s [0, 1, 2]
+    # tags (row-major finite pairs), then the via ranks of (0, 2) and (2, 0)
     g = Graph.from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=False)
     body = bytearray(hub2.to_bytes(build_index(g, hubset(g, [0, 2, 4]), 4))[:-8])
     matrix_at = 40 + 4 * 3
     tags_at = matrix_at + 9
     at, fmt = {"dist": (matrix_at + 2, "<B"), "tag": (tags_at, "<B"),
-               "via": (tags_at + 6, "<I"), "chain": (tags_at + 14, "<I")}[field]
+               "via": (tags_at + 6, "<I")}[field]
     struct.pack_into(fmt, body, at, value)
     body += digest64(body).to_bytes(8, "little")
     with pytest.raises(IndexFormatError, match=match):
