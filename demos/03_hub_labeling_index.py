@@ -4,13 +4,13 @@ The hub-labeling index: matrix, core-hub labels, and ports
 
 The heavier acceleration precomputes two things:
 
-- the hub-pair distance matrix (k-bounded, one byte per entry) with a path
-  witness per finite entry, and
+- the hub-pair distance matrix (k-bounded, one byte per entry), and
 - for every other vertex, its *core hubs*: the hubs it can reach without
   any other hub strictly between on any shortest path.  Each label stores
   the distance and a port -- the offset of the next-hop neighbor in the
   vertex's sorted adjacency list -- so paths are recovered without storing
-  them.
+  them.  A hub's own labels are the hub-free paths to it from other hubs,
+  and the matrix says where every other hub-pair path splits into those.
 
 Core hubs prune aggressively: a vertex keeps only a small fraction of the
 hub set, yet together with the matrix it can reproduce an exact shortest
@@ -53,7 +53,7 @@ print("definition oracle agrees:",
       {(int(hubs.ids[r]), int(d)) for r, d in zip(ranks, dists)}
       == core_hubs_oracle(g, hubs, 6, v))
 
-# Estimate a distance through the labels and rebuild the witnessed path.
+# Estimate a distance through the labels and rebuild the estimated path.
 s, t = v, int((~hubs.is_hub).nonzero()[0][-1])
 est = estimate(idx, s, t)
 print(f"\nestimate {s} -> {t}: {est.value} via hub pair {est.argpair} "
@@ -64,9 +64,8 @@ if est.value is not None:
     print("reconstructed path:", path)
 
 # The index serializes to a little-endian blob: header, hub ids, matrix,
-# the witnesses as tag and splitting-rank arrays, then each label table as
-# one count array and one entry array, sealed by a trailing 64-bit
-# blake2b digest.  Identical inputs produce
+# then each label table as one count array and one entry array, sealed by a
+# trailing 64-bit blake2b digest.  Identical inputs produce
 # identical bytes, and any corruption the digest sees is rejected on read.
 sink = io.BytesIO()
 serialize(idx, sink)

@@ -531,30 +531,34 @@ def _walk_ports(idx, g, start, hub_vertex, incoming):
     return path
 
 
-def _expand_matrix_path(idx, g, i, j, depth=0):
-    """Vertex sequence between two hubs, recursing through via witnesses.
+def _expand_matrix_path(idx, g, i, j):
+    """Vertex sequence between two hubs: a chain of hub-label port walks.
 
-    A pair with no via rank is basic: hub j's incoming port walk to hub i,
-    reversed, is its path.
+    The last hub w before j on a shortest i-j path (i for a basic pair)
+    gives hub j an incoming label (w, d) with dist[i, w] + d == dist[i, j].
+    Each step takes the last such label in j's slice, prepends j's port walk
+    back to w and moves j to w, lowering dist[i, j] by d >= 1.
     """
-    if depth > idx.k:
-        raise IndexIntegrityError("witness recursion exceeds the distance bound")
-    matrix = idx.matrix
-    ids = idx.hubs.ids
-    if i == j:
-        return [int(ids[i])]
-    if matrix.dist[i, j] == INF:
-        raise IndexIntegrityError(f"missing witness for hub pair ({i}, {j})")
-    w = int(matrix.via[i, j])
-    if w >= 0:
-        left = _expand_matrix_path(idx, g, i, w, depth + 1)
-        right = _expand_matrix_path(idx, g, w, j, depth + 1)
-        return left + right[1:]
-    return _walk_ports(idx, g, int(ids[j]), int(ids[i]), incoming=True)[::-1]
+    cells, row, ids = idx.matrix.cells, i * idx.matrix.dim, idx.hubs.ids
+    left = cells[row + j]
+    if left == INF:
+        raise IndexIntegrityError(f"no path stored for hub pair ({i}, {j})")
+    path = [int(ids[j])]
+    while j != i:
+        ranks, dists, _ = idx.labels_in.vertex_slice(path[0])
+        ranks, dists = ranks.tolist(), dists.tolist()
+        at = bisect_right(dists, left)
+        while at and cells[row + ranks[at - 1]] + dists[at - 1] != left:
+            at -= 1
+        if not at:
+            raise IndexIntegrityError(f"no label of hub rank {j} splits pair ({i}, {j})")
+        j, left = ranks[at - 1], left - dists[at - 1]
+        path[:1] = _walk_ports(idx, g, path[0], int(ids[j]), incoming=True)[::-1]
+    return path
 
 
 def reconstruct_estimated_path(idx: Hub2Index, g: Graph, s, x, y, t) -> list:
-    """Materialize the estimated path s..x..y..t from ports and witnesses."""
+    """Materialize the estimated path s..x..y..t from label ports and the matrix."""
     rank_x = int(idx.hubs.rank[x])
     rank_y = int(idx.hubs.rank[y])
     if rank_x < 0 or rank_y < 0:
@@ -589,12 +593,16 @@ def query_with_engine(engine, g, s, t, k, hubs=None, net=None, idx=None) -> Quer
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def check_result(g: Graph, res: QueryResult, expected_distance=None) -> bool:
-    """Certify a result: path validates, length matches, endpoints included."""
-    if res.distance is None:
-        return res.path is None and (expected_distance is None)
-    if res.path is None or len(res.path) != res.distance + 1:
+_ANY = object()
+
+
+def check_result(g: Graph, res: QueryResult, expected_distance=_ANY) -> bool:
+    """Certify a result: path validates, length matches, endpoints included,
+    and the distance is expected_distance when given (None: no path)."""
+    if expected_distance is not _ANY and res.distance != expected_distance:
         return False
-    if expected_distance is not None and res.distance != expected_distance:
+    if res.distance is None:
+        return res.path is None
+    if res.path is None or len(res.path) != res.distance + 1:
         return False
     return validate_path(g, res.path)

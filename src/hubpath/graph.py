@@ -20,9 +20,9 @@ reference engine bfs_query, bounded_bfs and the label oracle
 hub2.core_hubs_oracle run on it.  first_parents decides which predecessor
 becomes a new vertex's parent, in bfs_tree and in the engines' vectorized
 step alike.  bit_levels is the one bit-parallel level loop: hub2.build reads
-labels and witnesses from it, network.discover each hub's unblocked region,
-and the preservation check (network.verify_distance_preserving) the hub-pair
-distances.
+labels and the hub-pair matrix from it, network.discover each hub's
+unblocked region, and the preservation check
+(network.verify_distance_preserving) the hub-pair distances.
 """
 
 from __future__ import annotations
@@ -367,14 +367,14 @@ def pull_or(offsets, sources, words):
 def bit_levels(offsets, sources, hub_ids, roots, max_depth):
     """Bit-parallel BFS bounded at max_depth from up to 64 roots, root i on bit i.
 
-    Yields (front, blocking, new, free) per depth 1, 2, ... while anything is
-    reached: the previous level's frontier and blocking words, then this
-    level's first-reach and free words, one uint64 per vertex each.  A vertex
-    ORs the frontier words over its slice of sources (its predecessors in walk
-    order).  Blocking bits are frontier bits at hubs or reached only through a
-    blocking carrier, and a bit is free where no blocking carrier reaches: no
-    hub lies strictly between root and vertex on any shortest path.  With no
-    blocking bits, as at depth 1 or with no hub_ids, every new bit is free.
+    Yields (front, new, free) per depth 1, 2, ... while anything is reached:
+    the previous level's frontier words, then this level's first-reach and
+    free words, one uint64 per vertex each.  A vertex ORs the frontier words
+    over its slice of sources (its predecessors in walk order).  Blocking bits
+    are frontier bits at hubs or reached only through a blocking carrier, and
+    a bit is free where no blocking carrier reaches: no hub lies strictly
+    between root and vertex on any shortest path.  With no blocking bits, as
+    at depth 1 or with no hub_ids, every new bit is free.
     """
     front = np.zeros(offsets.size - 1, np.uint64)
     front[roots] = np.left_shift(np.uint64(1), np.arange(len(roots), dtype=np.uint64))
@@ -385,7 +385,7 @@ def bit_levels(offsets, sources, hub_ids, roots, max_depth):
             return
         free = new & ~pull_or(offsets, sources, blocking) if blocking.any() else new
         seen |= new
-        yield front, blocking, new, free
+        yield front, new, free
         front, blocking = new, new & ~free
         blocking[hub_ids] = new[hub_ids]
 

@@ -10,10 +10,10 @@ first reach of a vertex is a label (hub, distance, port).  Ports are offsets
 into the owning vertex's sorted adjacency slice and give the next hop toward
 the hub, which keeps path extraction memory-free.  A hub pair's shortest
 path with no hub between (a basic pair) is the port walk of the far hub's
-label; a composite pair stores a splitting hub rank in via.  Every parent is
-the smallest-id predecessor a level earlier (for a blocked vertex, the
-smallest-id blocking one), so the index does not depend on how the hubs are
-grouped into blocks.
+label, and any other hub pair's path is a chain of such walks, split where
+the matrix says (engines._expand_matrix_path), so the index stores no path
+witnesses.  Every parent is the smallest-id predecessor a level earlier, so
+the index does not depend on how the hubs are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ INF = 255
 MAX_K = 254
 
 MAGIC = b"HUB2"
-VERSION = 4
+VERSION = 5
 _FLAG_DIRECTED = 1
 
 _ENTRY_DTYPE = np.dtype([("rank", "<u4"), ("dist", "u1"), ("port", "<u4")])
 
 _BLOCK = 64               # hubs per build pass: one bit of a uint64 word each
-_ZERO, _ONE = np.uint64(0), np.uint64(1)
+_ZERO = np.uint64(0)
 _NO_LABELS = (np.empty(0, np.uint32), np.empty(0, np.uint8),
               np.empty(0, np.int32), np.empty(0, np.int32))
 
@@ -80,24 +80,18 @@ class LabelTable:
                 and np.array_equal(self.port, other.port))
 
 
-def _witnessed_pairs(dist):
-    """Mask of the finite off-diagonal hub pairs: those that carry a witness."""
-    return (dist != INF) & ~np.eye(len(dist), dtype=bool)
-
-
 @dataclass
 class Hub2Matrix:
-    """Hub-pair distances (INF above k) with one path witness per finite entry.
+    """Hub-pair distances, INF above k.
 
-    Finite off-diagonal pair (i, j) has via[i, j] = w splitting its distance
-    (dist[i, w] + dist[w, j] == dist[i, j]), or -1 when some shortest i-j
-    path has no interior hub: hub j's incoming label (i, dist[i, j], port)
-    walks that path back to hub i.
+    A pair (i, j) with some shortest path free of interior hubs gives hub j
+    an incoming label (i, dist[i, j], port) that walks that path back to hub
+    i; every other finite pair splits at the last hub before j on a shortest
+    path, whose label hub j holds in the same way.
     """
 
     dim: int
     dist: np.ndarray
-    via: np.ndarray
     cells: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -111,7 +105,7 @@ class Hub2Matrix:
     def __eq__(self, other):
         if not isinstance(other, Hub2Matrix):
             return NotImplemented
-        return np.array_equal(self.dist, other.dist) and np.array_equal(self.via, other.via)
+        return np.array_equal(self.dist, other.dist)
 
 
 @dataclass
@@ -136,7 +130,7 @@ class Hub2Index:
     def labels(self, v, side):
         """Hub ranks and label distances of v's "out" or "in" labels, sorted by
         (distance, rank).  For a hub that is its implicit self label (rank, 0)
-        alone; its table entries are path witnesses, not core hubs."""
+        alone; its table entries are the paths of basic pairs, not core hubs."""
         if self.hubs.is_hub[v]:
             return np.array([self.hubs.rank[v]]), np.zeros(1, np.uint8)
         table = self.labels_out if side == "out" else self.labels_in
@@ -161,9 +155,9 @@ class Hub2Index:
 
 def _first_carriers(offsets, sources, rows, need, carrier):
     """Per set bit b of need[i], the first position in rows[i]'s slice whose source
-    carries b in carrier: returns (i, b, position in the slice, source).
+    carries b in carrier: returns (i, b, position in the slice).
 
-    Slices ascend, so that source is the smallest-id carrier.  A segmented
+    Slices ascend, so that position holds the smallest-id carrier.  A segmented
     prefix OR by doubling gives the bits carried up to each position; a
     position's firsts are the bits it carries that no earlier position does.
     """
@@ -181,66 +175,35 @@ def _first_carriers(offsets, sources, rows, need, carrier):
     at = np.flatnonzero(first)
     i, bit = set_bits(first[at])
     at = at[i]
-    return seg[at], bit, local[at], src[at]
+    return seg[at], bit, local[at]
 
 
-def _pick(offsets, sources, x, bit, carrier):
-    """Per pair (x[i], bit[i]), the smallest-id source in x's slice carrying the bit."""
-    key, inverse = np.unique(x * _BLOCK + bit, return_inverse=True)
-    rows, lo = np.unique(key // _BLOCK, return_index=True)
-    need = np.bitwise_or.reduceat(np.left_shift(_ONE, (key % _BLOCK).astype(np.uint64)), lo)
-    i, b, _, src = _first_carriers(offsets, sources, rows, need, carrier)
-    return src[np.argsort(rows[i] * _BLOCK + b)][inverse].astype(np.int64)
-
-
-def _walk_witnesses(offsets, sources, hubs, lo, depth, new, free, blocking, matrix):
-    """Fill the matrix cells of the hubs the block's roots first reach at depth.
-
-    A hub some shortest path reaches with no hub between needs no more: its
-    label is the witness.  Any other gets a via rank: walking back the
-    smallest-id blocking carrier of each step reaches the hub that blocks it.
-    """
-    dist, via = matrix
-    hub_ids = hubs.ids.astype(np.int64)
-    j, bit = set_bits(new[hub_ids])
-    dist[lo + bit, j] = depth
-    j, bit = set_bits(new[hub_ids] & ~free[hub_ids])
-    x, i = hub_ids[j], lo + bit
-    for d in range(depth - 1, -1, -1):
-        if not x.size:
-            break
-        x = _pick(offsets, sources, x, bit, blocking[d])
-        done = hubs.is_hub[x]
-        via[i[done], j[done]] = hubs.rank[x[done]]
-        x, bit, i, j = x[~done], bit[~done], i[~done], j[~done]
-
-
-def _pass(g, hubs, lo, k, reverse, matrix=None):
+def _pass(g, hubs, lo, k, reverse, dist=None):
     """Bounded BFS from the block of hubs ranked lo.. lo+63, bit b for rank lo + b.
 
-    Returns the block's label arrays and, given the matrix arrays, fills their
-    rows.  The levels come from graph.bit_levels; a label is a free first
-    reach.  The pass that fills the matrix labels hubs too, as the witnesses
-    of basic pairs; the other one, whose hub labels nothing reads, does not.
-    reverse=True walks in-edges (directed graphs) and gives outgoing-side
+    Returns the block's label arrays and, given the matrix distances, fills
+    the block's rows.  The levels come from graph.bit_levels; a label is a
+    free first reach.  The pass that fills the matrix labels hubs too, as the
+    paths of basic pairs; the other one, whose hub labels nothing reads, does
+    not.  reverse=True walks in-edges (directed graphs) and gives outgoing-side
     labels with ports into the out-slice; the forward walk gives
     incoming-side labels with ports into the in-slice (out-slice when
     undirected).
     """
     offsets, sources = g.adjacency(not reverse)
     hub_ids = hubs.ids.astype(np.int64)
-    blocking, parts = [], []
+    parts = []
     levels = bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + _BLOCK], k)
-    for depth, (front, block, new, free) in enumerate(levels, 1):
-        blocking.append(block)
+    for depth, (front, new, free) in enumerate(levels, 1):
         rows = np.flatnonzero(free)
-        if matrix is None:
+        if dist is None:
             rows = rows[~hubs.is_hub[rows]]
-        i, bit, port, _ = _first_carriers(offsets, sources, rows, free[rows], front)
+        i, bit, port = _first_carriers(offsets, sources, rows, free[rows], front)
         parts.append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
                       (lo + bit).astype(np.int32), port.astype(np.int32)))
-        if matrix is not None:
-            _walk_witnesses(offsets, sources, hubs, lo, depth, new, free, blocking, matrix)
+        if dist is not None:
+            j, bit = set_bits(new[hub_ids])
+            dist[lo + bit, j] = depth
     return parts
 
 
@@ -281,10 +244,9 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     dim = hubs.size
     dist = np.full((dim, dim), INF, np.uint8)
     np.fill_diagonal(dist, 0)
-    via = np.full((dim, dim), -1, np.int32)
     parts_in, parts_out = [], []
     for lo in range(0, dim, _BLOCK):
-        parts_in += _pass(g, hubs, lo, k, False, (dist, via))
+        parts_in += _pass(g, hubs, lo, k, False, dist)
         if g.directed:
             parts_out += _pass(g, hubs, lo, k, True)
     labels_in = _label_table(g.n, dim, parts_in)
@@ -292,7 +254,7 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     stats = {"build_seconds": time.monotonic() - t0}
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
-                     matrix=Hub2Matrix(dim, dist, via), labels_in=labels_in, labels_out=labels_out,
+                     matrix=Hub2Matrix(dim, dist), labels_in=labels_in, labels_out=labels_out,
                      build_stats=stats)
 
 
@@ -349,9 +311,6 @@ def to_bytes(idx: Hub2Index) -> bytes:
     buf += struct.pack("<I", idx.hubs.size)
     buf += idx.hubs.ids.astype("<u4").tobytes()
     buf += idx.matrix.dist.tobytes(order="C")
-    via = idx.matrix.via[_witnessed_pairs(idx.matrix.dist)]
-    buf += (via >= 0).astype(np.uint8).tobytes()
-    buf += via[via >= 0].astype("<u4").tobytes()
     _write_label_table(buf, idx.labels_in)
     if idx.directed:
         _write_label_table(buf, idx.labels_out)
@@ -415,24 +374,6 @@ def from_bytes(data: bytes) -> Hub2Index:
         raise IndexFormatError("matrix diagonal must be zero")
     if np.any((dist > k) & (dist != INF)):
         raise IndexFormatError("matrix distance exceeds k")
-    # witnesses: tags, then via ranks, each checked whole
-    pairs = _witnessed_pairs(dist)
-    tags = np.frombuffer(r.take(int(pairs.sum())), np.uint8)
-    if np.any(tags > 1):
-        raise IndexFormatError(f"unknown witness tag {tags.max()}")
-    split = np.zeros((dim, dim), bool)
-    split[pairs] = tags == 1
-    w = np.frombuffer(r.take(4 * int(split.sum())), "<u4").astype(np.int64)
-    if np.any(w >= dim):
-        raise IndexFormatError("via witness rank out of range")
-    i, j = np.nonzero(split)
-    if np.any((w == i) | (w == j)):
-        raise IndexFormatError("via witness rank is an endpoint of its pair")
-    d = dist.astype(np.int64)
-    if np.any(d[i, w] + d[w, j] != d[i, j]):
-        raise IndexFormatError("via witness does not split its pair's distance")
-    via = np.full((dim, dim), -1, np.int32)
-    via[split] = w
     labels_in = _read_label_table(r, n, dim, k)
     labels_out = _read_label_table(r, n, dim, k) if directed else labels_in
     if r.remaining():
@@ -440,7 +381,7 @@ def from_bytes(data: bytes) -> Hub2Index:
     hubs = HubSet(n, ids, dim)
     return Hub2Index(k=int(k), directed=directed, n=int(n), m=int(m),
                      graph_checksum=int(checksum), hubs=hubs,
-                     matrix=Hub2Matrix(dim, dist, via), labels_in=labels_in,
+                     matrix=Hub2Matrix(dim, dist), labels_in=labels_in,
                      labels_out=labels_out)
 
 

@@ -196,10 +196,10 @@ def table_from_chunks(n, chunks):
 
 
 def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
-    """Bounded BFS from hub h: (matrix row, via row, label arrays).
+    """Bounded BFS from hub h: (matrix row, label arrays).
 
-    A reached hub blocked on every shortest path gets a blocking hub's rank in
-    the via row (else -1); an unblocked one gets a label, its pair's witness.
+    A reached hub some shortest path reaches with no hub between gets a
+    label, the path of its basic pair.
 
     reverse=True walks in-edges (directed graphs), producing outgoing-side
     labels whose ports index the out-slice, for non-hubs only; the forward
@@ -221,12 +221,10 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
     level = np.full(n, -1, np.int32)
     bflag = np.zeros(n, np.uint8)
     parent = np.full(n, -1, np.int32)
-    blocker = np.full(n, -1, np.int32)
     level[h] = 0
     bflag[h] = 1
     frontier = np.array([h], dtype=np.int64)
 
-    via = np.full(dim, -1, np.int32)
     lab_vertex, lab_dist, lab_rank, lab_port = [], [], [], []
 
     for depth in range(k + 1):
@@ -236,13 +234,8 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
             if reverse:
                 labeled = labeled[~is_hub[labeled]]
             for u in frontier[hub_mask]:
-                u = int(u)
-                r = int(rank[u])
-                row[r] = depth
-                if not bflag[u]:
-                    via[r] = rank[blocker[u]]
+                row[rank[u]] = depth
                 bflag[u] = 0
-                blocker[u] = u
             if labeled.size:
                 ports = np.empty(labeled.size, np.int32)
                 for i, v in enumerate(labeled):
@@ -256,21 +249,18 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
         srcs, dsts = frontier_edges(offsets, targets, frontier)
         fresh = level[dsts] < 0
         # blocked predecessors sort first, so the pick's flag is the AND of
-        # all predecessor flags and a blocked vertex inherits a blocking hub;
-        # labeled vertices have all-unblocked predecessors, so their parent is
-        # the smallest-id one; parents of blocked vertices are never walked
+        # all predecessor flags; labeled vertices have all-unblocked
+        # predecessors, so their parent is the smallest-id one; parents of
+        # blocked vertices are never walked
         new, pred = first_parents(srcs[fresh], dsts[fresh], bflag)
         if new.size == 0:
             break
-        chosen_b = bflag[pred]
-        blocked = chosen_b == 0
-        bflag[new] = chosen_b
-        blocker[new[blocked]] = blocker[pred[blocked]]
+        bflag[new] = bflag[pred]
         parent[new] = pred
         level[new] = depth + 1
         frontier = new
     contribution = (lab_vertex, lab_dist, lab_rank, lab_port)
-    return row, via, contribution
+    return row, contribution
 
 
 def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
@@ -286,20 +276,19 @@ def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     t0 = time.monotonic()
     dim = hubs.size
     dist = np.empty((dim, dim), np.uint8)
-    via = np.empty((dim, dim), np.int32)
     chunks_in, chunks_out = [], []
     for i, h in enumerate(hubs.ids):
-        dist[i], via[i], (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k)
+        dist[i], (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k)
         chunks_in.extend(zip(lv, ld, lr, lp))
         if g.directed:
-            *_, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k, reverse=True)
+            _, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k, reverse=True)
             chunks_out.extend(zip(lv, ld, lr, lp))
     labels_in = table_from_chunks(g.n, chunks_in)
     labels_out = table_from_chunks(g.n, chunks_out) if g.directed else labels_in
     stats = {"build_seconds": time.monotonic() - t0}
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
-                     matrix=Hub2Matrix(dim, dist, via),
+                     matrix=Hub2Matrix(dim, dist),
                      labels_in=labels_in, labels_out=labels_out,
                      build_stats=stats)
 

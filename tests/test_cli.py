@@ -133,7 +133,7 @@ def test_query_corrupt_port_is_an_error(tmp_path, graph_file, capsys, past):
         "--out", str(path))
     g = load_edge_list(graph_file.read_bytes())
     idx = hub2.deserialize(str(path))
-    # a non-hub vertex with labels, or for "hub" a hub with witness labels;
+    # a non-hub vertex with labels, or for "hub" a hub with labels of basic pairs;
     # every one of its ports now points past its adjacency slice, and
     # serializing recomputes the trailing checksum.  The file stores ports
     # as u32; 2**32 - 1 loads as -1 in the int32 table.
@@ -146,9 +146,7 @@ def test_query_corrupt_port_is_an_error(tmp_path, graph_file, capsys, past):
     s, t = v, int(idx.hubs.ids[0])
     if hub:
         # the path from the hub of v's first label to v is v's port walk
-        i, j = idx.labels_in.hub_rank[lo], idx.hubs.rank[v]
-        assert idx.matrix.via[i, j] == -1
-        s, t = int(idx.hubs.ids[i]), v
+        s, t = int(idx.hubs.ids[idx.labels_in.hub_rank[lo]]), v
     assert estimate(idx, s, t).value is not None
     code, out, err = run(capsys, "query", "--graph", str(graph_file), "--index", str(path),
                          "--engine", "hl", str(s), str(t))
@@ -240,18 +238,18 @@ def test_verify_ok_and_corruption_detected(tmp_path, graph_file, capsys):
 
 
 def test_query_index_of_another_version_is_an_error(tmp_path, graph_file, capsys):
-    # a version 3 file (inline vertex chains) passes the digest but not the reader
+    # a version 4 file (via witnesses) passes the digest but not the reader
     idx = tmp_path / "g.hub2"
     run(capsys, "build", "--graph", str(graph_file), "--hubs", "8", "--k", "4",
         "--out", str(idx))
     body = bytearray(idx.read_bytes()[:-8])
-    assert struct.unpack_from("<H", body, 4) == (4,)
-    struct.pack_into("<H", body, 4, 3)
+    assert struct.unpack_from("<H", body, 4) == (5,)
+    struct.pack_into("<H", body, 4, 4)
     idx.write_bytes(bytes(body) + digest64(body).to_bytes(8, "little"))
     code, out, err = run(capsys, "query", "--graph", str(graph_file), "--index", str(idx),
                          "--engine", "hl", "--k", "4", "0", "1")
     assert code == 1 and out == ""
-    assert err == "error: unsupported version 3\n"
+    assert err == "error: unsupported version 4\n"
 
 
 def test_verify_rebuild_catches_resealed_label_flip(tmp_path, graph_file, capsys):

@@ -8,6 +8,7 @@ from hubpath import engines
 from hubpath import (
     Graph,
     HubSet,
+    QueryResult,
     bfs_query,
     bibfs_query,
     build_index,
@@ -63,6 +64,16 @@ def test_bfs_beyond_bound():
     g = Graph.from_edges(8, range(7), range(1, 8), directed=False)
     assert bfs_query(g, 0, 7, 6).distance is None
     assert bfs_query(g, 0, 6, 6).distance == 6
+
+
+def test_check_result_none_expects_no_path():
+    # an explicit None is the oracle's "no path within k", not "no expectation"
+    g = Graph.from_edges(8, range(7), range(1, 8), directed=False)
+    found = QueryResult(7, list(range(8)))
+    assert engines.check_result(g, found)
+    assert not engines.check_result(g, found, None)
+    assert engines.check_result(g, QueryResult(), None)
+    assert not engines.check_result(g, QueryResult(), 7)
 
 
 def test_bibfs_matches_bfs_trivials(chain4):
@@ -561,7 +572,7 @@ def test_scalar_and_vector_steps_agree(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, param, seed, directed, answers_sha", [
-    ("ba", 3, 13, False, "9bacc65b2c17ae7aea4fe2be6241daadd76a704a651fa67555bc6082e8a531df"),
+    ("ba", 3, 13, False, "2e70c9207fae89487ae9d9387e6eb26ab706cf44e481d2ff78be0aa267fed61b"),
     ("er", 5, 12, True, "ea81e583edb33a5ac3730bcfee5af59ce64bd70221dd2117ea0539bd237ab10a"),
 ], ids=["ba-undirected", "er-directed"])
 def test_pinned_answers(kind, param, seed, directed, answers_sha):

@@ -1,7 +1,6 @@
 import hashlib
 import io
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -36,12 +35,6 @@ def hubset(g, ids):
     return HubSet.from_ids(g.n, ids)
 
 
-def inline_chain(idx, g, i, j):
-    """Hub pair (i, j)'s inline witness: hub j's port walk back to hub i."""
-    assert idx.matrix.via[i, j] == -1
-    return _expand_matrix_path(idx, g, i, j)
-
-
 def label_sets(idx, side="out"):
     """Per-vertex {(hub id, dist)} sets as built, self entries for hubs."""
     table = idx.labels_out if side == "out" else idx.labels_in
@@ -66,7 +59,7 @@ def chain4_index(chain4):
 def test_chain_matrix_and_labels(chain4):
     idx = chain4_index(chain4)
     assert idx.matrix.dist[0, 1] == 1
-    assert inline_chain(idx, chain4, 0, 1) == [1, 2]
+    assert _expand_matrix_path(idx, chain4, 0, 1) == [1, 2]
     sets = label_sets(idx)
     assert sets[0] == {(1, 1)}   # hub 2 is blocked: d(0,2) = d(0,1) + d(1,2)
     assert sets[3] == {(2, 1)}
@@ -77,7 +70,7 @@ def test_five_chain_via_witness():
     g = Graph.from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=False)
     idx = build_index(g, hubset(g, [0, 2, 4]), 4)
     assert idx.matrix.dist[0, 2] == 4
-    assert idx.matrix.via[0, 2] == 1
+    assert _expand_matrix_path(idx, g, 0, 2) == [0, 1, 2, 3, 4]
     assert idx.matrix.dist[0, 1] == 2 and idx.matrix.dist[1, 2] == 2
 
 
@@ -97,7 +90,7 @@ def test_square_tie_breaks_through_smaller_id():
     g = Graph.from_edges(4, [0, 1, 2, 3], [1, 2, 3, 0], directed=False)
     idx = build_index(g, hubset(g, [0, 2]), 2)
     assert idx.matrix.dist[0, 1] == 2
-    assert inline_chain(idx, g, 0, 1) == [0, 1, 2]
+    assert _expand_matrix_path(idx, g, 0, 1) == [0, 1, 2]
 
 
 def test_three_chain_label_and_port():
@@ -107,14 +100,13 @@ def test_three_chain_label_and_port():
     assert ranks.tolist() == [0, 1] and dists.tolist() == [1, 1]
     # vertex 1's sorted neighbors are [0, 2]: port 0 points at hub 0
     assert ports.tolist() == [0, 1]
-    assert inline_chain(idx, g, 0, 1) == [0, 1, 2]
+    assert _expand_matrix_path(idx, g, 0, 1) == [0, 1, 2]
 
 
 def test_triangle_single_hub_row():
     g = Graph.from_edges(3, [0, 0, 1], [1, 2, 2], directed=False)
     idx = build_index(g, hubset(g, [0]), 2)
     assert idx.matrix.dist[0].tolist() == [0]
-    assert idx.matrix.via[0].tolist() == [-1]
     labeled = np.repeat(np.arange(g.n), idx.labels_in.counts()).tolist()
     assert sorted(labeled) == [1, 2]
     assert all(d == 1 for d in idx.labels_in.dist)
@@ -183,36 +175,23 @@ def test_matrix_distances_exact():
 
 
 def test_witness_soundness():
-    g = ba_graph(220, 3, seed=9)
-    k = 5
-    hubs = select_hubs(g, 12)
-    idx = build_index(g, hubs, k)
-    is_hub = hubs.is_hub
-    m = idx.matrix
-    pairs = (m.dist != INF) & ~np.eye(m.dim, dtype=bool)
-    inline = pairs & (m.via < 0)
-    # exactly one witness kind per finite off-diagonal pair: no via rank
-    # outside those pairs, and each hub's incoming labels are its inline
-    # pairs' and no more
-    assert pairs.any() and np.all(m.via[~pairs] == -1)
-    assert (m.via[pairs] >= 0).any() and inline.any()
-    for j, h in enumerate(hubs.ids):
-        ranks, dists, _ = idx.labels_in.vertex_slice(h)
-        want = {(int(i), int(m.dist[i, j])) for i in np.flatnonzero(inline[:, j])}
-        assert len(ranks) == len(want)
-        assert set(zip(ranks.tolist(), dists.tolist())) == want
-    for i, j in zip(*np.nonzero(pairs)):
-        d = int(m.dist[i, j])
-        if inline[i, j]:
-            payload = inline_chain(idx, g, i, j)
-            assert len(payload) == d + 1
-            assert payload[0] == hubs.ids[i] and payload[-1] == hubs.ids[j]
-            assert validate_path(g, payload)
-            assert not any(is_hub[v] for v in payload[1:-1])
-        else:
-            w = int(m.via[i, j])
-            assert w not in (i, j)
-            assert int(m.dist[i, w]) + int(m.dist[w, j]) == d
+    # every finite hub pair's path comes from the matrix and the hubs'
+    # incoming labels, and each such label (w, d) of hub j has d = dist[w, j]
+    for g in (ba_graph(220, 3, seed=9), er_graph(140, 6, seed=4, directed=True)):
+        hubs = select_hubs(g, 12)
+        idx = build_index(g, hubs, 5)
+        m = idx.matrix
+        for j, h in enumerate(hubs.ids):
+            ranks, dists, _ = idx.labels_in.vertex_slice(h)
+            assert np.array_equal(m.dist[ranks, j], dists)
+        split = 0
+        for i, j in np.argwhere(m.dist != INF).tolist():
+            path = _expand_matrix_path(idx, g, i, j)
+            assert len(path) == int(m.dist[i, j]) + 1
+            assert path[0] == hubs.ids[i] and path[-1] == hubs.ids[j]
+            assert validate_path(g, path)
+            split += any(hubs.is_hub[v] for v in path[1:-1])
+        assert split > 0, g.directed
 
 
 def test_port_suffix_closure():
@@ -286,17 +265,17 @@ def test_matrix_cells_are_the_read_only_distances():
 
 @pytest.mark.parametrize("kind, param, seed, directed, index_sha, discover_sha", [
     ("ba", 3, 13, False,
-     "c01fb74fe0bd55ec5a11c4ed72e4752062e2a1e4bec5fafb2ee6e715b57ad312",
+     "d50e7a84ba327719b0bc25af0a9de0f9565fa1370ad2ac4592d1467a5ad11b72",
      "a82c63d44d8e87284fe823c5ce3400738dd303e3b7a77c09d355b23a388cf1ee"),
     ("er", 5, 12, True,
-     "bbda4f4cb22d53df239dbf4773218281b6bf522d3d30eaa786ceb683eb8031a3",
+     "d0759d0f5c67b1691f07da035047d2d396bf642f0848d4ea16a5d012a2f5ab33",
      "80d3b49d35c5f706930155e2ec83cf99f564e9e30527f5b93a239fb975ee2c08"),
 ], ids=["ba-undirected", "er-directed"])
 def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha, discover_sha):
     """Index bytes and discovered network are pinned to fixed digests.
 
-    Both depend on the BFS parent tie rules (ports, inline witnesses and the
-    paths pulled into H*), which no other test fixes across code versions.
+    Both depend on the BFS parent tie rules (ports, hub labels and the paths
+    pulled into H*), which no other test fixes across code versions.
     A deliberate change of the index format or of a tie rule updates these
     constants and says so in its change notes.
     """
@@ -309,14 +288,14 @@ def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha,
 
 
 @pytest.mark.parametrize("beta, ba_sha, er_sha", [
-    (63, "f036f03ee1b3c1bd72b34c53cf67231fdad8f1d2017cf290c67546e621e3b951",
-     "4a49a6dc6ecb4696cfd6f9f3aa4bee0a671ebd6dc2bd1930e18441fd8c34ae9b"),
-    (64, "83ce3ca339fc2b8cc62f3f6b217e0fd7311e59bd40d2948f79f9d03acce184e8",
-     "957789970d95c21e6347fb165bb79296b8e25c58ebcb3b0551dc32ab04465ab7"),
-    (65, "092b391f915084cb4f399064f5682a6a0524970a224457c765a2a15ffb8049b2",
-     "258284528101c157d91e6af546144ab9943d27af06cb780c780589719edda706"),
-    (130, "d7a302adcdd928929ceb73a205e61c46f48b87f57f11574c73bc7620676ff4c3",
-     "43f17b4497eec2b465a3731bd89a30325eb739baf816659d642bf64a68a6c55b"),
+    (63, "bc545c9d0a7aeed64cb7b33c07285641b242c4f1d8376ed798644d837d2b7988",
+     "d3c2d2fd60aa4f9af519603b76b2c78c398bd88a2b97c2c91806e6e1e2ddd72e"),
+    (64, "c0965469ff16f38e390f1e098f3141a0bb8ea8bbe20197449d01065c90e8313f",
+     "fe13384f6d0f1dc680c9b77b3ad12d849abae6e0ed0909deacfe3271e159d14a"),
+    (65, "740a8a5aae89fb7e08c71287df6f94615d8cffa250cd4c38079d040b37225115",
+     "e0409e3b73092939db6288b613d894e62e43d8724cdb6815910abdf0ea5f53be"),
+    (130, "3c93f1af4ac6daeea2807c583726d38b9fce616b8b4b0b025741e440a5273684",
+     "c2136fcc0ae27d2176f9b69edbc89276f17b4ca55494cd0f760e6cb1fe3e2c78"),
 ], ids=["63", "64", "65", "130"])
 def test_pinned_index_across_hub_blocks(beta, ba_sha, er_sha):
     """Index bytes at hub counts around the build's 64-hub blocks.
@@ -362,57 +341,45 @@ def test_every_flipped_byte_rejected_or_roundtrips(chain4):
             hub2.from_bytes(bytes(corrupted))
 
 
+def resealed_edits(body):
+    """Every body byte's low bit or all its bits inverted, and runs of 1 and 4
+    bytes inserted or deleted at every body position, each with the trailer
+    recomputed so that the digest cannot see it."""
+    for pos in range(len(body)):
+        for flip in (0x01, 0xFF):
+            edited = bytearray(body)
+            edited[pos] ^= flip
+            yield edited
+        for run in (1, 4):
+            yield body[:pos] + b"\x01" * run + body[pos:]
+            yield body[:pos] + body[pos + run:]
+
+
 def test_resealed_flips_load_or_fail_cleanly(chain4):
-    # a flip the digest cannot see: a body byte's low bit or all its bits
-    # inverted, the trailer recomputed.  The reader must reject it or load it,
-    # and queries on what loads and still matches the graph must answer with
-    # a path that certifies or report the corruption.
+    # The reader must reject each resealed edit or load it, and queries on
+    # what loads and still matches the graph must answer with a path that
+    # certifies or report the corruption.
     small = er_graph(24, 3, seed=7, directed=True)
     five = Graph.from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=False)
     cases = [(chain4, chain4_index(chain4)),
              (five, build_index(five, hubset(five, [0, 2, 4]), 4)),
              (small, build_index(small, select_hubs(small, 3), 3))]
     for g, idx in cases:
-        body = hub2.to_bytes(idx)[:-8]
-        for pos in range(len(body)):
-            for flip in (0x01, 0xFF):
-                corrupted = bytearray(body)
-                corrupted[pos] ^= flip
-                corrupted += digest64(corrupted).to_bytes(8, "little")
-                try:
-                    back = hub2.from_bytes(bytes(corrupted))
-                except IndexFormatError:
-                    continue
-                if not back.matches(g):
-                    continue
-                for s in range(g.n):
-                    for t in range(g.n):
-                        try:
-                            res = hl_query(g, back, s, t)
-                        except IndexIntegrityError:
-                            continue
-                        assert check_result(g, res), (pos, flip, s, t, res)
-
-
-@pytest.mark.parametrize("field, value, match", [
-    ("tag", 2, "unknown witness tag 2"),
-    ("via", 3, "via witness rank out of range"),
-    ("via", 0, "via witness rank is an endpoint of its pair"),
-    ("dist", 3, "via witness does not split its pair's distance"),
-], ids=["tag", "via-range", "via-endpoint", "via-split"])
-def test_witness_section_rejects_each_bad_field(field, value, match):
-    # 0-1-2-3-4 with hubs 0, 2, 4 (ranks 0-2): after the 3x3 matrix come six
-    # tags (row-major finite pairs), then the via ranks of (0, 2) and (2, 0)
-    g = Graph.from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=False)
-    body = bytearray(hub2.to_bytes(build_index(g, hubset(g, [0, 2, 4]), 4))[:-8])
-    matrix_at = 40 + 4 * 3
-    tags_at = matrix_at + 9
-    at, fmt = {"dist": (matrix_at + 2, "<B"), "tag": (tags_at, "<B"),
-               "via": (tags_at + 6, "<I")}[field]
-    struct.pack_into(fmt, body, at, value)
-    body += digest64(body).to_bytes(8, "little")
-    with pytest.raises(IndexFormatError, match=match):
-        hub2.from_bytes(bytes(body))
+        for edited in resealed_edits(hub2.to_bytes(idx)[:-8]):
+            edited += digest64(edited).to_bytes(8, "little")
+            try:
+                back = hub2.from_bytes(bytes(edited))
+            except IndexFormatError:
+                continue
+            if not back.matches(g):
+                continue
+            for s in range(g.n):
+                for t in range(g.n):
+                    try:
+                        res = hl_query(g, back, s, t)
+                    except IndexIntegrityError:
+                        continue
+                    assert check_result(g, res), (edited.hex(), s, t, res)
 
 
 def test_unsorted_label_entries_rejected():
