@@ -1,16 +1,17 @@
 """
-The hub-labeling index: matrix, core-hub labels, and ports
-==========================================================
+The hub-labeling index: matrix and core-hub labels
+==================================================
 
 The heavier acceleration precomputes two things:
 
 - the hub-pair distance matrix (k-bounded, one byte per entry), and
 - for every other vertex, its *core hubs*: the hubs it can reach without
   any other hub strictly between on any shortest path.  Each label stores
-  the distance and a port -- the offset of the next-hop neighbor in the
-  vertex's sorted adjacency list -- so paths are recovered without storing
-  them.  A hub's own labels are the hub-free paths to it from other hubs,
-  and the matrix says where every other hub-pair path splits into those.
+  the hub and the distance, three bytes in all.  Paths are recovered without
+  storing them: the next hop of a label (h, d) is the smallest-id neighbor
+  holding the label (h, d - 1), or h itself when d = 1.  A hub's own labels
+  are the hub-free paths to it from other hubs, and the matrix says where
+  every other hub-pair path splits into those.
 
 Core hubs prune aggressively: a vertex keeps only a small fraction of the
 hub set, yet together with the matrix it can reproduce an exact shortest
@@ -42,11 +43,15 @@ print(f"labels per non-hub vertex: avg {stats['avg_label_count']:.1f}, "
       f"max {stats['max_label_count']} (of {hubs.size} hubs)")
 print(f"matrix fill: {stats['matrix_finite_fraction']:.0%} finite")
 
-# Inspect one vertex's labels.
+# Inspect one vertex's farthest labels and the walk each one derives toward
+# its hub: a path from v through hub h and on to h itself is v's walk to h.
 v = int((~hubs.is_hub).nonzero()[0][0])
-ranks, dists, ports = idx.labels_in.vertex_slice(v)
-print(f"\nvertex {v} labels (hub, dist, port):",
-      [(int(hubs.ids[r]), int(d), int(p)) for r, d, p in zip(ranks, dists, ports)][:6])
+ranks, dists = idx.labels(v, "out")
+print(f"\nvertex {v}: {ranks.size} labels; the farthest (hub, dist) -> next hop:")
+for r, d in list(zip(ranks.tolist(), dists.tolist()))[-6:]:
+    h = int(hubs.ids[r])
+    walk = reconstruct_estimated_path(idx, g, v, h, h, h)
+    print(f"  ({h}, {d}) -> {walk[1]}    walk {walk}")
 
 # The label set matches the definition applied to exact distances.
 print("definition oracle agrees:",

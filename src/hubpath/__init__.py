@@ -7,8 +7,9 @@ is dominated by hubs.  It provides:
 - a compressed immutable graph with BFS utilities (``graph``),
 - top-degree hub selection (``hubs``),
 - greedy extraction of a distance-preserving hub network (``network``),
-- a hub-pair distance matrix plus per-vertex core-hub labels with next-hop
-  ports, serializable to a checksummed binary format (``hub2``),
+- a hub-pair distance matrix plus per-vertex core-hub labels (hub,
+  distance), from which every next hop is derived, serializable to a
+  checksummed binary format (``hub2``),
 - four query engines from plain BFS up to the label-accelerated two-step
   search (``engines``),
 - deterministic synthetic graphs and benchmark workloads (``generate``,

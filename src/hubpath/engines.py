@@ -34,7 +34,7 @@ estimate_full_join joins whole label arrays at once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -500,43 +500,60 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int, collect=False) -> QueryRe
     return QueryResult(est.value, path, stats)
 
 
-def _port_step(idx, g, v, hub_rank, incoming):
-    """Follow one port: the recorded next vertex one step closer to the hub."""
+def _walk(idx, g, v, rank, d, incoming):
+    """Vertex sequence from v to the hub ranked rank, given v's label distance d.
+
+    Each hop goes to the smallest-id neighbor in walk order (in-neighbors for
+    incoming labels) with the label (rank, d - 1), found by bisecting its
+    label distances and then that class's ranks, or to the hub once d == 1;
+    the hub2 module docstring says why that neighbor exists.  Every hop is an
+    edge of g and lowers d by one, so a vertex with no such neighbor means the
+    index is corrupted.
+    """
     table = idx.labels_in if incoming else idx.labels_out
-    ranks, dists, ports = table.vertex_slice(v)
-    ranks = ranks.tolist()
-    if ranks.count(hub_rank) != 1:
-        raise IndexIntegrityError(
-            f"vertex {v} lacks a label for hub rank {hub_rank}; index is corrupted")
-    pos = ranks.index(hub_rank)
-    port = int(ports[pos])
-    nbrs = g.adj_lists(reverse=incoming)[v]
-    if not 0 <= port < len(nbrs):
-        raise IndexIntegrityError(f"port {port} out of range for vertex {v}")
-    return nbrs[port], int(dists[pos])
-
-
-def _walk_ports(idx, g, start, hub_vertex, incoming):
-    """Vertex sequence from start to the hub by repeated port hops."""
-    hub_rank = int(idx.hubs.rank[hub_vertex])
-    path = [start]
-    v = start
-    last_dist = idx.k + 1
-    while v != hub_vertex:
-        v, d = _port_step(idx, g, v, hub_rank, incoming)
-        if d >= last_dist:
-            raise IndexIntegrityError("port walk does not approach its hub")
-        last_dist = d
+    offsets, dists, ranks = table.views
+    adj = g.adj_lists(reverse=incoming)
+    path = [v]
+    while d > 1:
+        d -= 1
+        for w in adj[v]:
+            hi = offsets[w + 1]
+            lo = bisect_left(dists, d, offsets[w], hi)
+            hi = bisect_right(dists, d, lo, hi)
+            at = bisect_left(ranks, rank, lo, hi)
+            if at < hi and ranks[at] == rank:
+                break
+        else:
+            raise IndexIntegrityError(f"no neighbor of vertex {v} carries the label "
+                                      f"(hub rank {rank}, {d}); index is corrupted")
+        v = w
         path.append(v)
+    if d:
+        hub, nbrs = int(idx.hubs.ids[rank]), adj[v]
+        at = bisect_left(nbrs, hub)
+        if at == len(nbrs) or nbrs[at] != hub:
+            raise IndexIntegrityError(f"vertex {v} has a label at distance 1 from hub {hub}, "
+                                      f"which is not its neighbor; index is corrupted")
+        path.append(hub)
     return path
 
 
+def _label_dist(idx, v, rank, side):
+    """v's label distance to the hub ranked rank on side "out" or "in"."""
+    ranks, dists = idx.labels(v, side)
+    ranks = ranks.tolist()
+    if rank not in ranks:
+        raise IndexIntegrityError(
+            f"vertex {v} lacks a label for hub rank {rank}; index is corrupted")
+    return int(dists[ranks.index(rank)])
+
+
 def _expand_matrix_path(idx, g, i, j):
-    """Vertex sequence between two hubs: a chain of hub-label port walks.
+    """Vertex sequence between two hubs: a chain of hub-label walks.
 
     The last hub w before j on a shortest i-j path (i for a basic pair)
     gives hub j an incoming label (w, d) with dist[i, w] + d == dist[i, j].
-    Each step takes the last such label in j's slice, prepends j's port walk
+    Each step takes the last such label in j's slice, prepends j's walk
     back to w and moves j to w, lowering dist[i, j] by d >= 1.
     """
     cells, row, ids = idx.matrix.cells, i * idx.matrix.dim, idx.hubs.ids
@@ -545,27 +562,27 @@ def _expand_matrix_path(idx, g, i, j):
         raise IndexIntegrityError(f"no path stored for hub pair ({i}, {j})")
     path = [int(ids[j])]
     while j != i:
-        ranks, dists, _ = idx.labels_in.vertex_slice(path[0])
-        ranks, dists = ranks.tolist(), dists.tolist()
+        ranks, dists = (a.tolist() for a in idx.labels_in.vertex_slice(path[0]))
         at = bisect_right(dists, left)
         while at and cells[row + ranks[at - 1]] + dists[at - 1] != left:
             at -= 1
         if not at:
             raise IndexIntegrityError(f"no label of hub rank {j} splits pair ({i}, {j})")
-        j, left = ranks[at - 1], left - dists[at - 1]
-        path[:1] = _walk_ports(idx, g, path[0], int(ids[j]), incoming=True)[::-1]
+        j, d = ranks[at - 1], dists[at - 1]
+        left -= d
+        path[:1] = _walk(idx, g, path[0], j, d, incoming=True)[::-1]
     return path
 
 
 def reconstruct_estimated_path(idx: Hub2Index, g: Graph, s, x, y, t) -> list:
-    """Materialize the estimated path s..x..y..t from label ports and the matrix."""
+    """Materialize the estimated path s..x..y..t from label walks and the matrix."""
     rank_x = int(idx.hubs.rank[x])
     rank_y = int(idx.hubs.rank[y])
     if rank_x < 0 or rank_y < 0:
         raise IndexIntegrityError("estimate endpoints are not hubs")
-    head = _walk_ports(idx, g, s, x, incoming=False)
+    head = _walk(idx, g, s, rank_x, _label_dist(idx, s, rank_x, "out"), incoming=False)
     middle = _expand_matrix_path(idx, g, rank_x, rank_y)
-    tail = _walk_ports(idx, g, t, y, incoming=True)
+    tail = _walk(idx, g, t, rank_y, _label_dist(idx, t, rank_y, "in"), incoming=True)
     tail.reverse()
     return head + middle[1:] + tail[1:]
 

@@ -4,7 +4,8 @@ Graphs are immutable after construction.  Vertex ids are dense 0-based
 integers; each vertex's neighbor slice is sorted ascending; self-loops are
 dropped and duplicate edges collapsed at load time.  Directed graphs carry a
 reverse adjacency next to the forward one.  The sorted slices are what make
-next-hop port offsets well defined and serialization deterministic.
+the first label carrier in a slice its smallest-id one, the next hop of a
+label walk, and serialization deterministic.
 
 load_edge_list parses the whole buffer in numpy: a byte class table gives the
 token bounds, and the first two tokens of each data line become int64 ids by
@@ -367,10 +368,10 @@ def pull_or(offsets, sources, words):
 def bit_levels(offsets, sources, hub_ids, roots, max_depth):
     """Bit-parallel BFS bounded at max_depth from up to 64 roots, root i on bit i.
 
-    Yields (front, new, free) per depth 1, 2, ... while anything is reached:
-    the previous level's frontier words, then this level's first-reach and
-    free words, one uint64 per vertex each.  A vertex ORs the frontier words
-    over its slice of sources (its predecessors in walk order).  Blocking bits
+    Yields (new, free) per depth 1, 2, ... while anything is reached: the
+    level's first-reach and free words, one uint64 per vertex each.  A vertex
+    ORs the previous level's words over its slice of sources (its
+    predecessors in walk order).  Blocking bits
     are frontier bits at hubs or reached only through a blocking carrier, and
     a bit is free where no blocking carrier reaches: no hub lies strictly
     between root and vertex on any shortest path.  With no blocking bits, as
@@ -385,7 +386,7 @@ def bit_levels(offsets, sources, hub_ids, roots, max_depth):
             return
         free = new & ~pull_or(offsets, sources, blocking) if blocking.any() else new
         seen |= new
-        yield front, new, free
+        yield new, free
         front, blocking = new, new & ~free
         blocking[hub_ids] = new[hub_ids]
 

@@ -1,4 +1,4 @@
-"""Hub-pair distance matrix plus per-vertex core-hub labels with next-hop ports.
+"""Hub-pair distance matrix plus per-vertex core-hub labels (hub, distance).
 
 build runs one bit-parallel bounded BFS per block of 64 hubs in rank order,
 each hub owning one bit of a uint64 word per vertex (Akiba, Iwata and
@@ -6,14 +6,16 @@ Yoshida's bit-parallel BFS in the multi-source form of Then et al.).  A level
 ORs each vertex's predecessors' frontier words, and a second OR over the
 frontier bits a hub blocks marks what is reached only behind another hub.
 Each hub's first reach of another fills its matrix cell, and each unblocked
-first reach of a vertex is a label (hub, distance, port).  Ports are offsets
-into the owning vertex's sorted adjacency slice and give the next hop toward
-the hub, which keeps path extraction memory-free.  A hub pair's shortest
-path with no hub between (a basic pair) is the port walk of the far hub's
-label, and any other hub pair's path is a chain of such walks, split where
-the matrix says (engines._expand_matrix_path), so the index stores no path
-witnesses.  Every parent is the smallest-id predecessor a level earlier, so
-the index does not depend on how the hubs are grouped into blocks.
+first reach of a vertex is a label (hub, distance).  The labels alone give
+every path: a vertex's bit for a hub it labels is free, so each predecessor
+one level closer is a free non-hub carrying the label (hub, distance - 1),
+or the hub itself at distance 1, and a walk toward the hub steps to the
+smallest-id such predecessor (engines._walk).  A hub pair's shortest path
+with no hub between (a basic pair) is the walk of the far hub's label, and
+any other hub pair's path is a chain of such walks, split where the matrix
+says (engines._expand_matrix_path), so the index stores no paths.  The
+entries sort by (vertex, distance, rank), so the index does not depend on how
+the hubs are grouped into blocks.
 """
 
 from __future__ import annotations
@@ -24,23 +26,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, bfs_tree, bit_levels, csr_slices, digest64, offsets_from_counts,
-                    set_bits)
+from .graph import Graph, bfs_tree, bit_levels, digest64, offsets_from_counts, set_bits
 from .hubs import HubSet
 
 INF = 255
 MAX_K = 254
 
 MAGIC = b"HUB2"
-VERSION = 5
+VERSION = 6
 _FLAG_DIRECTED = 1
 
-_ENTRY_DTYPE = np.dtype([("rank", "<u4"), ("dist", "u1"), ("port", "<u4")])
+_ENTRY_DTYPE = np.dtype([("rank", "<u2"), ("dist", "u1")])
+MAX_HUBS = 0xFFFF         # hub ranks are stored as u2
 
 _BLOCK = 64               # hubs per build pass: one bit of a uint64 word each
-_ZERO = np.uint64(0)
-_NO_LABELS = (np.empty(0, np.uint32), np.empty(0, np.uint8),
-              np.empty(0, np.int32), np.empty(0, np.int32))
+_NO_LABELS = (np.empty(0, np.uint32), np.empty(0, np.uint8), np.empty(0, np.int32))
 
 
 class IndexFormatError(ValueError):
@@ -52,13 +52,18 @@ class IndexIntegrityError(RuntimeError):
 
 
 class LabelTable:
-    """CSR label storage: per-vertex entries sorted by (dist, hub_rank)."""
+    """CSR label storage: per-vertex entries sorted by (dist, hub_rank).
 
-    def __init__(self, offsets, hub_rank, dist, port):
+    views holds offsets, dist and hub_rank as memoryviews of the same
+    buffers, which index to Python ints faster than the arrays do; the
+    next-hop walk (engines._walk) bisects them.
+    """
+
+    def __init__(self, offsets, hub_rank, dist):
         self.offsets = offsets
         self.hub_rank = hub_rank
         self.dist = dist
-        self.port = port
+        self.views = memoryview(offsets), memoryview(dist), memoryview(hub_rank)
 
     @property
     def total(self):
@@ -66,7 +71,7 @@ class LabelTable:
 
     def vertex_slice(self, v):
         lo, hi = self.offsets[v], self.offsets[v + 1]
-        return self.hub_rank[lo:hi], self.dist[lo:hi], self.port[lo:hi]
+        return self.hub_rank[lo:hi], self.dist[lo:hi]
 
     def counts(self):
         return np.diff(self.offsets)
@@ -76,8 +81,7 @@ class LabelTable:
             return NotImplemented
         return (np.array_equal(self.offsets, other.offsets)
                 and np.array_equal(self.hub_rank, other.hub_rank)
-                and np.array_equal(self.dist, other.dist)
-                and np.array_equal(self.port, other.port))
+                and np.array_equal(self.dist, other.dist))
 
 
 @dataclass
@@ -85,8 +89,8 @@ class Hub2Matrix:
     """Hub-pair distances, INF above k.
 
     A pair (i, j) with some shortest path free of interior hubs gives hub j
-    an incoming label (i, dist[i, j], port) that walks that path back to hub
-    i; every other finite pair splits at the last hub before j on a shortest
+    an incoming label (i, dist[i, j]) whose walk is that path back to hub i;
+    every other finite pair splits at the last hub before j on a shortest
     path, whose label hub j holds in the same way.
     """
 
@@ -134,8 +138,7 @@ class Hub2Index:
         if self.hubs.is_hub[v]:
             return np.array([self.hubs.rank[v]]), np.zeros(1, np.uint8)
         table = self.labels_out if side == "out" else self.labels_in
-        ranks, dists, _ = table.vertex_slice(v)
-        return ranks, dists
+        return table.vertex_slice(v)
 
     def __eq__(self, other):
         if not isinstance(other, Hub2Index):
@@ -153,31 +156,6 @@ class Hub2Index:
         return True
 
 
-def _first_carriers(offsets, sources, rows, need, carrier):
-    """Per set bit b of need[i], the first position in rows[i]'s slice whose source
-    carries b in carrier: returns (i, b, position in the slice).
-
-    Slices ascend, so that position holds the smallest-id carrier.  A segmented
-    prefix OR by doubling gives the bits carried up to each position; a
-    position's firsts are the bits it carries that no earlier position does.
-    """
-    pos, counts, at = csr_slices(offsets, rows)
-    seg = np.repeat(np.arange(rows.size), counts)
-    local = np.arange(pos.size) - np.repeat(at, counts)
-    src = sources[pos]
-    first = carrier[src] & need[seg]
-    upto = first.copy()
-    step, longest = 1, counts.max(initial=0)
-    while step < longest:
-        upto[step:] |= np.where(local[step:] >= step, upto[:-step], _ZERO)
-        step *= 2
-    first[1:] &= ~np.where(local[1:] > 0, upto[:-1], _ZERO)
-    at = np.flatnonzero(first)
-    i, bit = set_bits(first[at])
-    at = at[i]
-    return seg[at], bit, local[at]
-
-
 def _pass(g, hubs, lo, k, reverse, dist=None):
     """Bounded BFS from the block of hubs ranked lo.. lo+63, bit b for rank lo + b.
 
@@ -186,21 +164,19 @@ def _pass(g, hubs, lo, k, reverse, dist=None):
     free first reach.  The pass that fills the matrix labels hubs too, as the
     paths of basic pairs; the other one, whose hub labels nothing reads, does
     not.  reverse=True walks in-edges (directed graphs) and gives outgoing-side
-    labels with ports into the out-slice; the forward walk gives
-    incoming-side labels with ports into the in-slice (out-slice when
-    undirected).
+    labels; the forward walk gives incoming-side labels.
     """
     offsets, sources = g.adjacency(not reverse)
     hub_ids = hubs.ids.astype(np.int64)
     parts = []
     levels = bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + _BLOCK], k)
-    for depth, (front, new, free) in enumerate(levels, 1):
+    for depth, (new, free) in enumerate(levels, 1):
         rows = np.flatnonzero(free)
         if dist is None:
             rows = rows[~hubs.is_hub[rows]]
-        i, bit, port = _first_carriers(offsets, sources, rows, free[rows], front)
+        i, bit = set_bits(free[rows])
         parts.append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
-                      (lo + bit).astype(np.int32), port.astype(np.int32)))
+                      (lo + bit).astype(np.int32)))
         if dist is not None:
             j, bit = set_bits(new[hub_ids])
             dist[lo + bit, j] = depth
@@ -212,11 +188,11 @@ def _label_table(n, dim, parts):
 
     Empties parts, so the passes' arrays are freed before the sort.
     """
-    vertex, dist, rank, port = (np.concatenate(f) for f in zip(_NO_LABELS, *parts))
+    vertex, dist, rank = (np.concatenate(f) for f in zip(_NO_LABELS, *parts))
     parts.clear()
     offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
-    # one distinct int64 key per entry: n < 2^32, dist < 2^8 and the dim^2
-    # matrix keeps dim far below 2^23, so keys stay under 2^63
+    # one distinct int64 key per entry: n < 2^32, dist < 2^8 and dim <= MAX_HUBS,
+    # so keys stay under 2^56
     key = vertex.astype(np.int64)
     del vertex
     key *= MAX_K + 1
@@ -225,7 +201,7 @@ def _label_table(n, dim, parts):
     key += rank
     order = np.argsort(key)
     del key
-    return LabelTable(offsets, rank[order], dist[order], port[order])
+    return LabelTable(offsets, rank[order], dist[order])
 
 
 def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
@@ -238,6 +214,8 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     """
     if hubs.size == 0:
         raise ValueError("cannot build an index over an empty hub set")
+    if hubs.size > MAX_HUBS:
+        raise ValueError(f"{hubs.size} hubs; the index format caps hubs at {MAX_HUBS}")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}]")
     t0 = time.monotonic()
@@ -327,7 +305,6 @@ def _write_label_table(buf, table):
     entries = np.empty(table.total, _ENTRY_DTYPE)
     entries["rank"] = table.hub_rank
     entries["dist"] = table.dist
-    entries["port"] = table.port
     buf += counts.astype("<u2").tobytes()
     buf += entries.tobytes()
 
@@ -364,7 +341,7 @@ def from_bytes(data: bytes) -> Hub2Index:
         raise IndexFormatError(f"k={k} out of range")
     n, m, checksum = struct.unpack("<QQQ", r.take(24))
     dim = struct.unpack("<I", r.take(4))[0]
-    if dim == 0 or dim > n:
+    if dim == 0 or dim > min(n, MAX_HUBS):
         raise IndexFormatError(f"hub count {dim} out of range for n={n}")
     ids = np.frombuffer(r.take(4 * dim), dtype="<u4").astype(np.uint32)
     if np.any(ids[1:] <= ids[:-1]) or (dim and ids[-1] >= n):
@@ -389,7 +366,7 @@ def _read_label_table(r, n, dim, k):
     counts = np.frombuffer(r.take(2 * n), dtype="<u2")
     offsets = offsets_from_counts(counts)
     entries = np.frombuffer(r.take(_ENTRY_DTYPE.itemsize * int(offsets[-1])), dtype=_ENTRY_DTYPE)
-    rank, dist, port = entries["rank"], entries["dist"], entries["port"]
+    rank, dist = entries["rank"], entries["dist"]
     if rank.size:
         if rank.max() >= dim:
             raise IndexFormatError("label hub rank out of range")
@@ -402,8 +379,7 @@ def _read_label_table(r, n, dim, k):
         key = dist.astype(np.int64) << 32 | rank
         if np.any((key[1:] < key[:-1]) & (vertex[1:] == vertex[:-1])):
             raise IndexFormatError("label entries not sorted by (level, hub rank)")
-    return LabelTable(offsets, rank.astype(np.int32), dist.astype(np.uint8),
-                      port.astype(np.int32))
+    return LabelTable(offsets, rank.astype(np.int32), dist.astype(np.uint8))
 
 
 def deserialize(source) -> Hub2Index:

@@ -124,7 +124,7 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     parent = np.zeros(g.n, np.int64)
     for lo in range(0, hub_ids.size, 64):
         frees = []
-        for _, _, free in bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + 64], k):
+        for _, free in bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + 64], k):
             if not free.any():
                 break
             frees.append(free)
@@ -190,7 +190,7 @@ def _hub_distances(g, roots, hub_ids, k):
     dist = np.zeros((roots.size, hub_ids.size), np.int64)
     bits = np.arange(roots.size, dtype=np.uint64)[:, None]
     no_hubs = np.empty(0, np.int64)
-    for d, (_, new, _) in enumerate(bit_levels(*g.adjacency(True), no_hubs, roots, k), 1):
+    for d, (new, _) in enumerate(bit_levels(*g.adjacency(True), no_hubs, roots, k), 1):
         dist[(new[hub_ids] >> bits) & np.uint64(1) == 1] = d
     return dist
 

@@ -10,7 +10,6 @@ network.discover and network.verify_distance_preserving.
 """
 
 import time
-from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -186,31 +185,30 @@ def table_from_chunks(n, chunks):
         vertex = np.concatenate([c[0] for c in chunks])
         dist = np.concatenate([c[1] for c in chunks])
         rank = np.concatenate([c[2] for c in chunks])
-        port = np.concatenate([c[3] for c in chunks])
     else:
-        vertex = dist = rank = port = np.empty(0, np.int64)
+        vertex = dist = rank = np.empty(0, np.int64)
     order = np.lexsort((rank, dist, vertex))
     offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
-    return LabelTable(offsets, rank[order].astype(np.int32),
-                      dist[order].astype(np.uint8), port[order].astype(np.int32))
+    return LabelTable(offsets, rank[order].astype(np.int32), dist[order].astype(np.uint8))
 
 
 def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
     """Bounded BFS from hub h: (matrix row, label arrays).
 
-    A reached hub some shortest path reaches with no hub between gets a
-    label, the path of its basic pair.
+    The label arrays are (vertex, dist, rank, next hop) per BFS level.  A
+    reached hub some shortest path reaches with no hub between gets a label,
+    the path of its basic pair.
 
     reverse=True walks in-edges (directed graphs), producing outgoing-side
-    labels whose ports index the out-slice, for non-hubs only; the forward
-    walk produces incoming-side labels with ports into the in-slice (out-slice
-    when undirected).  Parent choice is the smallest-id predecessor on the
-    previous level, blocked predecessors first.
+    labels for non-hubs only; the forward walk produces incoming-side labels.
+    Parent choice is the smallest-id predecessor on the previous level,
+    blocked predecessors first; a labeled vertex has no blocked predecessor
+    there, so its parent is the smallest-id one, the next hop its label's walk
+    must take toward h.
     """
     if not hubs.is_hub[h]:
         raise ValueError(f"vertex {h} is not a hub")
     offsets, targets = g.adjacency(reverse)
-    port_lists = g.adj_lists(reverse=not reverse)
     n = g.n
     rank = hubs.rank
     is_hub = hubs.is_hub
@@ -225,7 +223,7 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
     bflag[h] = 1
     frontier = np.array([h], dtype=np.int64)
 
-    lab_vertex, lab_dist, lab_rank, lab_port = [], [], [], []
+    lab_vertex, lab_dist, lab_rank, lab_hop = [], [], [], []
 
     for depth in range(k + 1):
         if depth > 0:
@@ -237,13 +235,10 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
                 row[rank[u]] = depth
                 bflag[u] = 0
             if labeled.size:
-                ports = np.empty(labeled.size, np.int32)
-                for i, v in enumerate(labeled):
-                    ports[i] = bisect_left(port_lists[v], int(parent[v]))
                 lab_vertex.append(labeled)
                 lab_dist.append(np.full(labeled.size, depth, np.int64))
                 lab_rank.append(np.full(labeled.size, rank[h], np.int64))
-                lab_port.append(ports.astype(np.int64))
+                lab_hop.append(parent[labeled].astype(np.int64))
         if depth == k:
             break
         srcs, dsts = frontier_edges(offsets, targets, frontier)
@@ -259,7 +254,7 @@ def label_bfs(g: Graph, hubs: HubSet, h: int, k: int, reverse=False):
         parent[new] = pred
         level[new] = depth + 1
         frontier = new
-    contribution = (lab_vertex, lab_dist, lab_rank, lab_port)
+    contribution = (lab_vertex, lab_dist, lab_rank, lab_hop)
     return row, contribution
 
 
@@ -278,11 +273,11 @@ def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     dist = np.empty((dim, dim), np.uint8)
     chunks_in, chunks_out = [], []
     for i, h in enumerate(hubs.ids):
-        dist[i], (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k)
-        chunks_in.extend(zip(lv, ld, lr, lp))
+        dist[i], (lv, ld, lr, _) = label_bfs(g, hubs, int(h), k)
+        chunks_in.extend(zip(lv, ld, lr))
         if g.directed:
-            _, (lv, ld, lr, lp) = label_bfs(g, hubs, int(h), k, reverse=True)
-            chunks_out.extend(zip(lv, ld, lr, lp))
+            _, (lv, ld, lr, _) = label_bfs(g, hubs, int(h), k, reverse=True)
+            chunks_out.extend(zip(lv, ld, lr))
     labels_in = table_from_chunks(g.n, chunks_in)
     labels_out = table_from_chunks(g.n, chunks_out) if g.directed else labels_in
     stats = {"build_seconds": time.monotonic() - t0}

@@ -155,7 +155,7 @@ def test_criterion_3_label_correctness():
                     built = {(int(v), 0)}
                 else:
                     table = idx.labels_out if side == "out" else idx.labels_in
-                    ranks, dists, _ = table.vertex_slice(v)
+                    ranks, dists = table.vertex_slice(v)
                     built = {(int(ids[r]), int(d)) for r, d in zip(ranks, dists)}
                 if built != core_hubs_oracle(g, hubs, k, v, side=side):
                     mismatches += 1

@@ -1,4 +1,5 @@
-"""scripts/bench_record.py merges spread.py summaries into BENCH_perfbench.json entries."""
+"""scripts/bench_record.py merges spread.py summaries and run results into
+BENCH_perfbench.json entries."""
 
 import importlib.util
 import json
@@ -48,3 +49,28 @@ def test_chunks_merge_by_seed_and_count_wins(tmp_path):
     assert entries[0]["traced"]["change"]["er-flat"] == {"seed": 21,
                                                          "metrics": {"network.discover_s": 0.4}}
     assert entries[0]["traced"]["parent"] == {}
+
+
+def result(path, seed, setup):
+    """A perfbench/run.py result file of one er-flat run; every other gated metric reads 1."""
+    metrics = {name: {"value": 1.0, "unit": "x"} for name in GATED}
+    metrics["setup_s"] = {"value": setup, "unit": "s"}
+    path.write_text(json.dumps({"workload": "er-flat", "seed": seed, "trace": 0,
+                                "machine": {"nproc": 2}, "metrics": metrics}))
+    return str(path)
+
+
+def test_single_run_results_merge_by_seed(tmp_path):
+    # one-seed runs alternating between the sides, with a summary on one side
+    parent = [result(tmp_path / "p1.json", 1, 2.0), result(tmp_path / "p2.json", 2, 2.2),
+              summary(tmp_path / "p3.json", [3], [1.8], [10])]
+    change = [result(tmp_path / f"c{s}.json", s, v) for s, v in [(3, 1.2), (1, 1.1), (2, 2.5)]]
+    out = tmp_path / "bench.json"
+    bench_record.main(["--title", "t", "--parent-commit", "a", "--change-commit", "b",
+                       "--parent", *parent, "--change", *change, "--out", str(out)])
+    wl = json.loads(out.read_text())["entries"][0]["workloads"]["er-flat"]
+    assert wl["seeds"] == [1, 2, 3]
+    setup = wl["metrics"]["setup_s"]
+    assert setup["parent"]["values"] == [2.0, 2.2, 1.8]
+    assert setup["change"]["values"] == [1.1, 2.5, 1.2]
+    assert setup["change_better_pairs"] == 2

@@ -1,6 +1,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from hubpath.cli import main
@@ -123,8 +124,8 @@ def test_query_hl_reports_the_answering_step(tmp_path, capsys):
         assert fields["answered_by"] == branch
 
 
-@pytest.mark.parametrize("past", ["degree", "u32_max", "hub"])
-def test_query_corrupt_port_is_an_error(tmp_path, graph_file, capsys, past):
+@pytest.mark.parametrize("edit", ["dist", "hub"])
+def test_query_corrupt_label_is_an_error(tmp_path, graph_file, capsys, edit):
     from hubpath import hub2, load_edge_list
     from hubpath.engines import estimate
 
@@ -133,27 +134,50 @@ def test_query_corrupt_port_is_an_error(tmp_path, graph_file, capsys, past):
         "--out", str(path))
     g = load_edge_list(graph_file.read_bytes())
     idx = hub2.deserialize(str(path))
-    # a non-hub vertex with labels, or for "hub" a hub with labels of basic pairs;
-    # every one of its ports now points past its adjacency slice, and
-    # serializing recomputes the trailing checksum.  The file stores ports
-    # as u32; 2**32 - 1 loads as -1 in the int32 table.
-    hub = past == "hub"
-    v = next(v for v in range(g.n)
-             if idx.hubs.is_hub[v] == hub and idx.labels_in.counts()[v] > 0)
-    lo, hi = idx.labels_in.offsets[v], idx.labels_in.offsets[v + 1]
-    idx.labels_in.port[lo:hi] = -1 if past == "u32_max" else len(g.neighbors(v))
+    table, ids, is_hub = idx.labels_in, idx.hubs.ids.tolist(), idx.hubs.is_hub
+    if edit == "dist":
+        # a vertex's only label (h, d) raised to a distance e that no neighbor
+        # carries h one level below: the path from h must walk it, and the
+        # walk finds no next hop
+        def carried(v, r):
+            return {d for w in g.neighbors(v).tolist()
+                    for q, d in zip(*(a.tolist() for a in table.vertex_slice(w))) if q == r}
+        for v in np.flatnonzero((table.counts() == 1) & ~is_hub).tolist():
+            lo = int(table.offsets[v])
+            r, d = int(table.hub_rank[lo]), int(table.dist[lo])
+            raised = [e for e in range(d + 1, idx.k + 1) if e - 1 not in carried(v, r)]
+            if raised:
+                break
+        table.dist[lo] = raised[0]
+        s, t = ids[r], v
+    else:
+        # a hub's last distance-1 label renamed to a later-ranked hub that is
+        # not its neighbor, and the matrix cell made to match: the pair's
+        # path is that label's walk, whose one hop is not an edge
+        for j in ids:
+            lo = int(table.offsets[j])
+            last = lo + int(np.count_nonzero(table.vertex_slice(j)[1] == 1)) - 1
+            if last < lo:
+                continue
+            nbrs = g.neighbors(j).tolist()
+            later = [r for r in range(int(table.hub_rank[last]) + 1, len(ids))
+                     if ids[r] not in nbrs]
+            if later:
+                break
+        r = later[0]
+        table.hub_rank[last] = r
+        cells = idx.matrix.dist.copy()
+        cells[r, idx.hubs.rank[j]] = 1
+        idx.matrix = hub2.Hub2Matrix(idx.matrix.dim, cells)
+        s, t = ids[r], j
     hub2.serialize(idx, str(path))
-    s, t = v, int(idx.hubs.ids[0])
-    if hub:
-        # the path from the hub of v's first label to v is v's port walk
-        s, t = int(idx.hubs.ids[idx.labels_in.hub_rank[lo]]), v
     assert estimate(idx, s, t).value is not None
     code, out, err = run(capsys, "query", "--graph", str(graph_file), "--index", str(path),
                          "--engine", "hl", str(s), str(t))
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and "out of range" in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "index is corrupted" in err and "Traceback" not in err
 
 
 def test_query_absent_distance_exit_zero(tmp_path, capsys):
@@ -238,23 +262,24 @@ def test_verify_ok_and_corruption_detected(tmp_path, graph_file, capsys):
 
 
 def test_query_index_of_another_version_is_an_error(tmp_path, graph_file, capsys):
-    # a version 4 file (via witnesses) passes the digest but not the reader
+    # a version 5 file (label ports) passes the digest but not the reader
     idx = tmp_path / "g.hub2"
     run(capsys, "build", "--graph", str(graph_file), "--hubs", "8", "--k", "4",
         "--out", str(idx))
     body = bytearray(idx.read_bytes()[:-8])
-    assert struct.unpack_from("<H", body, 4) == (5,)
-    struct.pack_into("<H", body, 4, 4)
+    assert struct.unpack_from("<H", body, 4) == (6,)
+    struct.pack_into("<H", body, 4, 5)
     idx.write_bytes(bytes(body) + digest64(body).to_bytes(8, "little"))
     code, out, err = run(capsys, "query", "--graph", str(graph_file), "--index", str(idx),
                          "--engine", "hl", "--k", "4", "0", "1")
     assert code == 1 and out == ""
-    assert err == "error: unsupported version 4\n"
+    assert err == "error: unsupported version 5\n"
 
 
 def test_verify_rebuild_catches_resealed_label_flip(tmp_path, graph_file, capsys):
-    # a port byte of the last label entry flipped and the digest recomputed:
-    # the file loads, and only the rebuild comparison is sure to see it
+    # the low bit of the last label entry's hub rank flipped and the digest
+    # recomputed: the file loads, and only the rebuild comparison is sure to
+    # see it
     idx = tmp_path / "g.hub2"
     run(capsys, "build", "--graph", str(graph_file), "--hubs", "8", "--k", "4",
         "--out", str(idx))
@@ -263,7 +288,7 @@ def test_verify_rebuild_catches_resealed_label_flip(tmp_path, graph_file, capsys
     assert code == 0 and "index-rebuild: identical" in out
 
     body = bytearray(idx.read_bytes()[:-8])
-    body[-4] ^= 0x01
+    body[-3] ^= 0x01
     idx.write_bytes(bytes(body) + digest64(body).to_bytes(8, "little"))
     code, out, _ = run(capsys, *argv)
     assert code == 1

@@ -245,7 +245,7 @@ def label_dist(idx, v, hub, side):
     if idx.hubs.is_hub[v]:
         return 0 if v == hub else None
     table = idx.labels_out if side == "out" else idx.labels_in
-    ranks, dists, _ = table.vertex_slice(v)
+    ranks, dists = table.vertex_slice(v)
     pos = np.flatnonzero(ranks == idx.hubs.rank[hub])
     return int(dists[pos[0]]) if pos.size else None
 

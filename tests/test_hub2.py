@@ -24,11 +24,11 @@ from hubpath import (
     serialize,
     validate_path,
 )
-from hubpath.engines import _expand_matrix_path, check_result
+from hubpath.engines import _expand_matrix_path, _walk, check_result
 from hubpath.graph import digest64
 
 from conftest import ba_graph, er_graph
-from oracles import adjacency_from_graph, all_pairs_dist, core_hub_set
+from oracles import adjacency_from_graph, all_pairs_dist, core_hub_set, label_bfs
 
 
 def hubset(g, ids):
@@ -44,7 +44,7 @@ def label_sets(idx, side="out"):
         if idx.hubs.is_hub[v]:
             out.append({(int(v), 0)})
             continue
-        ranks, dists, _ = table.vertex_slice(v)
+        ranks, dists = table.vertex_slice(v)
         out.append({(int(ids[r]), int(d)) for r, d in zip(ranks, dists)})
     return out
 
@@ -81,8 +81,7 @@ def test_star_single_hub(star6):
     sets = label_sets(idx)
     for leaf in range(1, 6):
         assert sets[leaf] == {(0, 1)}
-        _, _, ports = idx.labels_in.vertex_slice(leaf)
-        assert ports.tolist() == [0]  # only neighbor is the center
+        assert _walk(idx, star6, leaf, 0, 1, incoming=True) == [leaf, 0]
 
 
 def test_square_tie_breaks_through_smaller_id():
@@ -93,13 +92,13 @@ def test_square_tie_breaks_through_smaller_id():
     assert _expand_matrix_path(idx, g, 0, 1) == [0, 1, 2]
 
 
-def test_three_chain_label_and_port():
+def test_three_chain_label_and_next_hop():
     g = Graph.from_edges(3, [0, 1], [1, 2], directed=False)
     idx = build_index(g, hubset(g, [0, 2]), 4)
-    ranks, dists, ports = idx.labels_in.vertex_slice(1)
+    ranks, dists = idx.labels_in.vertex_slice(1)
     assert ranks.tolist() == [0, 1] and dists.tolist() == [1, 1]
-    # vertex 1's sorted neighbors are [0, 2]: port 0 points at hub 0
-    assert ports.tolist() == [0, 1]
+    # each distance-1 label of vertex 1 steps straight to its hub
+    assert [_walk(idx, g, 1, r, 1, incoming=True) for r in (0, 1)] == [[1, 0], [1, 2]]
     assert _expand_matrix_path(idx, g, 0, 1) == [0, 1, 2]
 
 
@@ -119,6 +118,12 @@ def test_build_rejects_empty_hubs_and_bad_k(chain4):
         build_index(chain4, hubset(chain4, [1]), 0)
     with pytest.raises(ValueError):
         build_index(chain4, hubset(chain4, [1]), 255)
+    # ranks are stored as u2, so 65536 hubs are refused before the 4 GiB
+    # matrix is allocated
+    n = hub2.MAX_HUBS + 1
+    isolated = Graph.from_edges(n, [], [], directed=False)
+    with pytest.raises(ValueError, match="caps hubs at 65535"):
+        build_index(isolated, HubSet(n, np.arange(n), n), 4)
 
 
 # ------------------------------------------------------------ oracle checks
@@ -182,7 +187,7 @@ def test_witness_soundness():
         idx = build_index(g, hubs, 5)
         m = idx.matrix
         for j, h in enumerate(hubs.ids):
-            ranks, dists, _ = idx.labels_in.vertex_slice(h)
+            ranks, dists = idx.labels_in.vertex_slice(h)
             assert np.array_equal(m.dist[ranks, j], dists)
         split = 0
         for i, j in np.argwhere(m.dist != INF).tolist():
@@ -194,24 +199,30 @@ def test_witness_soundness():
         assert split > 0, g.directed
 
 
-def test_port_suffix_closure():
-    g = er_graph(200, 7, seed=6)
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_walks_follow_the_reference_parents(directed):
+    # every entry (v, h, d) of both tables: the walk's first hop is the
+    # smallest-id BFS parent the per-hub reference traversal gives v, and the
+    # walk is a path of d edges from v to h
+    g = er_graph(200, 7, seed=6, directed=directed)
     k = 4
     hubs = select_hubs(g, 10)
     idx = build_index(g, hubs, k)
-    ids = hubs.ids
-    for v in range(g.n):
-        ranks, dists, ports = idx.labels_in.vertex_slice(v)
-        for r, d, p in zip(ranks, dists, ports):
-            cur, steps = v, 0
-            dd = int(d)
-            while cur != int(ids[r]):
-                nxt = int(g.neighbors(cur)[idx.labels_in.vertex_slice(cur)[2][
-                    np.flatnonzero(idx.labels_in.vertex_slice(cur)[0] == r)[0]]])
-                steps += 1
-                cur = nxt
-                assert steps <= dd
-            assert steps == dd
+    tables = [(False, idx.labels_in)] + ([(True, idx.labels_out)] if directed else [])
+    for reverse, table in tables:
+        parent = {}
+        for h in hubs.ids.tolist():
+            _, levels = label_bfs(g, hubs, h, k, reverse=reverse)
+            for vs, ds, rs, hops in zip(*levels):
+                parent.update(((v, r, d), p) for v, d, r, p in zip(vs.tolist(), ds.tolist(),
+                                                                   rs.tolist(), hops.tolist()))
+        assert len(parent) == table.total
+        for v in range(g.n):
+            for r, d in zip(*(a.tolist() for a in table.vertex_slice(v))):
+                walk = _walk(idx, g, v, r, d, incoming=not reverse)
+                assert walk[1] == parent[(v, r, d)]
+                assert len(walk) == d + 1 and walk[-1] == hubs.ids[r]
+                assert validate_path(g, walk if reverse else walk[::-1])
 
 
 def test_adjacent_hubs_always_labeled():
@@ -265,17 +276,18 @@ def test_matrix_cells_are_the_read_only_distances():
 
 @pytest.mark.parametrize("kind, param, seed, directed, index_sha, discover_sha", [
     ("ba", 3, 13, False,
-     "d50e7a84ba327719b0bc25af0a9de0f9565fa1370ad2ac4592d1467a5ad11b72",
+     "fb472276a231947220224c1f74093e5940ea1d5fb5a232f90142e7f03672b046",
      "a82c63d44d8e87284fe823c5ce3400738dd303e3b7a77c09d355b23a388cf1ee"),
     ("er", 5, 12, True,
-     "d0759d0f5c67b1691f07da035047d2d396bf642f0848d4ea16a5d012a2f5ab33",
+     "6b7066288298ab87d30493ae0fe1bc6e5b3b9dd1d691719715ffabe2b1da364e",
      "80d3b49d35c5f706930155e2ec83cf99f564e9e30527f5b93a239fb975ee2c08"),
 ], ids=["ba-undirected", "er-directed"])
 def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha, discover_sha):
     """Index bytes and discovered network are pinned to fixed digests.
 
-    Both depend on the BFS parent tie rules (ports, hub labels and the paths
-    pulled into H*), which no other test fixes across code versions.
+    The index bytes fix the format and the entry order, and the network the
+    BFS parent tie rules (the paths pulled into H*); no other test fixes
+    either across code versions.
     A deliberate change of the index format or of a tie rule updates these
     constants and says so in its change notes.
     """
@@ -288,14 +300,14 @@ def test_pinned_index_and_network_output(kind, param, seed, directed, index_sha,
 
 
 @pytest.mark.parametrize("beta, ba_sha, er_sha", [
-    (63, "bc545c9d0a7aeed64cb7b33c07285641b242c4f1d8376ed798644d837d2b7988",
-     "d3c2d2fd60aa4f9af519603b76b2c78c398bd88a2b97c2c91806e6e1e2ddd72e"),
-    (64, "c0965469ff16f38e390f1e098f3141a0bb8ea8bbe20197449d01065c90e8313f",
-     "fe13384f6d0f1dc680c9b77b3ad12d849abae6e0ed0909deacfe3271e159d14a"),
-    (65, "740a8a5aae89fb7e08c71287df6f94615d8cffa250cd4c38079d040b37225115",
-     "e0409e3b73092939db6288b613d894e62e43d8724cdb6815910abdf0ea5f53be"),
-    (130, "3c93f1af4ac6daeea2807c583726d38b9fce616b8b4b0b025741e440a5273684",
-     "c2136fcc0ae27d2176f9b69edbc89276f17b4ca55494cd0f760e6cb1fe3e2c78"),
+    (63, "a4d2b0ec821170eb0ec464da6a6ad4f386c275f00042d27aac60d052254ae024",
+     "cb065cc572ae9c87ae9998dd04222b83e15ba6f7ba6f1d65dd377c4c851bea07"),
+    (64, "1a3ad5ad5127baf5c48a80583a92c30e11489a1b438df0eef56015afaea09989",
+     "dffe6e71434f6da2da0745246e959383c7406d5b09aa447a0fd224ef39faf25f"),
+    (65, "67294b97dab13492d82829a5efa747cd216b8ffda141f49a58f38eb87b10ac9f",
+     "c18d669a3210947d9e0cdd7edd379730feae85d658223a512a714a74e264681b"),
+    (130, "5dc4c513ae4fb1bcc5916bcf0ae4307e4f438003caebb3a2cd73a9f273c0780e",
+     "52feecce36488f7e9067f4fcb9bb21ad7e5ee669f31e281b3ceeb2f7b0e9ec5b"),
 ], ids=["63", "64", "65", "130"])
 def test_pinned_index_across_hub_blocks(beta, ba_sha, er_sha):
     """Index bytes at hub counts around the build's 64-hub blocks.
@@ -342,15 +354,15 @@ def test_every_flipped_byte_rejected_or_roundtrips(chain4):
 
 
 def resealed_edits(body):
-    """Every body byte's low bit or all its bits inverted, and runs of 1 and 4
-    bytes inserted or deleted at every body position, each with the trailer
-    recomputed so that the digest cannot see it."""
+    """Every body byte's low bit or all its bits inverted, and runs of 1, 3
+    (one label entry) and 4 bytes inserted or deleted at every body position,
+    each with the trailer recomputed so that the digest cannot see it."""
     for pos in range(len(body)):
         for flip in (0x01, 0xFF):
             edited = bytearray(body)
             edited[pos] ^= flip
             yield edited
-        for run in (1, 4):
+        for run in (1, 3, 4):
             yield body[:pos] + b"\x01" * run + body[pos:]
             yield body[:pos] + body[pos + run:]
 
@@ -389,7 +401,7 @@ def test_unsorted_label_entries_rejected():
     idx = build_index(g, select_hubs(g, 8), 4)
     v = int(np.flatnonzero(idx.labels_in.counts() >= 2)[0])
     lo = int(idx.labels_in.offsets[v])
-    for arr in (idx.labels_in.hub_rank, idx.labels_in.dist, idx.labels_in.port):
+    for arr in (idx.labels_in.hub_rank, idx.labels_in.dist):
         arr[lo], arr[lo + 1] = arr[lo + 1], arr[lo]
     with pytest.raises(IndexFormatError, match="not sorted"):
         hub2.from_bytes(hub2.to_bytes(idx))
