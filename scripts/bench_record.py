@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """Append one parent/change perfbench comparison to BENCH_perfbench.json.
 
-From the root of a checkout, given perfbench/spread.py --out summaries or
-result files of single untraced runs
-(.perfbench_out/<workload>-seed<n>-trace0.result.json) of the parent and of
-the change (any number of files per side, for example one per chunk of seeds,
-or one per run when the two sides alternate run by run) and, optionally,
-result files of traced runs (.perfbench_out/<workload>-seed<n>-trace1.result.json):
+From the root of a checkout, given the result files of untraced
+perfbench/run.py runs (.perfbench_out/<workload>-seed<n>-trace0.result.json)
+of the parent and of the change, one per run, and, optionally, result files
+of traced runs (.perfbench_out/<workload>-seed<n>-trace1.result.json):
 
     python3 scripts/bench_record.py --title "what changed" \\
         --parent-commit 4463bf3 --change-commit "the commit adding this entry" \\
@@ -14,8 +12,8 @@ result files of traced runs (.perfbench_out/<workload>-seed<n>-trace1.result.jso
         --parent p-*.json --change c-*.json \\
         [--traced-parent p-*.result.json --traced-change c-*.result.json]
 
-Summaries and run results are merged by workload and seed; only the seeds
-both sides ran count.  For each workload and gated metric the entry keeps
+Run results are merged by workload and seed; only the seeds both sides ran
+count.  For each workload and gated metric the entry keeps
 both sides' per-seed values, their median and quartiles (statistics.quantiles
 with n=4, as spread.py reports them) and the pairs in which the change was
 better.
@@ -34,22 +32,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def per_seed(paths):
-    """{workload: {seed: {metric: value}}} merged from spread.py summaries and
-    perfbench/run.py result files."""
+    """{workload: {seed: {metric: value}}} merged from perfbench/run.py result files."""
     merged, machine = {}, None
     for path in paths:
-        summary = json.loads(Path(path).read_text())
-        machine = summary["machine"]
-        if "workloads" not in summary:
-            merged.setdefault(summary["workload"], {})[summary["seed"]] = {
-                name: m["value"] for name, m in summary["metrics"].items()}
-            continue
-        for workload, entry in summary["workloads"].items():
-            seeds = [int(s) for s in entry["inputs_by_seed"]]
-            runs = merged.setdefault(workload, {})
-            for name, m in entry["metrics"].items():
-                for seed, value in zip(seeds, m["values"]):
-                    runs.setdefault(seed, {})[name] = value
+        result = json.loads(Path(path).read_text())
+        machine = result["machine"]
+        merged.setdefault(result["workload"], {})[result["seed"]] = {
+            name: m["value"] for name, m in result["metrics"].items()}
     return merged, machine
 
 

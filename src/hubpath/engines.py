@@ -55,20 +55,18 @@ class SearchStats:
     """Work counters of one query.
 
     visited counts the frontier vertices expanded, enqueued the vertices
-    labeled and join_ops the label pairs compared; expanded lists the
-    expanded vertices themselves when the search was asked to collect them.
-    answered_by names the hl step whose answer was returned (None for the
-    other engines): "hub_endpoint" when s or t is a hub and the estimate is
-    exact, "search" when the hub-free search found the distance, "estimate"
-    when it found nothing shorter than the estimate, "none" when neither
-    reached t within k.  s == t counts as hub_endpoint or search.
+    labeled and join_ops the label pairs compared.  answered_by names the hl
+    step whose answer was returned (None for the other engines):
+    "hub_endpoint" when s or t is a hub and the estimate is exact, "search"
+    when the hub-free search found the distance, "estimate" when it found
+    nothing shorter than the estimate, "none" when neither reached t within
+    k.  s == t counts as hub_endpoint or search.
     """
 
     engine: str
     visited: int = 0
     enqueued: int = 0
     join_ops: int = 0
-    expanded: np.ndarray = None
     answered_by: str = None
 
 
@@ -139,7 +137,7 @@ class _Side:
     """
 
     __slots__ = ("lv", "lv_np", "par", "par_np", "frontier", "radius", "offsets",
-                 "targets", "adj", "exhausted", "is_hub", "is_hub_np", "hubs", "hub_head")
+                 "targets", "adj", "is_hub", "is_hub_np", "hubs", "hub_head")
 
     def __init__(self, view, start, labeled, hub_mask):
         self.offsets, self.targets, self.adj = view
@@ -150,7 +148,6 @@ class _Side:
         self.lv[start] = 1
         self.frontier = [start]
         self.radius = 0
-        self.exhausted = False
         self.is_hub_np = hub_mask
         self.is_hub = None if hub_mask is None else memoryview(hub_mask)
         self.hubs = [start] if hub_mask is not None and hub_mask[start] else []
@@ -210,27 +207,22 @@ def _out_edges(side, frontier):
     return int(offsets[frontier + 1].sum() - offsets[frontier].sum())
 
 
-def _expand(side, stats, levels=None):
+def _expand(side, stats):
     """Advance one side by one level; returns the newly labeled vertices.
 
     Neither step filters: the side's view and pre-labeled vertices decide.
     Frontiers with at most SCALAR_EDGES out-edges take the scalar step.
-    levels, when given, collects every expanded frontier.
     """
     frontier = side.frontier
     stats.visited += len(frontier)
-    if levels is not None:
-        levels.append(frontier)
     if _out_edges(side, frontier) <= SCALAR_EDGES:
         new = _scalar_step(side, frontier if isinstance(frontier, list) else frontier.tolist())
     else:
         new = _vector_step(side, np.asarray(frontier, dtype=np.int64))
     side.frontier = new
-    if len(new) == 0:
-        side.exhausted = True
-        return new
-    side.radius += 1
-    stats.enqueued += len(new)
+    if len(new):
+        side.radius += 1
+        stats.enqueued += len(new)
     return new
 
 
@@ -277,12 +269,12 @@ def _next_side(fwd, bwd, best, cap):
     """The side to expand next, or None once no meet can sum below min(best, cap).
 
     Let target = min(best, cap).  (A) While r_f + r_b < target - 1 the
-    smaller frontier among the sides not exhausted grows.  After that,
-    forward grows while r_f + 1 + open_b < target and backward while
+    smaller frontier among the nonempty ones grows.  After that, forward
+    grows while r_f + 1 + open_b < target and backward while
     open_f + r_b + 1 < target, where open_x is the level of the first hub
-    side x labeled and the other side has not, or _UNSET.  An exhausted side
-    never grows; when both can, the smaller frontier goes first.  bibfs and
-    hp_bbfs keep no hubs, so they stop right after (A).
+    side x labeled and the other side has not, or _UNSET.  A side with an
+    empty frontier never grows; when both can, the smaller frontier goes
+    first.  bibfs and hp_bbfs keep no hubs, so they stop right after (A).
 
     Why no path shorter than target is missed.  Let P be a shortest s-t
     path of length L < target.  If P has no hub, both views keep all of it,
@@ -295,7 +287,7 @@ def _next_side(fwd, bwd, best, cap):
     and a vertex of x..y labeled by both sides gives best <= L.  A stop
     short of that needs one of three cases, and none can stop the search.
     Forward labeled x and backward did not: then open_f <= pos(x), and
-    backward, not exhausted (it would have labeled x), grows until
+    backward, whose frontier cannot empty before it labels x, grows until
     r_b >= L - pos(x) and labels x.  Backward labeled y and forward did
     not: the mirror case.  Forward has not reached x nor backward y: then
     r_f + r_b <= L - 2 and (A) goes on.
@@ -304,11 +296,10 @@ def _next_side(fwd, bwd, best, cap):
     strictly smaller sum replaces best, and labels and parents never change.
     """
     target = min(best, cap)
-    if fwd.radius + bwd.radius < target - 1:
-        grow_f, grow_b = not fwd.exhausted, not bwd.exhausted
-    else:
-        grow_f = not fwd.exhausted and fwd.radius + 1 + bwd.min_open_hub(fwd) < target
-        grow_b = not bwd.exhausted and fwd.min_open_hub(bwd) + bwd.radius + 1 < target
+    grow_f, grow_b = len(fwd.frontier) > 0, len(bwd.frontier) > 0
+    if fwd.radius + bwd.radius >= target - 1:
+        grow_f = grow_f and fwd.radius + 1 + bwd.min_open_hub(fwd) < target
+        grow_b = grow_b and fwd.min_open_hub(bwd) + bwd.radius + 1 < target
     if grow_f and grow_b:
         return fwd if len(fwd.frontier) <= len(bwd.frontier) else bwd
     return fwd if grow_f else bwd if grow_b else None
@@ -319,7 +310,7 @@ def _graph_views(g):
     return (*g.adjacency(), g.adj_lists()), (*g.adjacency(True), g.adj_lists(True))
 
 
-def _bidirectional(views, s, t, cap, engine, labeled=None, collect=False, hub_mask=None):
+def _bidirectional(views, s, t, cap, engine, labeled=None, hub_mask=None):
     """Shared core over the (forward, reverse) views, labeled vertices excluded;
     only distances strictly below cap are reported.  _next_side picks each
     side to expand and ends the search; hub_mask (hn) gives it open hubs.
@@ -332,17 +323,14 @@ def _bidirectional(views, s, t, cap, engine, labeled=None, collect=False, hub_ma
         raise ValueError(f"distance bound {cap} does not fit the 16-bit level buffer")
     fwd = _Side(views[0], s, labeled, hub_mask)
     bwd = _Side(views[1], t, labeled, hub_mask)
-    levels = [] if collect else None
     stats.enqueued = 2
     best, meet = _UNSET, -1
     while (side := _next_side(fwd, bwd, best, cap)) is not None:
-        new = _expand(side, stats, levels)
+        new = _expand(side, stats)
         if hub_mask is not None:
             side.add_hubs(new)
         other = bwd if side is fwd else fwd
         best, meet = _register_meets(new, side, other, best, meet)
-    if levels:
-        stats.expanded = np.concatenate([np.asarray(f, dtype=np.int64) for f in levels])
     if best >= cap:
         return QueryResult(None, None, stats)
     return QueryResult(best, _stitch(fwd, bwd, meet, s, t), stats)
@@ -374,7 +362,7 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
                           hub_mask=hubs.is_hub)
 
 
-def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int, collect=False):
+def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
     """Bidirectional BFS that never enqueues a masked vertex.
 
     Masked vertices start labeled (hub_mask is the initial level buffer), so
@@ -384,8 +372,7 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int, collect=False):
     _check_pair(g, s, t)
     if hub_mask[s] or hub_mask[t]:
         raise ValueError("hub-pruning search requires unmasked endpoints")
-    return _bidirectional(_graph_views(g), s, t, bound, "hp-bbfs", labeled=hub_mask,
-                          collect=collect)
+    return _bidirectional(_graph_views(g), s, t, bound, "hp-bbfs", labeled=hub_mask)
 
 
 def _label_lists(idx, v, side):
@@ -426,8 +413,6 @@ def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
             ys = cls_t.get(total_pq - p)
             if xs is None or ys is None:
                 continue
-            if best < total_pq:
-                break
             join_ops += len(xs) * len(ys)
             # a middle leg below limit beats best and keeps the total within k
             limit = min(k - total_pq + 1, best - total_pq)
@@ -464,7 +449,7 @@ def estimate_full_join(idx: Hub2Index, s: int, t: int) -> Estimate:
     return Estimate(int(masked.flat[flat]), (int(ids[xs[i]]), int(ids[ys[j]])), join_ops)
 
 
-def hl_query(g: Graph, idx: Hub2Index, s: int, t: int, collect=False) -> QueryResult:
+def hl_query(g: Graph, idx: Hub2Index, s: int, t: int) -> QueryResult:
     """Two-step query: label-join estimate, then hub-pruning bidirectional BFS.
 
     A hub endpoint makes the estimate exact (its implicit self label joins the
@@ -481,7 +466,7 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int, collect=False) -> QueryRe
     stats.join_ops = est.join_ops
     if not hub_endpoint:
         bound = est.value if est.value is not None else k + 1
-        res = hp_bbfs(g, idx.hubs.is_hub, s, t, bound, collect=collect)
+        res = hp_bbfs(g, idx.hubs.is_hub, s, t, bound)
         res.stats.join_ops = est.join_ops
         res.stats.engine = "hl"
         if res.found:
@@ -610,13 +595,11 @@ def query_with_engine(engine, g, s, t, k, hubs=None, net=None, idx=None) -> Quer
     raise ValueError(f"unknown engine {engine!r}")
 
 
-_ANY = object()
-
-
-def check_result(g: Graph, res: QueryResult, expected_distance=_ANY) -> bool:
-    """Certify a result: path validates, length matches, endpoints included,
-    and the distance is expected_distance when given (None: no path)."""
-    if expected_distance is not _ANY and res.distance != expected_distance:
+def check_result(g: Graph, res: QueryResult, expected_distance) -> bool:
+    """Certify a result: the distance is expected_distance (None: no path)
+    and the path is a walk of g with distance + 1 vertices.  The query's
+    endpoints are not in res, so the path's ends are not checked."""
+    if res.distance != expected_distance:
         return False
     if res.distance is None:
         return res.path is None

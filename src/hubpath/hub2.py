@@ -372,13 +372,15 @@ def _read_label_table(r, n, dim, k):
             raise IndexFormatError("label hub rank out of range")
         if dist.min() < 1 or dist.max() > k:
             raise IndexFormatError("label distance out of range")
-        # entries must already be sorted by (vertex, dist, rank): byte-stability.
-        # The vertex ascends by construction, so only each vertex's own
-        # (dist, rank) keys can descend.
-        vertex = np.repeat(np.arange(n), counts)
-        key = dist.astype(np.int64) << 32 | rank
-        if np.any((key[1:] < key[:-1]) & (vertex[1:] == vertex[:-1])):
-            raise IndexFormatError("label entries not sorted by (level, hub rank)")
+        # entries must be strictly ascending by (vertex, dist, rank): byte-
+        # stability, and no label repeated.  The vertex ascends by
+        # construction, so only each vertex's own (dist, rank) keys are checked.
+        key = dist.astype(np.int64) << 16 | rank
+        ascending = key[1:] > key[:-1]
+        starts = offsets[1:-1]
+        ascending[starts[(starts > 0) & (starts < key.size)] - 1] = True
+        if not ascending.all():
+            raise IndexFormatError("label entries repeated or not sorted by (level, hub rank)")
     return LabelTable(offsets, rank.astype(np.int32), dist.astype(np.uint8))
 
 

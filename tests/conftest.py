@@ -1,11 +1,40 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hubpath import Graph, gen_synthetic, load_edge_list
+from hubpath import Graph, engines, gen_synthetic, load_edge_list
+
+
+@pytest.fixture
+def expanded(monkeypatch):
+    """expanded(query, *args) -> (query(*args), the vertices its searches expanded).
+
+    A spy on engines._expand records each frontier handed to it, in order,
+    only while the query runs.
+    """
+    frontiers = None
+    real_expand = engines._expand
+
+    def spy(side, stats):
+        if frontiers is not None:
+            frontiers.append(np.asarray(side.frontier, dtype=np.int64))
+        return real_expand(side, stats)
+
+    def run(query, *args):
+        nonlocal frontiers
+        frontiers = []
+        try:
+            res = query(*args)
+            return res, np.concatenate([np.empty(0, np.int64), *frontiers])
+        finally:
+            frontiers = None
+
+    monkeypatch.setattr(engines, "_expand", spy)
+    return run
 
 
 @pytest.fixture

@@ -192,7 +192,7 @@ def test_criterion_4_coverage_dichotomy():
            f"{class2} hub-free pairs ({hp_violations} pruned-search misses)")
 
 
-def test_criterion_5_no_hub_expansion_and_search_space():
+def test_criterion_5_no_hub_expansion_and_search_space(expanded):
     t0 = time.monotonic()
     g, hubs, net, idx = ba_20000()
     pairs = make_workload(g, 1000, seed=11, non_hub_only=True, hubs=hubs).pairs
@@ -200,8 +200,8 @@ def test_criterion_5_no_hub_expansion_and_search_space():
     hl_touched, bi_touched = [], []
     hl_expanded, bi_expanded = [], []
     for s, t in pairs:
-        res = hl_query(g, idx, s, t, collect=True)
-        if res.stats.expanded is not None and hubs.is_hub[res.stats.expanded].any():
+        res, seen = expanded(hl_query, g, idx, s, t)
+        if hubs.is_hub[seen].any():
             hub_touches += 1
         hl_touched.append(res.stats.enqueued)
         hl_expanded.append(res.stats.visited)

@@ -70,7 +70,7 @@ def test_check_result_none_expects_no_path():
     # an explicit None is the oracle's "no path within k", not "no expectation"
     g = Graph.from_edges(8, range(7), range(1, 8), directed=False)
     found = QueryResult(7, list(range(8)))
-    assert engines.check_result(g, found)
+    assert engines.check_result(g, found, 7)
     assert not engines.check_result(g, found, None)
     assert engines.check_result(g, QueryResult(), None)
     assert not engines.check_result(g, QueryResult(), 7)
@@ -308,7 +308,7 @@ def test_hp_bbfs_empty_mask_behaves_like_bibfs():
         assert hp_bbfs(g, mask, s, t, 7).distance == bibfs_query(g, s, t, 6).distance
 
 
-def test_hp_bbfs_never_expands_masked():
+def test_hp_bbfs_never_expands_masked(expanded):
     g = ba_graph(800, 4, seed=39)
     hubs = select_hubs(g, 8)
     rng = np.random.Generator(np.random.PCG64(16))
@@ -317,9 +317,8 @@ def test_hp_bbfs_never_expands_masked():
         s, t = (int(x) for x in rng.integers(0, g.n, 2))
         if s == t or hubs.is_hub[s] or hubs.is_hub[t]:
             continue
-        res = hp_bbfs(g, hubs.is_hub, s, t, 7, collect=True)
-        if res.stats.expanded is not None:
-            assert not hubs.is_hub[res.stats.expanded].any()
+        _, seen = expanded(hp_bbfs, g, hubs.is_hub, s, t, 7)
+        assert not hubs.is_hub[seen].any()
         done += 1
 
 
@@ -397,13 +396,13 @@ def test_hp_bbfs_rejects_masked_endpoint(star6):
 
 # ------------------------------------------------------------------ hl engine
 
-def test_hl_star_leaves(star6):
+def test_hl_star_leaves(star6, expanded):
     idx = build_index(star6, hubset(star6, [0]), 6)
-    res = hl_query(star6, idx, 1, 2, collect=True)
+    res, seen = expanded(hl_query, star6, idx, 1, 2)
     assert_certified(star6, res, 2)
     assert res.path == [1, 0, 2]
     # step 2 expands only the two leaves; the center is pruned
-    assert sorted(res.stats.expanded.tolist()) == [1, 2]
+    assert sorted(seen.tolist()) == [1, 2]
 
 
 def test_hl_disconnecting_hub():
@@ -526,30 +525,29 @@ def test_coverage_dichotomy_small():
 
 # ------------------------------------------------------------- level steps
 
-def search_outcomes(g, hubs, net, pairs, k):
+def search_outcomes(expanded, g, hubs, net, pairs, k):
     """Everything the level step decides, per engine and pair.
 
     bibfs and hn must find bfs_query's distance, hp_bbfs the hub-free one.
     """
-    def summary(res):
-        expanded = res.stats.expanded
-        return (res.distance, res.path, res.stats.visited, res.stats.enqueued,
-                None if expanded is None else expanded.tolist())
+    def summary(query, *args):
+        res, seen = expanded(query, *args)
+        return (res.distance, res.path, res.stats.visited, res.stats.enqueued, seen.tolist())
 
     adj = adjacency_from_graph(g)
     out = []
     for s, t in pairs:
         truth = bfs_query(g, s, t, k).distance
-        row = [summary(bibfs_query(g, s, t, k)), summary(hn_query(g, hubs, net, s, t, k))]
+        row = [summary(bibfs_query, g, s, t, k), summary(hn_query, g, hubs, net, s, t, k)]
         assert row[0][0] == truth and row[1][0] == truth, (s, t)
         if not (hubs.is_hub[s] or hubs.is_hub[t]):
-            row.append(summary(hp_bbfs(g, hubs.is_hub, s, t, k + 1, collect=True)))
+            row.append(summary(hp_bbfs, g, hubs.is_hub, s, t, k + 1))
             assert row[2][0] == masked_bfs_dist(adj, s, hubs.is_hub, k).get(t), (s, t)
         out.append(row)
     return out
 
 
-def test_scalar_and_vector_steps_agree(monkeypatch):
+def test_scalar_and_vector_steps_agree(monkeypatch, expanded):
     # one directed path 0 -> ... -> 300, plus the arc 0 -> 301: from 301 the
     # forward side exhausts at radius 0 and the backward side's level
     # reaches 255, the most a MAX_K-bounded search can label
@@ -565,9 +563,9 @@ def test_scalar_and_vector_steps_agree(monkeypatch):
     for g, hubs, k, pairs in cases:
         net = discover(g, hubs, k)
         monkeypatch.setattr(engines, "SCALAR_EDGES", 0)
-        vector = search_outcomes(g, hubs, net, pairs, k)
+        vector = search_outcomes(expanded, g, hubs, net, pairs, k)
         monkeypatch.setattr(engines, "SCALAR_EDGES", 1 << 40)
-        scalar = search_outcomes(g, hubs, net, pairs, k)
+        scalar = search_outcomes(expanded, g, hubs, net, pairs, k)
         assert scalar == vector
 
 

@@ -354,9 +354,11 @@ def test_every_flipped_byte_rejected_or_roundtrips(chain4):
 
 
 def resealed_edits(body):
-    """Every body byte's low bit or all its bits inverted, and runs of 1, 3
-    (one label entry) and 4 bytes inserted or deleted at every body position,
-    each with the trailer recomputed so that the digest cannot see it."""
+    """Every body byte's low bit or all its bits inverted, runs of 1, 3 (one
+    label entry) and 4 bytes inserted or deleted at every body position, and
+    the 3 bytes before every position copied over the 3 at it (one label
+    entry onto the next), each with the trailer recomputed so that the digest
+    cannot see it."""
     for pos in range(len(body)):
         for flip in (0x01, 0xFF):
             edited = bytearray(body)
@@ -365,6 +367,8 @@ def resealed_edits(body):
         for run in (1, 3, 4):
             yield body[:pos] + b"\x01" * run + body[pos:]
             yield body[:pos] + body[pos + run:]
+        if 3 <= pos <= len(body) - 3:
+            yield body[:pos] + body[pos - 3:pos] + body[pos + 3:]
 
 
 def test_resealed_flips_load_or_fail_cleanly(chain4):
@@ -391,20 +395,25 @@ def test_resealed_flips_load_or_fail_cleanly(chain4):
                         res = hl_query(g, back, s, t)
                     except IndexIntegrityError:
                         continue
-                    assert check_result(g, res), (edited.hex(), s, t, res)
+                    assert check_result(g, res, res.distance), (edited.hex(), s, t, res)
 
 
 def test_unsorted_label_entries_rejected():
-    # swap a vertex's first two label entries and serialize again: only the
-    # reader's (vertex, dist, rank) order check can see it
+    # swap a vertex's first two label entries, or overwrite its second with
+    # its first, and serialize again: only the reader's strict (vertex, dist,
+    # rank) order check can see it
     g = er_graph(150, 6, seed=2)
-    idx = build_index(g, select_hubs(g, 8), 4)
-    v = int(np.flatnonzero(idx.labels_in.counts() >= 2)[0])
-    lo = int(idx.labels_in.offsets[v])
-    for arr in (idx.labels_in.hub_rank, idx.labels_in.dist):
-        arr[lo], arr[lo + 1] = arr[lo + 1], arr[lo]
-    with pytest.raises(IndexFormatError, match="not sorted"):
-        hub2.from_bytes(hub2.to_bytes(idx))
+    for case in ("swap", "duplicate"):
+        idx = build_index(g, select_hubs(g, 8), 4)
+        v = int(np.flatnonzero(idx.labels_in.counts() >= 2)[0])
+        lo = int(idx.labels_in.offsets[v])
+        for arr in (idx.labels_in.hub_rank, idx.labels_in.dist):
+            if case == "swap":
+                arr[lo], arr[lo + 1] = arr[lo + 1], arr[lo]
+            else:
+                arr[lo + 1] = arr[lo]
+        with pytest.raises(IndexFormatError, match="not sorted"):
+            hub2.from_bytes(hub2.to_bytes(idx))
 
 
 def test_bad_magic_and_version(chain4):
