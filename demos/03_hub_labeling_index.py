@@ -62,7 +62,7 @@ print("definition oracle agrees:",
 s, t = v, int((~hubs.is_hub).nonzero()[0][-1])
 est = estimate(idx, s, t)
 print(f"\nestimate {s} -> {t}: {est.value} via hub pair {est.argpair} "
-      f"({est.join_ops} label comparisons)")
+      f"({est.join_ops} matrix cells read)")
 if est.value is not None:
     x, y = est.argpair
     path = reconstruct_estimated_path(idx, g, s, x, y, t)

@@ -261,10 +261,12 @@ def cmd_verify(args):
         truth = bfs_query(g, s, t, k)
         others = [bibfs_query(g, s, t, k), hn_query(g, hubs, net, s, t, k),
                   hl_query(g, idx, s, t)]
-        if not all(check_result(g, res, truth.distance) for res in others):
+        if not all(check_result(g, res, truth.distance)
+                   and (not res.found or (res.path[0], res.path[-1]) == (s, t))
+                   for res in others):
             bad_pairs += 1
-        est = estimate(idx, s, t)
-        if est.value != estimate_full_join(idx, s, t).value:
+        est, full = estimate(idx, s, t), estimate_full_join(idx, s, t)
+        if (est.value, est.argpair) != (full.value, full.argpair):
             bad_pairs += 1
     print(f"engine-agreement: pairs={args.pairs} failures={bad_pairs}")
     if bad_pairs:

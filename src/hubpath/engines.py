@@ -8,8 +8,8 @@ path when the distance is within k, otherwise report nothing.
 - hn_query: bidirectional BFS in which hubs expand only their neighbors
   inside the discovered hub network; it stops once no hub labeled by one
   side only can close a path below the best meet.
-- hl_query: two steps -- a levelwise label join against the hub matrix for an
-  upper bound, then a bidirectional BFS that never touches a hub.
+- hl_query: two steps -- a label join against the hub matrix for an upper
+  bound, then a bidirectional BFS that never touches a hub.
 
 bibfs, hn and hl's search share one hybrid level step with no filter in it:
 each direction searches an adjacency view (offsets, targets, lists), hn's
@@ -24,7 +24,7 @@ workloads, where 256 to 512 were fastest for all three engines.  Both steps
 pick the smallest-id predecessor as parent -- the scalar one by scanning the
 frontier in ascending id order, the vectorized one (like graph.bfs_tree)
 through graph.first_parents -- so answers, paths and counters do not depend
-on which step ran.  The label join is likewise a scalar loop.
+on which step ran.  The label join is a scalar loop over the stored labels.
 
 bfs_query and estimate_full_join are the oracles the fast paths are checked
 against, so they share no level step or join with them: bfs_query runs
@@ -55,12 +55,12 @@ class SearchStats:
     """Work counters of one query.
 
     visited counts the frontier vertices expanded, enqueued the vertices
-    labeled and join_ops the label pairs compared.  answered_by names the hl
-    step whose answer was returned (None for the other engines):
-    "hub_endpoint" when s or t is a hub and the estimate is exact, "search"
-    when the hub-free search found the distance, "estimate" when it found
-    nothing shorter than the estimate, "none" when neither reached t within
-    k.  s == t counts as hub_endpoint or search.
+    labeled and join_ops the hub-matrix cells the label join read.
+    answered_by names the hl step whose answer was returned (None for the
+    other engines): "hub_endpoint" when s or t is a hub and the estimate is
+    exact, "search" when the hub-free search found the distance, "estimate"
+    when it found nothing shorter than the estimate, "none" when neither
+    reached t within k.  s == t counts as hub_endpoint or search.
     """
 
     engine: str
@@ -375,62 +375,44 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
     return _bidirectional(_graph_views(g), s, t, bound, "hp-bbfs", labeled=hub_mask)
 
 
-def _label_lists(idx, v, side):
-    """Hub ranks keyed by label distance, as Python lists."""
-    ranks, dists = (a.tolist() for a in idx.labels(v, side))
-    classes = {}
-    lo = 0
-    while lo < len(dists):
-        hi = bisect_right(dists, dists[lo], lo)
-        classes[dists[lo]] = ranks[lo:hi]
-        lo = hi
-    return classes
-
-
 def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
-    """Levelwise label join: the minimum of d(s,x) + matrix[x,y] + d(y,t).
+    """Label join: the minimum of d(s,x) + matrix[x,y] + d(y,t) within k.
 
-    Distance classes are visited in nondecreasing class sum (source level
-    ascending within equal sums) and the join stops as soon as the best value
-    beats every remaining class sum.  Candidates whose middle leg is missing
-    or whose total exceeds k are discarded.  Within a class pair the scan is
-    row-major and only a strictly smaller total replaces the best, so the hub
-    pair is the one estimate_full_join's argmin would pick in that block.
+    One row-major scan of s's out-labels by t's in-labels, each in stored
+    (distance, rank) order.  Only a strictly smaller total replaces the best,
+    and a row ends, or the scan stops, once the label sum alone reaches the
+    best, so every skipped pair totals no less than a pair already scanned.
+    The result is estimate_full_join's value and hub pair, the first minimum
+    in row-major order; join_ops counts the matrix cells read.
     """
-    k = idx.k
-    cls_s = _label_lists(idx, s, "out")
-    cls_t = _label_lists(idx, t, "in")
-    dim = idx.matrix.dim
-    dist = idx.matrix.cells
-    best = _UNSET
-    arg = None
-    join_ops = 0
-    for total_pq in range(0, k + 1):
-        if best < total_pq:
+    xs, dxs = (a.tolist() for a in idx.labels(s, "out"))
+    ys, dys = (a.tolist() for a in idx.labels(t, "in"))
+    dim, cells = idx.matrix.dim, idx.matrix.cells
+    dy_min = dys[0] if dys else INF
+    # best <= k + 1 <= INF, so a missing middle leg (INF) never replaces it
+    best, arg, join_ops = idx.k + 1, None, 0
+    for x, dx in zip(xs, dxs):
+        if dx + dy_min >= best:
             break
-        for p in range(0, total_pq + 1):
-            xs = cls_s.get(p)
-            ys = cls_t.get(total_pq - p)
-            if xs is None or ys is None:
-                continue
-            join_ops += len(xs) * len(ys)
-            # a middle leg below limit beats best and keeps the total within k
-            limit = min(k - total_pq + 1, best - total_pq)
-            for x in xs:
-                row = x * dim
-                for y in ys:
-                    mid = dist[row + y]
-                    if mid < limit:
-                        limit = mid
-                        best, arg = mid + total_pq, (x, y)
-    if best > k:
+        row = x * dim
+        for y, dy in zip(ys, dys):
+            if dx + dy >= best:
+                break
+            join_ops += 1
+            mid = cells[row + y]
+            if mid < best - dx - dy:
+                best, arg = dx + mid + dy, (x, y)
+    if arg is None:
         return Estimate(None, None, join_ops)
     ids = idx.hubs.ids
     return Estimate(best, (int(ids[arg[0]]), int(ids[arg[1]])), join_ops)
 
 
 def estimate_full_join(idx: Hub2Index, s: int, t: int) -> Estimate:
-    """Exhaustive pairwise join over both label lists; the levelwise oracle."""
+    """Exhaustive pairwise join over both label lists; estimate's oracle.
+
+    Of the pairs attaining the minimum it picks the first in row-major order
+    (np.argmin), and join_ops counts every pair."""
     k = idx.k
     xs, dxs = idx.labels(s, "out")
     ys, dys = idx.labels(t, "in")
@@ -598,7 +580,7 @@ def query_with_engine(engine, g, s, t, k, hubs=None, net=None, idx=None) -> Quer
 def check_result(g: Graph, res: QueryResult, expected_distance) -> bool:
     """Certify a result: the distance is expected_distance (None: no path)
     and the path is a walk of g with distance + 1 vertices.  The query's
-    endpoints are not in res, so the path's ends are not checked."""
+    endpoints are not in res, so callers compare the path's ends with them."""
     if res.distance != expected_distance:
         return False
     if res.distance is None:

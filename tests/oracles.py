@@ -122,7 +122,7 @@ def hn_wrong_answers(g, betas, ks):
     """hn_query on every ordered pair of g, per hub count beta and bound k.
 
     Returns the (beta, k, s, t) whose answer is not bfs_query's distance with
-    a path check_result certifies.
+    a path check_result certifies, running from s to t.
     """
     wrong = []
     for beta in betas:
@@ -132,7 +132,8 @@ def hn_wrong_answers(g, betas, ks):
             for s in range(g.n):
                 for t in range(g.n):
                     res = hn_query(g, hubs, net, s, t, k)
-                    if not check_result(g, res, bfs_query(g, s, t, k).distance):
+                    if (not check_result(g, res, bfs_query(g, s, t, k).distance)
+                            or res.found and (res.path[0], res.path[-1]) != (s, t)):
                         wrong.append((beta, k, s, t))
     return wrong
 

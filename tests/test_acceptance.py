@@ -241,13 +241,13 @@ def test_criterion_7_early_termination_equivalence():
         fast = estimate(idx, s, t)
         full = estimate_full_join(idx, s, t)
         checked += 1
-        if fast.value != full.value:
+        if (fast.value, fast.argpair) != (full.value, full.argpair):
             mismatches += 1
         if fast.join_ops > full.join_ops:
             op_violations += 1
     report(7, "early-termination equivalence",
            mismatches == 0 and op_violations == 0,
-           f"{checked} pairs, {mismatches} value mismatches, "
+           f"{checked} pairs, {mismatches} (value, argpair) mismatches, "
            f"{op_violations} join-op inversions")
 
 

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from hubpath import cli
 from hubpath.cli import main
 from hubpath.graph import digest64
 
@@ -293,6 +294,27 @@ def test_verify_rebuild_catches_resealed_label_flip(tmp_path, graph_file, capsys
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert "index-rebuild: differs" in out
+
+
+def test_verify_catches_path_with_wrong_ends(graph_file, capsys, monkeypatch):
+    # on an undirected graph the reversed path is a walk of the right length,
+    # so only comparing its ends with the query's s and t catches it
+    hl_query = cli.hl_query
+
+    def reversed_hl(g, idx, s, t):
+        res = hl_query(g, idx, s, t)
+        if res.found:
+            res.path.reverse()
+        return res
+
+    argv = ["verify", "--graph", str(graph_file), "--hubs", "8", "--k", "4",
+            "--pairs", "20"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "engine-agreement: pairs=20 failures=0" in out
+    monkeypatch.setattr(cli, "hl_query", reversed_hl)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "engine-agreement: pairs=20 failures=0" not in out
 
 
 def test_verify_small_graph_runs_label_oracle(tmp_path, capsys):
