@@ -47,15 +47,15 @@ print(f"matrix fill: {stats['matrix_finite_fraction']:.0%} finite")
 # its hub: a path from v through hub h and on to h itself is v's walk to h.
 v = int((~hubs.is_hub).nonzero()[0][0])
 ranks, dists = idx.labels(v, "out")
-print(f"\nvertex {v}: {ranks.size} labels; the farthest (hub, dist) -> next hop:")
-for r, d in list(zip(ranks.tolist(), dists.tolist()))[-6:]:
+print(f"\nvertex {v}: {len(ranks)} labels; the farthest (hub, dist) -> next hop:")
+for r, d in list(zip(ranks, dists))[-6:]:
     h = int(hubs.ids[r])
     walk = reconstruct_estimated_path(idx, g, v, h, h, h)
     print(f"  ({h}, {d}) -> {walk[1]}    walk {walk}")
 
 # The label set matches the definition applied to exact distances.
 print("definition oracle agrees:",
-      {(int(hubs.ids[r]), int(d)) for r, d in zip(ranks, dists)}
+      {(int(hubs.ids[r]), d) for r, d in zip(ranks, dists)}
       == core_hubs_oracle(g, hubs, 6, v))
 
 # Estimate a distance through the labels and rebuild the estimated path.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -126,7 +127,9 @@ def cmd_build(args):
         raise SystemExit(f"--k must be in [1, {hub2.MAX_K}]")
     g = _load_graph(args)
     hubs = select_hubs(g, _hub_count(args, g))
+    t0 = time.monotonic()
     idx = hub2.build(g, hubs, args.k)
+    build_seconds = time.monotonic() - t0
     data = hub2.to_bytes(idx)
     with open(args.out, "wb") as fh:
         fh.write(data)
@@ -134,7 +137,7 @@ def cmd_build(args):
     print("hubs\tk\tavg_label_count\tmax_label_count\tmatrix_finite_fraction\tbytes\tbuild_seconds")
     print(f"{hubs.size}\t{args.k}\t{stats['avg_label_count']:.3f}\t{stats['max_label_count']}"
           f"\t{stats['matrix_finite_fraction']:.4f}\t{len(data)}"
-          f"\t{idx.build_stats['build_seconds']:.3f}")
+          f"\t{build_seconds:.3f}")
     return 0
 
 
@@ -280,8 +283,7 @@ def cmd_verify(args):
 
 
 def _label_set(idx, v, side):
-    ranks, dists = idx.labels(v, side)
-    return {(int(idx.hubs.ids[r]), int(d)) for r, d in zip(ranks, dists)}
+    return {(int(idx.hubs.ids[r]), d) for r, d in zip(*idx.labels(v, side))}
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,8 @@ workloads, where 256 to 512 were fastest for all three engines.  Both steps
 pick the smallest-id predecessor as parent -- the scalar one by scanning the
 frontier in ascending id order, the vectorized one (like graph.bfs_tree)
 through graph.first_parents -- so answers, paths and counters do not depend
-on which step ran.  The label join is a scalar loop over the stored labels.
+on which step ran.  The label join is a scalar loop over the stored labels,
+read in place through the label tables' memoryviews.
 
 bfs_query and estimate_full_join are the oracles the fast paths are checked
 against, so they share no level step or join with them: bfs_query runs
@@ -385,8 +386,8 @@ def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
     The result is estimate_full_join's value and hub pair, the first minimum
     in row-major order; join_ops counts the matrix cells read.
     """
-    xs, dxs = (a.tolist() for a in idx.labels(s, "out"))
-    ys, dys = (a.tolist() for a in idx.labels(t, "in"))
+    xs, dxs = idx.labels(s, "out")
+    ys, dys = idx.labels(t, "in")
     dim, cells = idx.matrix.dim, idx.matrix.cells
     dy_min = dys[0] if dys else INF
     # best <= k + 1 <= INF, so a missing middle leg (INF) never replaces it
@@ -414,8 +415,8 @@ def estimate_full_join(idx: Hub2Index, s: int, t: int) -> Estimate:
     Of the pairs attaining the minimum it picks the first in row-major order
     (np.argmin), and join_ops counts every pair."""
     k = idx.k
-    xs, dxs = idx.labels(s, "out")
-    ys, dys = idx.labels(t, "in")
+    xs, dxs = (np.asarray(a) for a in idx.labels(s, "out"))
+    ys, dys = (np.asarray(a) for a in idx.labels(t, "in"))
     ids = idx.hubs.ids
     join_ops = int(xs.size * ys.size)
     if join_ops == 0:
@@ -507,12 +508,10 @@ def _walk(idx, g, v, rank, d, incoming):
 
 def _label_dist(idx, v, rank, side):
     """v's label distance to the hub ranked rank on side "out" or "in"."""
-    ranks, dists = idx.labels(v, side)
-    ranks = ranks.tolist()
-    if rank not in ranks:
-        raise IndexIntegrityError(
-            f"vertex {v} lacks a label for hub rank {rank}; index is corrupted")
-    return int(dists[ranks.index(rank)])
+    for r, d in zip(*idx.labels(v, side)):
+        if r == rank:
+            return d
+    raise IndexIntegrityError(f"vertex {v} lacks a label for hub rank {rank}; index is corrupted")
 
 
 def _expand_matrix_path(idx, g, i, j):
@@ -529,7 +528,7 @@ def _expand_matrix_path(idx, g, i, j):
         raise IndexIntegrityError(f"no path stored for hub pair ({i}, {j})")
     path = [int(ids[j])]
     while j != i:
-        ranks, dists = (a.tolist() for a in idx.labels_in.vertex_slice(path[0]))
+        ranks, dists = idx.labels_in.vertex_slice(path[0])
         at = bisect_right(dists, left)
         while at and cells[row + ranks[at - 1]] + dists[at - 1] != left:
             at -= 1

@@ -92,22 +92,8 @@ class Graph:
         keep = src != dst
         src, dst = src[keep], dst[keep]
         if not directed:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if src.size:
-            src, dst = np.divmod(sort_unique(src * np.uint64(n) + dst), np.uint64(n))
-            src, dst = src.astype(np.int64), dst.astype(np.int64)
-        else:
-            src = dst = np.empty(0, np.int64)
-        out_offsets = offsets_from_counts(np.bincount(src, minlength=n))
-        out_targets = dst.astype(np.uint32)
-        if not directed:
-            return cls(n, False, out_offsets, out_targets)
-        rev = np.sort(dst.astype(np.uint64) * np.uint64(n) + src.astype(np.uint64))
-        rsrc = (rev // np.uint64(n)).astype(np.int64)
-        rdst = (rev % np.uint64(n)).astype(np.int64)
-        return cls(n, True, out_offsets, out_targets,
-                   offsets_from_counts(np.bincount(rsrc, minlength=n)),
-                   rdst.astype(np.uint32))
+            return cls(n, False, *_csr(n, np.concatenate([src, dst]), np.concatenate([dst, src])))
+        return cls(n, True, *_csr(n, src, dst), *_csr(n, dst, src))
 
     def adjacency(self, reverse=False):
         """(offsets, targets) pair; reverse selects in-edges on directed graphs."""
@@ -183,6 +169,14 @@ def sort_unique(values):
         np.not_equal(out[1:], out[:-1], out=keep[1:])
         out = out[keep]
     return out
+
+
+def _csr(n, rows, cols):
+    """(offsets, targets) of the distinct (row, col) uint64 pairs, each row's
+    targets ascending: the pairs sort and deduplicate as codes row * n + col."""
+    rows, cols = np.divmod(sort_unique(rows * np.uint64(n) + cols), np.uint64(n))
+    offsets = offsets_from_counts(np.bincount(rows.astype(np.int64), minlength=n))
+    return offsets, cols.astype(np.uint32)
 
 
 def _split_lists(offsets, targets, n):
@@ -365,8 +359,13 @@ def pull_or(offsets, sources, words):
     return out
 
 
+# Roots per bit_levels pass: one bit of a uint64 word each.  hub2.build and
+# network.discover run one pass per block of this many hubs.
+BIT_BLOCK = 64
+
+
 def bit_levels(offsets, sources, hub_ids, roots, max_depth):
-    """Bit-parallel BFS bounded at max_depth from up to 64 roots, root i on bit i.
+    """Bit-parallel BFS bounded at max_depth from up to BIT_BLOCK roots, root i on bit i.
 
     Yields (new, free) per depth 1, 2, ... while anything is reached: the
     level's first-reach and free words, one uint64 per vertex each.  A vertex

@@ -21,12 +21,12 @@ the hubs are grouped into blocks.
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_tree, bit_levels, digest64, offsets_from_counts, set_bits
+from .graph import (BIT_BLOCK, Graph, bfs_tree, bit_levels, digest64, offsets_from_counts,
+                    set_bits)
 from .hubs import HubSet
 
 INF = 255
@@ -39,8 +39,7 @@ _FLAG_DIRECTED = 1
 _ENTRY_DTYPE = np.dtype([("rank", "<u2"), ("dist", "u1")])
 MAX_HUBS = 0xFFFF         # hub ranks are stored as u2
 
-_BLOCK = 64               # hubs per build pass: one bit of a uint64 word each
-_NO_LABELS = (np.empty(0, np.uint32), np.empty(0, np.uint8), np.empty(0, np.int32))
+_NO_LABELS = (np.empty(0, np.uint32), np.empty(0, np.uint8), np.empty(0, np.uint16))
 
 
 class IndexFormatError(ValueError):
@@ -54,9 +53,11 @@ class IndexIntegrityError(RuntimeError):
 class LabelTable:
     """CSR label storage: per-vertex entries sorted by (dist, hub_rank).
 
-    views holds offsets, dist and hub_rank as memoryviews of the same
-    buffers, which index to Python ints faster than the arrays do; the
-    next-hop walk (engines._walk) bisects them.
+    hub_rank (uint16) and dist (uint8) are the file's two entry columns, and
+    offsets the running sum of its per-vertex counts.  views holds offsets,
+    dist and hub_rank as memoryviews of the same buffers, which index and
+    iterate to Python ints faster than the arrays do; every query-side reader
+    (the label join, the next-hop walk engines._walk) reads them in place.
     """
 
     def __init__(self, offsets, hub_rank, dist):
@@ -70,8 +71,10 @@ class LabelTable:
         return int(self.hub_rank.size)
 
     def vertex_slice(self, v):
-        lo, hi = self.offsets[v], self.offsets[v + 1]
-        return self.hub_rank[lo:hi], self.dist[lo:hi]
+        """v's hub ranks and label distances: memoryview slices of views, no copy."""
+        offsets, dist, rank = self.views
+        lo, hi = offsets[v], offsets[v + 1]
+        return rank[lo:hi], dist[lo:hi]
 
     def counts(self):
         return np.diff(self.offsets)
@@ -125,7 +128,6 @@ class Hub2Index:
     matrix: Hub2Matrix
     labels_in: LabelTable
     labels_out: LabelTable
-    build_stats: dict = field(default_factory=dict)
 
     def matches(self, g: Graph) -> bool:
         return (self.n == g.n and self.m == g.m and self.directed == g.directed
@@ -133,31 +135,18 @@ class Hub2Index:
 
     def labels(self, v, side):
         """Hub ranks and label distances of v's "out" or "in" labels, sorted by
-        (distance, rank).  For a hub that is its implicit self label (rank, 0)
-        alone; its table entries are the paths of basic pairs, not core hubs."""
+        (distance, rank), as two sequences of Python ints: the table's
+        memoryview slices (LabelTable.vertex_slice).  For a hub that is its
+        implicit self label (rank, 0) alone; its table entries are the paths
+        of basic pairs, not core hubs."""
         if self.hubs.is_hub[v]:
-            return np.array([self.hubs.rank[v]]), np.zeros(1, np.uint8)
+            return (int(self.hubs.rank[v]),), (0,)
         table = self.labels_out if side == "out" else self.labels_in
         return table.vertex_slice(v)
 
-    def __eq__(self, other):
-        if not isinstance(other, Hub2Index):
-            return NotImplemented
-        same = (self.k == other.k and self.directed == other.directed
-                and self.n == other.n and self.m == other.m
-                and self.graph_checksum == other.graph_checksum
-                and np.array_equal(self.hubs.ids, other.hubs.ids)
-                and self.matrix == other.matrix
-                and self.labels_in == other.labels_in)
-        if not same:
-            return False
-        if self.directed:
-            return self.labels_out == other.labels_out
-        return True
-
 
 def _pass(g, hubs, lo, k, reverse, dist=None):
-    """Bounded BFS from the block of hubs ranked lo.. lo+63, bit b for rank lo + b.
+    """Bounded BFS from the BIT_BLOCK hubs ranked lo onward, bit b for rank lo + b.
 
     Returns the block's label arrays and, given the matrix distances, fills
     the block's rows.  The levels come from graph.bit_levels; a label is a
@@ -169,14 +158,14 @@ def _pass(g, hubs, lo, k, reverse, dist=None):
     offsets, sources = g.adjacency(not reverse)
     hub_ids = hubs.ids.astype(np.int64)
     parts = []
-    levels = bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + _BLOCK], k)
+    levels = bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + BIT_BLOCK], k)
     for depth, (new, free) in enumerate(levels, 1):
         rows = np.flatnonzero(free)
         if dist is None:
             rows = rows[~hubs.is_hub[rows]]
         i, bit = set_bits(free[rows])
         parts.append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
-                      (lo + bit).astype(np.int32)))
+                      (lo + bit).astype(np.uint16)))
         if dist is not None:
             j, bit = set_bits(new[hub_ids])
             dist[lo + bit, j] = depth
@@ -205,7 +194,7 @@ def _label_table(n, dim, parts):
 
 
 def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
-    """Label every vertex and fill the hub matrix with one pass per 64-hub block.
+    """Label every vertex and fill the hub matrix with one pass per BIT_BLOCK hubs.
 
     Each pass is a bit-parallel bounded BFS from the block's hubs, in rank
     order; a directed graph adds a reverse pass for the outgoing labels.
@@ -218,22 +207,19 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
         raise ValueError(f"{hubs.size} hubs; the index format caps hubs at {MAX_HUBS}")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}]")
-    t0 = time.monotonic()
     dim = hubs.size
     dist = np.full((dim, dim), INF, np.uint8)
     np.fill_diagonal(dist, 0)
     parts_in, parts_out = [], []
-    for lo in range(0, dim, _BLOCK):
+    for lo in range(0, dim, BIT_BLOCK):
         parts_in += _pass(g, hubs, lo, k, False, dist)
         if g.directed:
             parts_out += _pass(g, hubs, lo, k, True)
     labels_in = _label_table(g.n, dim, parts_in)
     labels_out = _label_table(g.n, dim, parts_out) if g.directed else labels_in
-    stats = {"build_seconds": time.monotonic() - t0}
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
-                     matrix=Hub2Matrix(dim, dist), labels_in=labels_in, labels_out=labels_out,
-                     build_stats=stats)
+                     matrix=Hub2Matrix(dim, dist), labels_in=labels_in, labels_out=labels_out)
 
 
 def core_hubs_oracle(g: Graph, hubs: HubSet, k: int, v: int, side="out"):
@@ -381,7 +367,9 @@ def _read_label_table(r, n, dim, k):
         ascending[starts[(starts > 0) & (starts < key.size)] - 1] = True
         if not ascending.all():
             raise IndexFormatError("label entries repeated or not sorted by (level, hub rank)")
-    return LabelTable(offsets, rank.astype(np.int32), dist.astype(np.uint8))
+    # contiguous copies of the two columns: memoryview cannot index the records'
+    # unaligned little-endian rank field
+    return LabelTable(offsets, rank.astype(np.uint16), dist.astype(np.uint8))
 
 
 def deserialize(source) -> Hub2Index:

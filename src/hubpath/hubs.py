@@ -10,7 +10,8 @@ from .graph import Graph, sort_unique
 class HubSet:
     """The selected hub vertices, ascending, with O(1) rank and membership.
 
-    ids[rank] is the inverse of rank[v]; membership is a bitmap over V.
+    ids[rank] is the inverse of rank[v]; membership is a bitmap over V.  Two
+    sets are equal when their ids are.
     """
 
     def __init__(self, n, ids, beta):
@@ -36,6 +37,11 @@ class HubSet:
 
     def __len__(self):
         return self.size
+
+    def __eq__(self, other):
+        if not isinstance(other, HubSet):
+            return NotImplemented
+        return np.array_equal(self.ids, other.ids)
 
     def __repr__(self):
         return f"HubSet(size={self.size}, beta={self.beta})"

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bit_levels, csr_slices, induced_subgraph, offsets_from_counts
+from .graph import (BIT_BLOCK, Graph, bit_levels, csr_slices, induced_subgraph,
+                    offsets_from_counts)
 from .hubs import HubSet
 
 
@@ -122,13 +123,13 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     # for every n up to 2^32, and load_edge_list caps ids at MAX_VERTEX_ID
     key = np.zeros(g.n, np.uint64)
     parent = np.zeros(g.n, np.int64)
-    for lo in range(0, hub_ids.size, 64):
+    for lo in range(0, hub_ids.size, BIT_BLOCK):
         frees = []
-        for _, free in bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + 64], k):
+        for _, free in bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + BIT_BLOCK], k):
             if not free.any():
                 break
             frees.append(free)
-        for b, s in enumerate(hub_ids[lo:lo + 64].tolist()):
+        for b, s in enumerate(hub_ids[lo:lo + BIT_BLOCK].tolist()):
             front, total = np.empty(0, np.int64), 0
             for d, free in enumerate(frees, 1):
                 region = np.flatnonzero(free & np.uint64(1 << b))
@@ -174,8 +175,8 @@ def verify_distance_preserving(g: Graph, hubs: HubSet, net: HubNetwork, k: int) 
         return report
     hub_ids = hubs.ids.astype(np.int64)
     sub = induced_subgraph(g, net.member)
-    for lo in range(0, hub_ids.size, 64):
-        roots = hub_ids[lo:lo + 64]
+    for lo in range(0, hub_ids.size, BIT_BLOCK):
+        roots = hub_ids[lo:lo + BIT_BLOCK]
         dg, ds = (_hub_distances(graph, roots, hub_ids, k) for graph in (g, sub))
         within = dg > 0
         report.checked += int(within.sum())

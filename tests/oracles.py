@@ -9,7 +9,6 @@ discovery and preservation check, kept as the references of hub2.build,
 network.discover and network.verify_distance_preserving.
 """
 
-import time
 from collections import deque
 
 import numpy as np
@@ -269,7 +268,6 @@ def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
         raise ValueError("cannot build an index over an empty hub set")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in [1, {MAX_K}]")
-    t0 = time.monotonic()
     dim = hubs.size
     dist = np.empty((dim, dim), np.uint8)
     chunks_in, chunks_out = [], []
@@ -281,12 +279,10 @@ def build_reference(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
             chunks_out.extend(zip(lv, ld, lr))
     labels_in = table_from_chunks(g.n, chunks_in)
     labels_out = table_from_chunks(g.n, chunks_out) if g.directed else labels_in
-    stats = {"build_seconds": time.monotonic() - t0}
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
                      matrix=Hub2Matrix(dim, dist),
-                     labels_in=labels_in, labels_out=labels_out,
-                     build_stats=stats)
+                     labels_in=labels_in, labels_out=labels_out)
 
 
 # ------------------------------------------------ reference hub-network discovery

@@ -157,7 +157,7 @@ def test_query_corrupt_label_is_an_error(tmp_path, graph_file, capsys, edit):
         # path is that label's walk, whose one hop is not an edge
         for j in ids:
             lo = int(table.offsets[j])
-            last = lo + int(np.count_nonzero(table.vertex_slice(j)[1] == 1)) - 1
+            last = lo + int(np.count_nonzero(np.asarray(table.vertex_slice(j)[1]) == 1)) - 1
             if last < lo:
                 continue
             nbrs = g.neighbors(j).tolist()

@@ -8,6 +8,7 @@ from hubpath import engines
 from hubpath import (
     Graph,
     HubSet,
+    IndexIntegrityError,
     QueryResult,
     bfs_query,
     bibfs_query,
@@ -247,7 +248,7 @@ def label_dist(idx, v, hub, side):
         return 0 if v == hub else None
     table = idx.labels_out if side == "out" else idx.labels_in
     ranks, dists = table.vertex_slice(v)
-    pos = np.flatnonzero(ranks == idx.hubs.rank[hub])
+    pos = np.flatnonzero(np.asarray(ranks) == idx.hubs.rank[hub])
     return int(dists[pos[0]]) if pos.size else None
 
 
@@ -469,6 +470,22 @@ def test_reconstruct_self_entry_adjacent(star6):
     est = estimate(idx, 0, 3)
     assert est.argpair == (0, 0)
     assert reconstruct_estimated_path(idx, star6, 0, 0, 0, 3) == [0, 3]
+
+
+def test_reconstruct_rejects_a_hub_pair_the_index_cannot_join():
+    # components 0-1 and 2-3 with one hub each: vertex 1 labels only hub 0
+    # (rank 0), vertex 3 only hub 2 (rank 1), and matrix cell (0, 1) is INF
+    g = Graph.from_edges(4, [0, 2], [1, 3], directed=False)
+    idx = build_index(g, hubset(g, [0, 2]), 3)
+    assert reconstruct_estimated_path(idx, g, 1, 0, 0, 0) == [1, 0]
+    with pytest.raises(IndexIntegrityError, match="vertex 1 lacks a label for hub rank 1"):
+        reconstruct_estimated_path(idx, g, 1, 2, 2, 3)
+    with pytest.raises(IndexIntegrityError, match="vertex 3 lacks a label for hub rank 0"):
+        reconstruct_estimated_path(idx, g, 1, 0, 0, 3)
+    with pytest.raises(IndexIntegrityError, match="not hubs"):
+        reconstruct_estimated_path(idx, g, 1, 1, 2, 3)
+    with pytest.raises(IndexIntegrityError, match=r"no path stored for hub pair \(0, 1\)"):
+        reconstruct_estimated_path(idx, g, 1, 0, 2, 3)
 
 
 # ------------------------------------------------------- engine agreement

@@ -431,6 +431,26 @@ def test_directed_round_trip():
     assert back.labels_out == idx.labels_out
 
 
+def test_labels_are_the_stored_columns_read_in_place():
+    # built and read tables hold the file's u16 ranks and u8 distances, and
+    # labels() yields Python ints from them, for hubs and non-hubs alike
+    g = er_graph(120, 5, seed=3, directed=True)
+    built = build_index(g, select_hubs(g, 6), 4)
+    for idx in (built, hub2.from_bytes(hub2.to_bytes(built))):
+        for table in (idx.labels_in, idx.labels_out):
+            assert table.hub_rank.dtype == np.uint16 and table.dist.dtype == np.uint8
+        hub = int(idx.hubs.ids[2])
+        v = int(np.flatnonzero((idx.labels_in.counts() > 0) & (idx.labels_out.counts() > 0)
+                               & ~idx.hubs.is_hub)[0])
+        for side, table in (("out", idx.labels_out), ("in", idx.labels_in)):
+            assert idx.labels(hub, side) == ((2,), (0,))
+            ranks, dists = idx.labels(v, side)
+            assert ranks.obj is table.hub_rank and dists.obj is table.dist
+            assert len(ranks) == len(dists) > 0
+            for seq in (ranks, dists, *idx.labels(hub, side)):
+                assert all(type(x) is int for x in seq)
+
+
 def test_index_matches_graph(chain4):
     idx = chain4_index(chain4)
     assert idx.matches(chain4)
