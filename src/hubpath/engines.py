@@ -6,8 +6,9 @@ path when the distance is within k, otherwise report nothing.
 - bfs_query: plain bounded BFS (graph.bfs_tree), the ground-truth oracle.
 - bibfs_query: bidirectional BFS, smaller frontier first, level-sum cutoff.
 - hn_query: bidirectional BFS in which hubs expand only their neighbors
-  inside the discovered hub network; it stops once no hub labeled by one
-  side only can close a path below the best meet.
+  inside the discovered hub network; once the radii reach the cutoff or a
+  side is exhausted, it stops as soon as no hub labeled by one side only
+  can close a path below the best meet.
 - hl_query: two steps -- a label join against the hub matrix for an upper
   bound, then a bidirectional BFS that never touches a hub.
 
@@ -17,7 +18,9 @@ keeping only H* members in hub rows, and hl's search starts with the hubs
 labeled.  A frontier with at most SCALAR_EDGES out-edges is expanded by a
 plain Python loop over the view's lists; a larger one by the vectorized
 step over its CSR arrays.  One rule, _next_side, picks the side to expand
-and stops all three searches.
+and stops all three searches: bibfs and hl's search end at the level-sum
+cutoff or as soon as one side is exhausted; hn goes on past either while a
+hub labeled by one side only can still close a shorter path.
 Fixed numpy cost per call dominates small levels and Python's per-edge cost
 dominates large ones; the threshold comes from a sweep over the perfbench
 workloads, where 256 to 512 were fastest for all three engines.  Both steps
@@ -269,19 +272,22 @@ def _stitch(fwd, bwd, meet, s, t):
 def _next_side(fwd, bwd, best, cap):
     """The side to expand next, or None once no meet can sum below min(best, cap).
 
-    Let target = min(best, cap).  (A) While r_f + r_b < target - 1 the
-    smaller frontier among the nonempty ones grows.  After that, forward
+    Let target = min(best, cap).  (A) While both frontiers are nonempty and
+    r_f + r_b < target - 1, the smaller frontier grows.  After that, forward
     grows while r_f + 1 + open_b < target and backward while
     open_f + r_b + 1 < target, where open_x is the level of the first hub
     side x labeled and the other side has not, or _UNSET.  A side with an
     empty frontier never grows; when both can, the smaller frontier goes
-    first.  bibfs and hp_bbfs keep no hubs, so they stop right after (A).
+    first.  bibfs and hp_bbfs keep no hubs, so they stop right after (A):
+    at the radius sum, or as soon as one side is exhausted.
 
     Why no path shorter than target is missed.  Let P be a shortest s-t
-    path of length L < target.  If P has no hub, both views keep all of it,
-    so once r_f + r_b >= L some vertex of P is labeled by both sides at its
-    true distances and best <= L already.  Otherwise let x be P's first hub
-    and y its last, and replace P's x..y part by a shortest x-y path in
+    path of length L < target.  A side is exhausted only once it has
+    labeled everything its view reaches.  If P has no hub, both views keep
+    all of it, so once r_f + r_b >= L, or once either side is exhausted (it
+    has then labeled P's far end), some vertex of P is labeled by both sides
+    at its true distances and best <= L already.  Otherwise let x be P's
+    first hub and y its last, and replace P's x..y part by a shortest x-y path in
     G[H*] (discovery preserves hub-pair distances within k).  The forward
     view keeps every edge of P up to y and the reverse view every edge from
     x, so forward levels are exact on P up to y, backward levels from x,
@@ -291,14 +297,16 @@ def _next_side(fwd, bwd, best, cap):
     backward, whose frontier cannot empty before it labels x, grows until
     r_b >= L - pos(x) and labels x.  Backward labeled y and forward did
     not: the mirror case.  Forward has not reached x nor backward y: then
-    r_f + r_b <= L - 2 and (A) goes on.
+    neither side is exhausted and r_f + r_b <= L - 2, so (A) goes on.  An
+    exhausted side has labeled x (forward) or y (backward), so exhaustion
+    short of a meet is one of the first two cases, where the other side grows.
 
     The stitched path is the one the search would end with anyway: only a
     strictly smaller sum replaces best, and labels and parents never change.
     """
     target = min(best, cap)
     grow_f, grow_b = len(fwd.frontier) > 0, len(bwd.frontier) > 0
-    if fwd.radius + bwd.radius >= target - 1:
+    if fwd.radius + bwd.radius >= target - 1 or not (grow_f and grow_b):
         grow_f = grow_f and fwd.radius + 1 + bwd.min_open_hub(fwd) < target
         grow_b = grow_b and fwd.min_open_hub(bwd) + bwd.radius + 1 < target
     if grow_f and grow_b:

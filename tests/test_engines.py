@@ -389,6 +389,52 @@ def test_search_stops_at_radius_sum_one_below_the_bound():
         assert (res.stats.visited, res.stats.enqueued) == (k, k + 2)
 
 
+def test_search_ends_once_a_side_is_exhausted(monkeypatch, expanded):
+    # 301 has no out-arc, so the forward side exhausts at radius 0 and bibfs
+    # ends there instead of growing the backward side to the bound
+    chain = Graph.from_edges(302, list(range(300)) + [0], list(range(1, 301)) + [301],
+                             directed=True)
+    res = bibfs_query(chain, 301, 300, MAX_K)
+    assert res.distance is None
+    assert (res.stats.visited, res.stats.enqueued) == (1, 2)
+    # 0's one arc leads to hub 1: the pruned search exhausts at once and the
+    # estimate answers
+    arcs = Graph.from_edges(4, [0, 1, 2], [1, 2, 3], directed=True)
+    hubs = hubset(arcs, [1])
+    res = hl_query(arcs, build_index(arcs, hubs, 6), 0, 3)
+    assert res.path == [0, 1, 2, 3] and res.stats.answered_by == "estimate"
+    assert (res.stats.visited, res.stats.enqueued) == (1, 2)
+    # hn's forward side exhausts at radius 1, since hub 1's row keeps only
+    # H* members; hub 1 is still open, so the backward side grows to meet it
+    res = hn_query(arcs, hubs, discover(arcs, hubs, 6), 0, 3, 6)
+    assert_certified(arcs, res, 3)
+    assert res.path == [0, 1, 2, 3]
+    # bibfs and hp_bbfs expand no level after a step labels nothing
+    steps, spy = [], engines._expand
+
+    def record(side, stats):
+        new = spy(side, stats)
+        steps.append(len(new))
+        return new
+
+    monkeypatch.setattr(engines, "_expand", record)
+    ended = 0
+    for g in (er_graph(300, 6, seed=3, directed=True), ba_graph(250, 3, seed=7, directed=True)):
+        hubs = select_hubs(g, 12)
+        rng = np.random.Generator(np.random.PCG64(18))
+        for s, t in rng.integers(0, g.n, size=(150, 2)).tolist():
+            searches = [(bibfs_query, g, s, t, 6)]
+            if not (hubs.is_hub[s] or hubs.is_hub[t]):
+                searches.append((hp_bbfs, g, hubs.is_hub, s, t, 7))
+            for query, *args in searches:
+                steps.clear()
+                res, seen = expanded(query, *args)
+                assert seen.size == res.stats.visited
+                assert 0 not in steps[:-1], (query.__name__, s, t)
+                ended += steps[-1:] == [0]
+    assert ended >= 10
+
+
 def test_hp_bbfs_rejects_masked_endpoint(star6):
     mask = np.zeros(star6.n, bool)
     mask[0] = True
@@ -403,8 +449,9 @@ def test_hl_star_leaves(star6, expanded):
     res, seen = expanded(hl_query, star6, idx, 1, 2)
     assert_certified(star6, res, 2)
     assert res.path == [1, 0, 2]
-    # step 2 expands only the two leaves; the center is pruned
-    assert sorted(seen.tolist()) == [1, 2]
+    # step 2 expands only leaf 1, whose one neighbor is the pruned center,
+    # and ends once that side is exhausted
+    assert seen.tolist() == [1]
 
 
 def test_hl_disconnecting_hub():
@@ -566,13 +613,14 @@ def search_outcomes(expanded, g, hubs, net, pairs, k):
 
 
 def test_scalar_and_vector_steps_agree(monkeypatch, expanded):
-    # one directed path 0 -> ... -> 300, plus the arc 0 -> 301: from 301 the
-    # forward side exhausts at radius 0 and the backward side's level
-    # reaches 255, the most a MAX_K-bounded search can label
+    # one directed path 0 -> ... -> 300, plus the arc 0 -> 301: from 1 to 256
+    # both frontiers hold one vertex, so forward wins every tie and labels
+    # level MAX_K, the most a MAX_K-bounded search can label; from 301 the
+    # forward side exhausts at radius 0
     chain = Graph.from_edges(302, list(range(300)) + [0], list(range(1, 301)) + [301],
                              directed=True)
     cases = [(chain, HubSet.from_ids(302, [100, 200]), MAX_K,
-              [(301, 300), (0, 254), (0, 255), (3, 250), (300, 0)])]
+              [(1, 256), (301, 300), (0, 254), (0, 255), (3, 250), (300, 0)])]
     for g in (ba_graph(600, 3, seed=61), er_graph(500, 8, seed=62),
               er_graph(400, 6, seed=63, directed=True)):
         rng = np.random.Generator(np.random.PCG64(64))
@@ -585,6 +633,11 @@ def test_scalar_and_vector_steps_agree(monkeypatch, expanded):
         monkeypatch.setattr(engines, "SCALAR_EDGES", 1 << 40)
         scalar = search_outcomes(expanded, g, hubs, net, pairs, k)
         assert scalar == vector
+    # bibfs on (1, 256) expands only forward, 1 to MAX_K, so it labels
+    # vertex MAX_K + 1 at level MAX_K
+    res, seen = expanded(bibfs_query, chain, 1, 256, MAX_K)
+    assert seen.tolist() == list(range(1, MAX_K + 1))
+    assert res.stats.enqueued == MAX_K + 2
 
 
 @pytest.mark.parametrize("kind, param, seed, directed, answers_sha", [
@@ -613,8 +666,8 @@ def test_pinned_answers(kind, param, seed, directed, answers_sha):
 
 
 @pytest.mark.parametrize("kind, param, seed, directed, work_sha", [
-    ("ba", 3, 13, False, "8e315faf4cdd915dfbc22b9289ce0037da769223d3646082d6786a69509584ad"),
-    ("er", 5, 12, True, "4563bfe4983edc756d61c6ba918971940744c9dc79f5c038a25ab0ef63dea2c4"),
+    ("ba", 3, 13, False, "915071bc6128162b5d000631110213a586d4521fbf136267922b6c47cdf687cc"),
+    ("er", 5, 12, True, "604c15dbd6a525960fc975d2b6c1cd9319c2f5f17f243e303d654606cd7dd210"),
 ], ids=["ba-undirected", "er-directed"])
 def test_pinned_work_counters(kind, param, seed, directed, work_sha):
     """visited and enqueued of bibfs, hn and hl over test_pinned_answers' pairs.
