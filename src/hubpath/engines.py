@@ -24,11 +24,10 @@ hub labeled by one side only can still close a shorter path.
 Fixed numpy cost per call dominates small levels and Python's per-edge cost
 dominates large ones; the threshold comes from a sweep over the perfbench
 workloads, where 256 to 512 were fastest for all three engines.  Both steps
-pick the smallest-id predecessor as parent -- the scalar one by scanning the
-frontier in ascending id order, the vectorized one (like graph.bfs_tree)
-through graph.first_parents -- so answers, paths and counters do not depend
-on which step ran.  The label join is a scalar loop over the stored labels,
-read in place through the label tables' memoryviews.
+write levels only, and the same ones, so answers, paths and counters do not
+depend on which step ran; _stitch reads the path back from the levels.  The
+label join is a scalar loop over the stored labels, read in place through
+the label tables' memoryviews.
 
 bfs_query and estimate_full_join are the oracles the fast paths are checked
 against, so they share no level step or join with them: bfs_query runs
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_tree, first_parents, frontier_edges, validate_path
+from .graph import Graph, bfs_tree, frontier_edges, sort_unique, validate_path
 from .hub2 import INF, Hub2Index, IndexIntegrityError
 from .hubs import HubSet
 from .network import HubNetwork
@@ -125,30 +124,28 @@ class _Side:
 
     The view (offsets, targets, lists) holds the same rows as CSR arrays for
     the vectorized step and as Python lists for the scalar one.  lv holds
-    level + 1 (0 = unlabeled) and par the predecessor, which is only read
-    where lv is set.  Each is one numpy buffer, written by the vectorized
-    step and, through a memoryview, by the scalar one.  The frontier is a
-    list after a scalar step and an int64 array after a vectorized one,
-    ascending either way.
+    level + 1 (0 = unlabeled) in one numpy buffer, written by the vectorized
+    step and, through a memoryview, by the scalar one; _stitch reads the
+    path back from it.  The frontier is a list after a scalar step and an
+    int64 array after a vectorized one, ascending either way.
 
     Vertices in the labeled mask start labeled, so no step enters them, and
     nothing reads their level: meets are checked on fresh labels only, and
-    paths are stitched from parents of vertices some step labeled.
+    _stitch steps only onto marks above the start's.
 
     Given hn's hub mask (is_hub, a memoryview of is_hub_np), hubs lists the
     hubs this side labeled in level order, its start included.  Labels are
     never cleared, so the met hubs before hub_head stay met for good.
     """
 
-    __slots__ = ("lv", "lv_np", "par", "par_np", "frontier", "radius", "offsets",
-                 "targets", "adj", "is_hub", "is_hub_np", "hubs", "hub_head")
+    __slots__ = ("lv", "lv_np", "frontier", "radius", "offsets", "targets", "adj",
+                 "is_hub", "is_hub_np", "hubs", "hub_head")
 
     def __init__(self, view, start, labeled, hub_mask):
         self.offsets, self.targets, self.adj = view
         n = len(self.adj)
         self.lv_np = np.zeros(n, np.uint16) if labeled is None else labeled.astype(np.uint16)
-        self.par_np = np.empty(n, np.uint32)
-        self.lv, self.par = memoryview(self.lv_np), memoryview(self.par_np)
+        self.lv = memoryview(self.lv_np)
         self.lv[start] = 1
         self.frontier = [start]
         self.radius = 0
@@ -175,19 +172,14 @@ class _Side:
 
 
 def _scalar_step(side, frontier):
-    """Label the next level with Python scalars; frontier is an ascending list.
-
-    Scanning the frontier in ascending order makes the first discoverer of a
-    vertex its smallest-id predecessor, as in the vectorized step.
-    """
-    lv, par, adj = side.lv, side.par, side.adj
+    """Label the next level with Python scalars; frontier is a list."""
+    lv, adj = side.lv, side.adj
     mark = side.radius + 2
     new = []
     for v in frontier:
         for w in adj[v]:
             if not lv[w]:
                 lv[w] = mark
-                par[w] = v
                 new.append(w)
     new.sort()
     return new
@@ -195,11 +187,9 @@ def _scalar_step(side, frontier):
 
 def _vector_step(side, frontier):
     """Label the next level with whole-array operations; frontier and result are int64 arrays."""
-    srcs, dsts = frontier_edges(side.offsets, side.targets, frontier)
-    fresh = side.lv_np[dsts] == 0
-    new, pred = first_parents(srcs[fresh], dsts[fresh])
+    dsts = frontier_edges(side.offsets, side.targets, frontier)[1]
+    new = sort_unique(dsts[side.lv_np[dsts] == 0])
     side.lv_np[new] = side.radius + 2
-    side.par_np[new] = pred
     return new
 
 
@@ -255,18 +245,25 @@ def _register_meets(new, side, other, best, meet):
     return best, meet
 
 
-def _stitch(fwd, bwd, meet, s, t):
-    left = [meet]
-    v = meet
-    while v != s:
-        v = fwd.par[v]
-        left.append(v)
-    left.reverse()
-    v = meet
-    while v != t:
-        v = bwd.par[v]
-        left.append(v)
-    return left
+def _stitch(g, fwd, bwd, meet, s, t):
+    """The s-t path through meet, read back from both sides' levels: each
+    side steps over g's own lists (in-lists toward s) to the smallest-id
+    neighbor one level lower, which exists because a step labeled the vertex
+    from one, and from level 1 to its start, never onto a pre-labeled vertex.
+    """
+    halves = []
+    for lv, adj, start in ((fwd.lv, g.adj_lists(True), s), (bwd.lv, g.adj_lists(), t)):
+        v, half = meet, [meet]
+        for mark in range(lv[v] - 1, 1, -1):
+            for w in adj[v]:
+                if lv[w] == mark:
+                    break
+            v = w
+            half.append(v)
+        if v != start:
+            half.append(start)
+        halves.append(half)
+    return halves[0][::-1] + halves[1][1:]
 
 
 def _next_side(fwd, bwd, best, cap):
@@ -302,7 +299,7 @@ def _next_side(fwd, bwd, best, cap):
     short of a meet is one of the first two cases, where the other side grows.
 
     The stitched path is the one the search would end with anyway: only a
-    strictly smaller sum replaces best, and labels and parents never change.
+    strictly smaller sum replaces best, and labels never change.
     """
     target = min(best, cap)
     grow_f, grow_b = len(fwd.frontier) > 0, len(bwd.frontier) > 0
@@ -319,7 +316,7 @@ def _graph_views(g):
     return (*g.adjacency(), g.adj_lists()), (*g.adjacency(True), g.adj_lists(True))
 
 
-def _bidirectional(views, s, t, cap, engine, labeled=None, hub_mask=None):
+def _bidirectional(g, views, s, t, cap, engine, labeled=None, hub_mask=None):
     """Shared core over the (forward, reverse) views, labeled vertices excluded;
     only distances strictly below cap are reported.  _next_side picks each
     side to expand and ends the search; hub_mask (hn) gives it open hubs.
@@ -342,13 +339,13 @@ def _bidirectional(views, s, t, cap, engine, labeled=None, hub_mask=None):
         best, meet = _register_meets(new, side, other, best, meet)
     if best >= cap:
         return QueryResult(None, None, stats)
-    return QueryResult(best, _stitch(fwd, bwd, meet, s, t), stats)
+    return QueryResult(best, _stitch(g, fwd, bwd, meet, s, t), stats)
 
 
 def bibfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     """Bidirectional BFS, expanding the smaller frontier first."""
     _check_pair(g, s, t)
-    return _bidirectional(_graph_views(g), s, t, k + 1, "bibfs")
+    return _bidirectional(g, _graph_views(g), s, t, k + 1, "bibfs")
 
 
 def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) -> QueryResult:
@@ -360,6 +357,8 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     levels in both directions, so the minimum over meeting vertices is still
     the distance.  The search stops once neither the radius sum nor a hub
     labeled by one side only leaves room for a shorter path (_next_side).
+    The path is read back over g's own lists, not the views, so it may step
+    from a hub to a vertex outside H*; it is still a shortest path of G.
     Discovery preserves hub-pair distances only up to net.k, so a larger k
     is an error.
     """
@@ -367,7 +366,7 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     if k > net.k:
         raise ValueError(f"k={k} exceeds the hub network's k={net.k}; engine hn "
                          f"needs k <= {net.k} or a network discovered with k={k}")
-    return _bidirectional(net.search_views(g, hubs), s, t, k + 1, "hn",
+    return _bidirectional(g, net.search_views(g, hubs), s, t, k + 1, "hn",
                           hub_mask=hubs.is_hub)
 
 
@@ -381,7 +380,7 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
     _check_pair(g, s, t)
     if hub_mask[s] or hub_mask[t]:
         raise ValueError("hub-pruning search requires unmasked endpoints")
-    return _bidirectional(_graph_views(g), s, t, bound, "hp-bbfs", labeled=hub_mask)
+    return _bidirectional(g, _graph_views(g), s, t, bound, "hp-bbfs", labeled=hub_mask)
 
 
 def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:

@@ -18,10 +18,9 @@ deduplicate through sort_unique.
 
 bfs_tree is the one single-source BFS level loop outside the engines: the
 reference engine bfs_query, bounded_bfs and the label oracle
-hub2.core_hubs_oracle run on it.  first_parents decides which predecessor
-becomes a new vertex's parent, in bfs_tree and in the engines' vectorized
-step alike.  bit_levels is the one bit-parallel level loop: hub2.build reads
-labels and the hub-pair matrix from it, network.discover each hub's
+hub2.core_hubs_oracle run on it; it alone keeps parents, picked by
+first_parents.  bit_levels is the one bit-parallel level loop: hub2.build
+reads labels and the hub-pair matrix from it, network.discover each hub's
 unblocked region, and the preservation check
 (network.verify_distance_preserving) the hub-pair distances.
 """

@@ -27,7 +27,7 @@ from hubpath import (
 from hubpath.engines import hp_bbfs
 from hubpath.hub2 import MAX_K
 
-from conftest import ba_graph, er_graph
+from conftest import ba_graph, cyclic_digraph, er_graph
 from oracles import (
     adjacency_from_graph,
     all_pairs_dist,
@@ -99,16 +99,26 @@ def test_bibfs_oracle_sweep_and_search_space():
     assert wins >= 0.9 * total
 
 
+def test_cyclic_digraph_has_cycles():
+    # the directed sweeps also run on these graphs, since er_graph and
+    # ba_graph give DAGs with directed=True
+    for g in (cyclic_digraph("er", 50, 4, 71), cyclic_digraph("ba", 60, 2, 72),
+              cyclic_digraph("er", 300, 6, 3), cyclic_digraph("ba", 250, 3, 7)):
+        src = np.repeat(np.arange(g.n), np.diff(g.out_offsets))
+        assert (src > g.out_targets).any() and (src < g.out_targets).any()
+        assert any(g.has_edge(v, u) for u, v in zip(src.tolist(), g.out_targets.tolist()))
+
+
 def test_bibfs_directed_agreement():
-    g = er_graph(300, 6, seed=3, directed=True)
-    rng = np.random.Generator(np.random.PCG64(5))
-    for _ in range(150):
-        s, t = (int(x) for x in rng.integers(0, g.n, 2))
-        truth = bfs_query(g, s, t, 6)
-        res = bibfs_query(g, s, t, 6)
-        assert res.distance == truth.distance
-        if res.found:
-            assert validate_path(g, res.path)
+    for g in (er_graph(300, 6, seed=3, directed=True), cyclic_digraph("er", 300, 6, 3)):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(150):
+            s, t = (int(x) for x in rng.integers(0, g.n, 2))
+            truth = bfs_query(g, s, t, 6)
+            res = bibfs_query(g, s, t, 6)
+            assert res.distance == truth.distance
+            if res.found:
+                assert validate_path(g, res.path)
 
 
 # ------------------------------------------------------------------ hn engine
@@ -129,6 +139,12 @@ def test_hn_chain_meets_inside_network(chain4):
     res = hn_query(chain4, hubs, net, 0, 3, 6)
     assert_certified(chain4, res, 3)
     assert res.path == [0, 1, 2, 3]
+    # lone hub 2 keeps no neighbor in its search row, and the sides meet on
+    # it: the path is read back over the graph's lists, not the views
+    chain5 = Graph.from_edges(5, range(4), range(1, 5), directed=False)
+    hubs = hubset(chain5, [2])
+    res = hn_query(chain5, hubs, discover(chain5, hubs, 6), 0, 4, 6)
+    assert res.path == [0, 1, 2, 3, 4]
 
 
 def test_hn_oracle_sweep_top5pct():
@@ -230,7 +246,8 @@ def test_estimate_never_underestimates():
 
 
 def test_estimate_full_join_equivalence():
-    for g in (ba_graph(400, 4, seed=23), er_graph(300, 12, seed=8, directed=True)):
+    for g in (ba_graph(400, 4, seed=23), er_graph(300, 12, seed=8, directed=True),
+              cyclic_digraph("er", 300, 12, 8)):
         idx = build_index(g, select_hubs(g, 16), 6)
         rng = np.random.Generator(np.random.PCG64(13))
         for _ in range(1000):
@@ -319,9 +336,16 @@ def test_hp_bbfs_never_expands_masked(expanded):
         s, t = (int(x) for x in rng.integers(0, g.n, 2))
         if s == t or hubs.is_hub[s] or hubs.is_hub[t]:
             continue
-        _, seen = expanded(hp_bbfs, g, hubs.is_hub, s, t, 7)
+        res, seen = expanded(hp_bbfs, g, hubs.is_hub, s, t, 7)
         assert not hubs.is_hub[seen].any()
+        # nor does its path: hubs share the start's level-0 mark
+        if res.found:
+            assert res.path[0] == s and res.path[-1] == t
+            assert not hubs.is_hub[res.path].any()
         done += 1
+    # 1's only route to 3 passes 2, whose smaller neighbor 0 is masked
+    g = Graph.from_edges(4, [0, 1, 2], [2, 2, 3], directed=False)
+    assert hp_bbfs(g, hubset(g, [0]).is_hub, 1, 3, 7).path == [1, 2, 3]
 
 
 def test_hp_bbfs_matches_masked_oracle():
@@ -348,8 +372,11 @@ def test_every_bound_on_small_graphs(directed):
     # the stop rule decides which sums a search still reaches, so every bound
     # from 1 to k + 1 is swept over all ordered pairs
     k = 5
-    for g in (er_graph(50, 4, seed=71, directed=directed),
-              ba_graph(60, 2, seed=72, directed=directed)):
+    graphs = [er_graph(50, 4, seed=71, directed=directed),
+              ba_graph(60, 2, seed=72, directed=directed)]
+    if directed:
+        graphs += [cyclic_digraph("er", 50, 4, 71), cyclic_digraph("ba", 60, 2, 72)]
+    for g in graphs:
         hubs = select_hubs(g, 4)
         adj = adjacency_from_graph(g)
         for s in range(g.n):
@@ -563,8 +590,8 @@ def test_engine_agreement_small_graphs():
 
 
 def test_engine_agreement_directed():
-    g = ba_graph(250, 3, seed=7, directed=True)
-    agreement_sweep(g, select_hubs(g, 12), 6, 150, 66)
+    for g in (ba_graph(250, 3, seed=7, directed=True), cyclic_digraph("ba", 250, 3, 7)):
+        agreement_sweep(g, select_hubs(g, 12), 6, 150, 66)
 
 
 def test_coverage_dichotomy_small():
@@ -622,7 +649,8 @@ def test_scalar_and_vector_steps_agree(monkeypatch, expanded):
     cases = [(chain, HubSet.from_ids(302, [100, 200]), MAX_K,
               [(1, 256), (301, 300), (0, 254), (0, 255), (3, 250), (300, 0)])]
     for g in (ba_graph(600, 3, seed=61), er_graph(500, 8, seed=62),
-              er_graph(400, 6, seed=63, directed=True)):
+              er_graph(400, 6, seed=63, directed=True), cyclic_digraph("er", 400, 6, 63),
+              cyclic_digraph("ba", 600, 3, 61)):
         rng = np.random.Generator(np.random.PCG64(64))
         pairs = [(int(s), int(t)) for s, t in rng.integers(0, g.n, size=(60, 2))]
         cases.append((g, select_hubs(g, 20), 6, pairs))
