@@ -6,11 +6,12 @@ From the root of a checkout:
     python3 scripts/answers_digest.py --seeds 21 2501 2502 [--dump answers.json]
 
 For each seed, perfbench workload and engine it prints one line with two
-sha256 digests over the pairs make_pairs(n, 1050, seed): `answers` of each
+sha256 digests over the pairs make_pairs(N, POOL, seed): `answers` of each
 pair's (distance, path) and `work` of its (visited, enqueued, join_ops,
 answered_by).  The graphs, hubs, k and pairs are perfbench's (imported from
-perfbench/inputs.py, which this script only reads), so two checkouts whose
-lines agree return the same answers and do the same work there.  --dump
+perfbench/inputs.py and perfbench/run.py, which this script only reads), so
+two checkouts whose lines agree return the same answers and do the same work
+there.  --pairs takes only the first pairs of the pool.  --dump
 writes the per-pair answers and counters as JSON, so that the pairs behind a
 differing digest can be found by comparing two dumps.
 """
@@ -28,27 +29,23 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from hubpath import build_index, discover, load_edge_list, select_hubs  # noqa: E402
 from hubpath.engines import query_with_engine  # noqa: E402
-from hubpath.hubs import default_beta  # noqa: E402
 from inputs import N, WORKLOADS, make_graph_bytes, make_pairs  # noqa: E402
-
-K = 6
-PAIRS = 1050
-ENGINES = ("bfs", "bibfs", "hn", "hl")
+from run import BETA, ENGINES, K, POOL  # noqa: E402
 
 
 def sha(rows):
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-def workload_answers(name, seed, n=N, pairs=PAIRS):
+def workload_answers(name, seed, pairs=POOL):
     """{engine: {"answers": [[distance, path]], "work": [[visited, enqueued,
-    join_ops, answered_by]]}} over make_pairs(n, pairs, seed)."""
+    join_ops, answered_by]]}} over make_pairs(N, pairs, seed)."""
     spec = WORKLOADS[name]
-    g = load_edge_list(make_graph_bytes(spec, seed, n=n), directed=spec.directed)
-    hubs = select_hubs(g, default_beta(n))
+    g = load_edge_list(make_graph_bytes(spec, seed), directed=spec.directed)
+    hubs = select_hubs(g, BETA)
     net, idx = discover(g, hubs, K), build_index(g, hubs, K)
     out = {engine: {"answers": [], "work": []} for engine in ENGINES}
-    for s, t in make_pairs(n, pairs, seed):
+    for s, t in make_pairs(N, pairs, seed):
         for engine in ENGINES:
             res = query_with_engine(engine, g, s, t, K, hubs=hubs, net=net, idx=idx)
             st = res.stats
@@ -60,16 +57,14 @@ def workload_answers(name, seed, n=N, pairs=PAIRS):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=list(WORKLOADS))
-    p.add_argument("--n", type=int, default=N, help="vertices per graph (perfbench: %(default)s)")
-    p.add_argument("--pairs", type=int, default=PAIRS)
+    p.add_argument("--pairs", type=int, default=POOL)
     p.add_argument("--dump", help="write the per-pair answers and counters to this JSON file")
     args = p.parse_args(argv)
 
     dump = {}
     for seed in args.seeds:
-        for name in args.workloads:
-            per_engine = workload_answers(name, seed, args.n, args.pairs)
+        for name in WORKLOADS:
+            per_engine = workload_answers(name, seed, args.pairs)
             dump[f"{name}/{seed}"] = per_engine
             for engine, rows in per_engine.items():
                 print(f"{name} seed={seed} {engine} answers={sha(rows['answers'])} "

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_tree, frontier_edges, sort_unique, validate_path
+from .graph import Graph, bfs_tree, csr_slices, sort_unique, validate_path
 from .hub2 import INF, Hub2Index, IndexIntegrityError
 from .hubs import HubSet
 from .network import HubNetwork
@@ -187,8 +187,8 @@ def _scalar_step(side, frontier):
 
 def _vector_step(side, frontier):
     """Label the next level with whole-array operations; frontier and result are int64 arrays."""
-    dsts = frontier_edges(side.offsets, side.targets, frontier)[1]
-    new = sort_unique(dsts[side.lv_np[dsts] == 0])
+    dsts = side.targets[csr_slices(side.offsets, frontier)[0]]
+    new = sort_unique(dsts[side.lv_np[dsts] == 0]).astype(np.int64)
     side.lv_np[new] = side.radius + 2
     return new
 

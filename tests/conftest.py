@@ -66,10 +66,9 @@ def ba_graph(n, m_attach, seed, directed=False):
     return load_edge_list(gen_synthetic("ba", n, m_attach, seed), directed=directed)
 
 
-def cyclic_digraph(kind, n, param, seed, reciprocal=0.3):
-    """er_graph or ba_graph with each edge oriented at random, and about a
-    `reciprocal` share of them given the reverse arc too, as perfbench's
-    workloads are oriented.  Unlike er_graph and ba_graph with directed=True,
+def cyclic_digraph(kind, n, param, seed):
+    """er_graph or ba_graph with each edge oriented at random, and about 30%
+    of them given the reverse arc too, as perfbench's workloads are oriented.  Unlike er_graph and ba_graph with directed=True,
     whose arcs all run one way along the ids, it has cycles."""
     und = load_edge_list(gen_synthetic(kind, n, param, seed))
     src = np.repeat(np.arange(und.n), np.diff(und.out_offsets))
@@ -77,7 +76,7 @@ def cyclic_digraph(kind, n, param, seed, reciprocal=0.3):
     src, dst = src[src < dst], dst[src < dst]
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
     flip = rng.random(src.size) < 0.5
-    both = rng.random(src.size) < reciprocal
+    both = rng.random(src.size) < 0.3
     tail, head = np.where(flip, dst, src), np.where(flip, src, dst)
     return Graph.from_edges(und.n, np.concatenate([tail, head[both]]),
                             np.concatenate([head, tail[both]]), directed=True)
