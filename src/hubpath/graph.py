@@ -18,11 +18,11 @@ deduplicate through sort_unique.
 
 bfs_tree is the one single-source BFS level loop outside the engines: the
 reference engine bfs_query, bounded_bfs and the label oracle
-hub2.core_hubs_oracle run on it; it alone keeps parents, picked by
-first_parents.  bit_levels is the one bit-parallel level loop: hub2.build
-reads labels and the hub-pair matrix from it, network.discover each hub's
-unblocked region, and the preservation check
-(network.verify_distance_preserving) the hub-pair distances.
+hub2.core_hubs_oracle run on it; it alone keeps parents, each level's picked
+by one scatter-min (np.minimum.at) over its fresh edges.  bit_levels is the
+one bit-parallel level loop: hub2.build reads labels and the hub-pair matrix
+from it, network.discover each hub's unblocked region, and the preservation
+check (network.verify_distance_preserving) the hub-pair distances.
 """
 
 from __future__ import annotations
@@ -327,19 +327,6 @@ def frontier_edges(offsets, targets, frontier):
     return np.repeat(frontier, counts), targets[pos].astype(np.int64)
 
 
-def first_parents(srcs, dsts):
-    """Pick each new vertex's parent from the fresh edges of one BFS level.
-
-    Returns the distinct destinations in ascending order and, for each, the
-    smallest-id source.
-    """
-    order = np.lexsort((srcs, dsts))
-    ds = dsts[order]
-    first = np.ones(ds.size, bool)
-    first[1:] = ds[1:] != ds[:-1]
-    return ds[first], srcs[order][first]
-
-
 def set_bits(words):
     """(index, bit) of every set bit of a uint64 array, by index, then bit."""
     data = words.astype("<u8", copy=False).view(np.uint8)
@@ -393,13 +380,16 @@ def bfs_tree(offsets, targets, source, max_depth, stop=None):
     """Level-synchronous BFS from source bounded at max_depth.
 
     Returns (level, parent, expanded): int32 levels (-1 unreached), int32
-    parents picked by first_parents -- each vertex's smallest-id predecessor
-    one level up, -1 at the source and at unreached vertices -- and the count
-    of frontier vertices expanded.  The search ends after the level that
-    labels stop.
+    parents -- each vertex's smallest-id predecessor one level up, -1 at the
+    source and at unreached vertices -- and the count of frontier vertices
+    expanded.  Each level takes one scatter-min of its fresh edges' sources
+    into parent, which holds n until a vertex is reached; the next frontier
+    is the vertices that have a parent but no level yet, ascending.  The
+    search ends after the level that labels stop.
     """
-    level = np.full(offsets.size - 1, -1, np.int32)
-    parent = np.full_like(level, -1)
+    n = offsets.size - 1
+    level = np.full(n, -1, np.int32)
+    parent = np.full_like(level, n)
     level[source] = 0
     frontier = np.array([source], dtype=np.int64)
     expanded = 0
@@ -409,11 +399,12 @@ def bfs_tree(offsets, targets, source, max_depth, stop=None):
         expanded += int(frontier.size)
         srcs, dsts = frontier_edges(offsets, targets, frontier)
         fresh = level[dsts] < 0
-        frontier, pred = first_parents(srcs[fresh], dsts[fresh])
+        np.minimum.at(parent, dsts[fresh], srcs[fresh].astype(np.int32))
+        frontier = np.flatnonzero((parent < n) & (level < 0))
         if frontier.size == 0:
             break
         level[frontier] = depth
-        parent[frontier] = pred
+    parent[parent == n] = -1
     return level, parent, expanded
 
 

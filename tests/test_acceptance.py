@@ -31,6 +31,7 @@ from hubpath import (
 from hubpath.engines import hp_bbfs
 from hubpath.generate import gen_synthetic
 
+from conftest import cyclic_digraph
 from oracles import adjacency_from_graph, all_pairs_dist, some_shortest_path_has_hub
 
 
@@ -48,19 +49,29 @@ SUITE_SPECS = [("er", 10.0, seed) for seed in (1, 2, 3)] + \
               [("ba", 5, seed) for seed in (1, 2, 3)]
 
 
+def suite_entry(kind, seed, g):
+    """(kind, seed, g, top-1% hubs, {k: (network, index)} for k in {4, 6})."""
+    hubs = select_hubs(g, 20)
+    per_k = {k: (discover(g, hubs, k), build_index(g, hubs, k)) for k in (4, 6)}
+    return kind, seed, g, hubs, per_k
+
+
 def suite_2000():
-    """Six n=2000 graphs with top-1% hubs; nets and indexes for k in {4, 6}."""
+    """Six undirected n=2000 graphs, with hubs, nets and indexes."""
     if "suite" not in _CACHE:
-        entries = []
-        for kind, param, seed in SUITE_SPECS:
-            g = load_edge_list(gen_synthetic(kind, 2000, param, seed))
-            hubs = select_hubs(g, 20)
-            per_k = {}
-            for k in (4, 6):
-                per_k[k] = (discover(g, hubs, k), build_index(g, hubs, k))
-            entries.append((kind, seed, g, hubs, per_k))
-        _CACHE["suite"] = entries
+        _CACHE["suite"] = [
+            suite_entry(kind, seed, load_edge_list(gen_synthetic(kind, 2000, param, seed)))
+            for kind, param, seed in SUITE_SPECS]
     return _CACHE["suite"]
+
+
+def cyclic_2000():
+    """suite_2000's graphs oriented by conftest.cyclic_digraph, which has cycles."""
+    if "cyclic" not in _CACHE:
+        _CACHE["cyclic"] = [
+            suite_entry(kind, seed, cyclic_digraph(kind, 2000, param, seed))
+            for kind, param, seed in SUITE_SPECS]
+    return _CACHE["cyclic"]
 
 
 def small_suite():
@@ -98,7 +109,7 @@ def test_criterion_1_exactness_sweep():
     t0 = time.monotonic()
     mismatches = 0
     checked = 0
-    for kind, seed, g, hubs, per_k in suite_2000():
+    for kind, seed, g, hubs, per_k in suite_2000() + cyclic_2000():
         pairs = make_workload(g, 1000, seed=seed * 31 + 7).pairs
         for k in (4, 6):
             net, idx = per_k[k]

@@ -668,10 +668,19 @@ def test_scalar_and_vector_steps_agree(monkeypatch, expanded):
     assert res.stats.enqueued == MAX_K + 2
 
 
+def pinned_graph(kind, param, seed, directed):
+    """The 600-vertex graph of a pinned row; directed="cyclic" orients it
+    with conftest.cyclic_digraph."""
+    if directed == "cyclic":
+        return cyclic_digraph(kind, 600, param, seed)
+    return load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+
+
 @pytest.mark.parametrize("kind, param, seed, directed, answers_sha", [
     ("ba", 3, 13, False, "2c985fa283bd012da98621f0b3df1e3d40cd79339b6f87a194ce4ef63d58ce99"),
     ("er", 5, 12, True, "ea81e583edb33a5ac3730bcfee5af59ce64bd70221dd2117ea0539bd237ab10a"),
-], ids=["ba-undirected", "er-directed"])
+    ("ba", 3, 13, "cyclic", "baa418b323bd204a851eb96319af39cda539d33e04cdbb45d25e83e7478dd3c4"),
+], ids=["ba-undirected", "er-directed", "ba-cyclic"])
 def test_pinned_answers(kind, param, seed, directed, answers_sha):
     """Distances and paths of bibfs, hn and hl are pinned to fixed digests.
 
@@ -680,7 +689,7 @@ def test_pinned_answers(kind, param, seed, directed, answers_sha):
     versions.  Work counters are left out: a search-order change may move
     them without changing any answer.
     """
-    g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+    g = pinned_graph(kind, param, seed, directed)
     hubs = select_hubs(g, 24)
     net = discover(g, hubs, 5)
     idx = build_index(g, hubs, 5)
@@ -696,7 +705,8 @@ def test_pinned_answers(kind, param, seed, directed, answers_sha):
 @pytest.mark.parametrize("kind, param, seed, directed, work_sha", [
     ("ba", 3, 13, False, "915071bc6128162b5d000631110213a586d4521fbf136267922b6c47cdf687cc"),
     ("er", 5, 12, True, "604c15dbd6a525960fc975d2b6c1cd9319c2f5f17f243e303d654606cd7dd210"),
-], ids=["ba-undirected", "er-directed"])
+    ("ba", 3, 13, "cyclic", "bb377d79b91d833bf5ce5d23af9b2b39ce074857a679141d3b5c01b6463d7908"),
+], ids=["ba-undirected", "er-directed", "ba-cyclic"])
 def test_pinned_work_counters(kind, param, seed, directed, work_sha):
     """visited and enqueued of bibfs, hn and hl over test_pinned_answers' pairs.
 
@@ -705,7 +715,7 @@ def test_pinned_work_counters(kind, param, seed, directed, work_sha):
     change that alters the search order on purpose recomputes them and says
     so in CHANGES.md.
     """
-    g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+    g = pinned_graph(kind, param, seed, directed)
     hubs = select_hubs(g, 24)
     net = discover(g, hubs, 5)
     idx = build_index(g, hubs, 5)
@@ -721,11 +731,12 @@ def test_pinned_work_counters(kind, param, seed, directed, work_sha):
 @pytest.mark.parametrize("kind, param, seed, directed, bfs_sha", [
     ("ba", 3, 13, False, "48d63b1ead8d659efe01a451c8e6da6de009ad85e061e1617fd972e766431422"),
     ("er", 5, 12, True, "f5f90280a895bae5059c28ed95977988b5e02559e808d1277d38f215b584b2f5"),
-], ids=["ba-undirected", "er-directed"])
+    ("ba", 3, 13, "cyclic", "dd1ff5a0fae0012ba04a39987e5a44f2b6d142d0d2fc14ce2129b93e58dbac63"),
+], ids=["ba-undirected", "er-directed", "ba-cyclic"])
 def test_pinned_bfs_work(kind, param, seed, directed, bfs_sha):
     """Distance, path, visited and enqueued of bfs_query over test_pinned_answers'
     pairs: the reference engine's parent rule and counters, pinned."""
-    g = load_edge_list(gen_synthetic(kind, 600, param, seed), directed=directed)
+    g = pinned_graph(kind, param, seed, directed)
     rng = np.random.Generator(np.random.PCG64(seed))
     work = []
     for s, t in rng.integers(0, g.n, size=(300, 2)).tolist():

@@ -18,9 +18,9 @@ from hubpath import (
     validate_path,
 )
 
-from hubpath.graph import MAX_VERTEX_ID, bfs_tree, first_parents
+from hubpath.graph import MAX_VERTEX_ID, bfs_tree
 
-from conftest import ba_graph, er_graph
+from conftest import ba_graph, cyclic_digraph, er_graph
 from oracles import adjacency_from_graph, bfs_dist
 
 
@@ -244,10 +244,10 @@ def _bfs_cases(draw):
     return g, draw(st.integers(0, n - 1)), draw(st.integers(0, 6)), stop
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_bfs_cases())
-def test_bfs_tree_levels_parents_and_stop(case):
-    g, source, max_depth, stop = case
+def check_bfs_tree(g, source, max_depth, stop=None):
+    """bfs_tree against a plain queue BFS: levels, parent = the smallest
+    in-neighbour one level up, and expanded.  Returns the most in-neighbours
+    one level up that any vertex has, the candidates its parent is picked from."""
     level, parent, expanded = bfs_tree(*g.adjacency(), source, max_depth, stop=stop)
     truth = bfs_dist(adjacency_from_graph(g), source, max_depth)
     last = max_depth
@@ -256,21 +256,28 @@ def test_bfs_tree_levels_parents_and_stop(case):
         truth = {v: d for v, d in truth.items() if d <= last}
     assert {v: int(level[v]) for v in np.flatnonzero(level >= 0).tolist()} == truth
     into = adjacency_from_graph(g, reverse=True)
+    most = 0
     for v in range(g.n):
         up = [u for u in into[v] if level[v] > 0 and level[u] == level[v] - 1]
         assert parent[v] == (min(up) if up else -1)
+        most = max(most, len(up))
     assert expanded == sum(1 for d in truth.values() if d < last)
+    return most
 
 
-def test_first_parents():
-    srcs = np.array([7, 2, 5, 3, 4, 9], np.int64)
-    dsts = np.array([8, 6, 8, 1, 6, 8], np.int64)
-    new, parent = first_parents(srcs, dsts)
-    # destinations ascending, each with its smallest-id source
-    assert (new.tolist(), parent.tolist()) == ([1, 6, 8], [3, 2, 5])
-    empty = np.empty(0, np.int64)
-    new, parent = first_parents(empty, empty)
-    assert new.size == 0 and parent.size == 0
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bfs_cases())
+def test_bfs_tree_levels_parents_and_stop(case):
+    check_bfs_tree(*case)
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["ba", "ba-cyclic"])
+def test_bfs_tree_parents_at_scale(cyclic):
+    # levels of up to 2593 fresh edges; up to 19 (ba) and 8 (ba-cyclic) of
+    # them lead into one vertex, which keeps the smallest source
+    g = cyclic_digraph("ba", 2000, 3, 17) if cyclic else ba_graph(2000, 3, 17)
+    most = [check_bfs_tree(g, source, 6) for source in (0, 1, 700, 1400, 1999)]
+    assert max(most) >= 8
 
 
 def test_validate_path_cases(chain4):
