@@ -7,14 +7,13 @@ reverse adjacency next to the forward one.  The sorted slices are what make
 the first label carrier in a slice its smallest-id one, the next hop of a
 label walk, and serialization deterministic.
 
-load_edge_list parses the whole buffer in numpy: a byte class table gives the
-token bounds, and the first two tokens of each data line become int64 ids by
-Horner's rule, one gather per digit column.  A line that is not two plain
-digit tokens -- fewer tokens, a sign, an underscore or other non-digit, more
-than 10 digits or an id above MAX_VERTEX_ID, a line break other than LF or
-CRLF, non-ASCII text -- sends the input to the line loop, which accepts it as
-the format allows or names the line.  from_edges and HubSet.from_ids
-deduplicate through sort_unique.
+load_edge_list reads plain input with np.loadtxt: printable ASCII, tabs and
+LF or CRLF line breaks, '#' only at the start of a token, and first two
+columns that are ids in [0, MAX_VERTEX_ID].  Anything else -- any other byte,
+a lone CR, a '#' inside a token, a line loadtxt cannot read, no data line, an
+id out of range -- goes to the line loop, which accepts it as the format
+allows or names the line.  from_edges and HubSet.from_ids deduplicate
+through sort_unique.
 
 bfs_tree is the one single-source BFS level loop outside the engines: the
 reference engine bfs_query, bounded_bfs and the label oracle
@@ -28,6 +27,9 @@ check (network.verify_distance_preserving) the hub-pair distances.
 from __future__ import annotations
 
 import hashlib
+import io
+import re
+import warnings
 
 import numpy as np
 
@@ -204,8 +206,8 @@ def load_edge_list(source, directed=False) -> Graph:
 def _parse_edges(data):
     """(sources, targets) int64 arrays of edge-list text, one entry per data line.
 
-    ASCII text takes the vectorised parse; the line loop reads the rest, and
-    any text where a line is not two plain digit tokens.
+    ASCII text goes to np.loadtxt (_parse_buffer); the line loop reads the
+    rest, and any text _parse_buffer turns down.
     """
     if isinstance(data, str) and data.isascii():
         data = data.encode("ascii")
@@ -213,79 +215,44 @@ def _parse_edges(data):
     return edges if edges is not None else _parse_lines(data)
 
 
-# Byte classes of the vectorised parse.  Blanks end tokens: space, tab, line
-# feed, and carriage return as part of CRLF.  Odd bytes are the other ones
-# str's splitlines or split reads as line breaks or blanks, and the non-ASCII
-# bytes.  Every other byte is part of a token.
-_TOKEN, _BLANK, _ODD = 0, 1, 2
-_BYTE_CLASS = np.full(256, _ODD, np.uint8)
-_BYTE_CLASS[:128] = _TOKEN
-_BYTE_CLASS[[0x09, 0x0A, 0x0D, 0x20]] = _BLANK
-_BYTE_CLASS[[0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F]] = _ODD
-_MAX_ID_DIGITS = len(str(MAX_VERTEX_ID))
+# The bytes np.loadtxt and the line loop read alike: printable ASCII, tab, LF,
+# and CR where it ends a CRLF (checked apart).
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 
 
 def _parse_buffer(data: bytes):
-    """Vectorised edge-list parse; None when some line needs the line loop.
+    """(sources, targets) as np.loadtxt reads the first two columns; None
+    where loadtxt could read the text otherwise than the line loop, or fails.
 
-    Token boundaries come from a byte class table; a token starting with '#'
-    at the head of a line makes it a comment.  The first two tokens of every
-    other line must be plain decimal ids, read by Horner's rule one digit
-    column at a time.  Offsets are int32 where the buffer allows.
+    That is a byte outside _PLAIN (loadtxt reads some control bytes as blanks
+    where the loop breaks the line, and the loop rejects non-ASCII bytes), a
+    CR that does not end a CRLF (the loop breaks the line there, loadtxt does
+    not), a '#' after a non-blank byte (loadtxt starts a comment there, the
+    loop reads a malformed token), an error or a warning from loadtxt (a line
+    it cannot read, no data line, or on older numpy an integer written as a
+    float), and an id outside [0, MAX_VERTEX_ID].
     """
-    buf = np.frombuffer(data, np.uint8)
-    cls = _BYTE_CLASS.take(buf)
-    if (cls == _ODD).any():
+    if data.translate(None, _PLAIN):
         return None
-    cr = np.flatnonzero(buf == 0x0D)
-    if cr.size and (cr[-1] + 1 == buf.size or (buf[cr + 1] != 0x0A).any()):
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
-    is_token = np.zeros(buf.size + 2, np.int8)
-    np.equal(cls, _TOKEN, out=is_token[1:-1], casting="unsafe")
-    step = np.diff(is_token)
-    del cls, is_token  # buffer-sized temporaries would otherwise set the peak
-    index = np.int32 if buf.size < 2**31 else np.int64
-    starts = np.flatnonzero(step == 1).astype(index)
-    ends = np.flatnonzero(step == -1).astype(index)
-    del step
-    line = np.searchsorted(np.flatnonzero(buf == 0x0A).astype(index), starts).astype(index)
-    head = np.ones(starts.size, bool)
-    np.not_equal(line[1:], line[:-1], out=head[1:])
-    first = np.flatnonzero(head)
-    first = first[buf[starts[first]] != ord("#")]
-    second = first + 1
-    if second.size and (second[-1] == starts.size or (line[second] != line[first]).any()):
+    hashes = (match.start() for match in re.finditer(b"#", data))
+    if any(at and data[at - 1] not in b"\t\n\r " for at in hashes):
         return None
-    src = _digit_ids(buf, starts[first], ends[first])
-    dst = _digit_ids(buf, starts[second], ends[second])
-    if src is None or dst is None:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ids = np.loadtxt(io.BytesIO(data), np.int64, comments="#", usecols=(0, 1), ndmin=2)
+    except (ValueError, Warning):
         return None
-    return src, dst
-
-
-def _digit_ids(buf, starts, ends):
-    """int64 values of plain decimal tokens; None if one is not 1 to 10 digits
-    or exceeds MAX_VERTEX_ID."""
-    ids = np.zeros(starts.size, np.int64)
-    if starts.size == 0:
-        return ids
-    width = ends - starts
-    if width.max() > _MAX_ID_DIGITS:
+    if ids.min() < 0 or ids.max() > MAX_VERTEX_ID:
         return None
-    for col in range(int(width.max())):
-        digit = buf.take(starts + col, mode="clip") - np.uint8(ord("0"))
-        inside = width > col
-        if (inside & (digit > 9)).any():
-            return None
-        ids = np.where(inside, ids * 10 + digit, ids)
-    if ids.max() > MAX_VERTEX_ID:
-        return None
-    return ids
+    return ids[:, 0], ids[:, 1]
 
 
 def _parse_lines(data):
-    """The line loop: reads what the vectorised parse leaves, and names the
-    first line it cannot read."""
+    """The line loop: reads what np.loadtxt is not trusted with, and names the
+    first line it cannot read; every error that names a line comes from here."""
     from_bytes = isinstance(data, bytes)
     text = data.decode("ascii", "surrogateescape") if from_bytes else data
     srcs, dsts = [], []

@@ -1,5 +1,8 @@
+import importlib.util
 import io
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -148,6 +151,33 @@ def test_canonical_edge_list_takes_the_vector_path(monkeypatch):
         g = load_edge_list(source, directed=True)
         assert g.n == 4968 and g.m == 4
         assert list(g.neighbors(0)) == [1] and list(g.neighbors(0, reverse=True)) == [2, 4967]
+
+
+@pytest.mark.parametrize("data", [
+    b"0 1\n# c\r1 2\n", b"0 1 # a\r2 3\n",  # a lone CR
+    b"1 2#x\n",  # '#' inside a token
+    b"1\x0b2\n", b"1 2\x1c3 4\n",  # blanks to loadtxt, line breaks to the loop
+    b"-5 2\n", b"4294967295 1\n",  # ids out of range
+    b"1.0 2\n", b"1_0 2\n", b"+5 2\n", b"", b"# only\n",
+])
+def test_parse_guards_keep_the_line_loop_outcome(data):
+    got, got_err = _outcome(lambda: graph._parse_edges(data))
+    want, want_err = _outcome(lambda: graph._parse_lines(data))
+    assert got_err == want_err
+    if want_err is None:
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_benchmark_texts_take_the_loadtxt_path():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(inputs)
+    texts = [inputs.make_graph_bytes(spec, 21) for spec in inputs.WORKLOADS.values()]
+    texts += [gen_synthetic("ba", 20000, 5, seed=1), gen_synthetic("er", 2000, 8, seed=4)]
+    for data in texts:
+        assert graph._parse_buffer(data) is not None
 
 
 def _load_peak(data):
