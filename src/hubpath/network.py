@@ -4,12 +4,15 @@ From each hub, in ascending id order, the greedy classifies the hubs within
 k into basic pairs (no other hub strictly between on any shortest path) and
 composite pairs, and for each basic pair pulls one shortest path into the
 growing vertex set, preferring paths that reuse vertices already in the
-network.  It walks only the hub's unblocked region, the vertices with no hub
-strictly between them and the hub, read from the free words that one
-bit-parallel bounded BFS per block of 64 hubs leaves, and picks each region
-vertex's parent by a pull over its in-slice, so no level is sorted.  The
-preservation check reads hub-pair distances from the same bit-parallel
-levels, run with no blocking hubs on G and on G[H*].
+network.  The basic pairs are the hubs of the source hub's unblocked region,
+the vertices with no hub strictly between them and the hub, read from the
+free words that one bit-parallel bounded BFS per block of 64 hubs leaves.
+Of that region the walk visits only the backward cone of the basic pairs,
+the vertices whose parent or score a pulled path reads, found level by level
+from the deepest basic pair up, and picks each cone vertex's parent by a
+pull over its in-slice, so no level is sorted.  The preservation check
+reads hub-pair distances from the same bit-parallel levels, run with no
+blocking hubs on G and on G[H*].
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (BIT_BLOCK, Graph, bit_levels, csr_slices, induced_subgraph,
-                    offsets_from_counts)
+                    offsets_from_counts, sort_unique)
 from .hubs import HubSet
 
 
@@ -93,19 +96,36 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     From hub s, region R_d holds the vertices at distance d with no hub
     strictly between s and them on any shortest path: bit b of the free words
     graph.bit_levels yields at depth d, one pass per block of 64 hubs.  The
-    block keeps each level's free words, so np.flatnonzero of one word array
-    gives R_d in ascending order.  Every predecessor one level up of an R_d
-    vertex is s or a non-hub of R_{d-1}, and there is at least one, so
-    pulling over its in-slice (bottom-up, as in direction-optimizing BFS)
-    sees every candidate parent and never none.  The parent has the highest
-    score, then the smallest id, and f(v) = f(parent) + [v in H*].  Each hub
-    in R_d is a basic pair, and its parent chain joins H*, hubs in ascending
-    id order.
+    block keeps each level's free words and reads them at the hubs once, so
+    the hubs of R_d, found_d, come out in ascending order.  Each is a basic
+    pair, and its parent chain joins H*, hubs in ascending id order.
+
+    Only those chains are read, so the walk covers the backward cone of the
+    basic pairs, not the whole region.  With D the deepest level holding a
+    basic pair, cone_D = found_D, and for d = D down to 2, cone_{d-1} is the
+    in-neighbours of cone_d free on bit b at depth d - 1, together with
+    found_{d-1}; the in-slices gathered on the way are kept for the pulls.
+    A hub with no basic pair walks nothing.  Every predecessor one level up
+    of an R_d vertex is s or a non-hub of R_{d-1}, and there is at least one,
+    so pulling over a cone vertex's in-slice (bottom-up, as in
+    direction-optimizing BFS) sees every candidate parent and never none.
+    The parent has the highest score, then the smallest id, and
+    f(v) = f(parent) + [v in H*].
+
+    The cone gives the parents and scores the full region would.  Every
+    candidate parent of a vertex of cone_d is a non-hub of R_{d-1} in its
+    in-slice, so it is in cone_{d-1}; keys are nonzero only at the non-hubs
+    of cone_{d-1}, so each pull sees exactly the nonzero keys a pull over all
+    of R_{d-1} would, and by induction on d with the same scores.  The free
+    in-neighbours that are hubs lie in found_{d-1} anyway, so cone_{d-1}
+    needs no filter on hubs.
 
     This matches a full BFS from s that counts members when it dequeues them:
     a chain pulled in at depth d holds vertices of levels below d only, so no
     vertex joins H* between the start of s's walk and the reading of its own
-    membership, and scores depend only on H* as it stood before s.
+    membership, and scores depend only on H* as it stood before s.  A chain
+    from depth d is walked exactly d steps, so a wrong parent gives a wrong
+    network, never an endless walk.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -116,7 +136,7 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     n, one, is_hub = np.uint64(g.n), np.uint64(1), hubs.is_hub
     hub_ids = hubs.ids.astype(np.int64)
     # key[u] > 0 exactly at the candidate parents of the level being walked,
-    # the non-hubs of the level before: score * n + n - u with the score
+    # the non-hubs of the cone one level up: score * n + n - u with the score
     # counted from s, so the largest key has the highest score, then the
     # smallest id.  A score counts members among the d - 1 vertices after s
     # on a shortest path, and d < n, so keys stay below n^2: within uint64
@@ -129,27 +149,39 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
             if not free.any():
                 break
             frees.append(free)
+        at_hubs = [free[hub_ids] for free in frees]
         for b, s in enumerate(hub_ids[lo:lo + BIT_BLOCK].tolist()):
+            bit = np.uint64(1 << b)
+            found = [hub_ids[(at & bit) != 0] for at in at_hubs]
+            depth = max((d for d, t in enumerate(found, 1) if t.size), default=0)
+            if not depth:
+                continue
+            # backward: each level's cone is the candidate parents of the
+            # cone below, plus that level's own hubs
+            cones, pulls = [found[depth - 1]], []
+            for d in range(depth, 1, -1):
+                pos, _, at = csr_slices(offsets, cones[-1])
+                src = sources[pos]
+                pulls.append((src, at))
+                cand = src[(frees[d - 2][src] & bit) != 0]
+                cones.append(sort_unique(np.concatenate((cand, found[d - 2]))))
             front, total = np.empty(0, np.int64), 0
-            for d, free in enumerate(frees, 1):
-                region = np.flatnonzero(free & np.uint64(1 << b))
-                if not region.size:
-                    break
+            for d, cone in enumerate(reversed(cones), 1):
                 if d == 1:
-                    parent[region] = s
-                    score = member[region]
+                    parent[cone] = s
+                    score = member[cone]
                 else:
-                    pos, _, at = csr_slices(offsets, region)
-                    best = np.maximum.reduceat(key[sources[pos]], at) - one
-                    parent[region] = n - one - best % n
-                    score = best // n + member[region]
+                    src, at = pulls[depth - d]
+                    best = np.maximum.reduceat(key[src], at) - one
+                    parent[cone] = n - one - best % n
+                    score = best // n + member[cone]
                     key[front] = 0
-                on = ~is_hub[region]
-                front = region[on]
+                on = ~is_hub[cone]
+                front = cone[on]
                 key[front] = score[on] * n + (n - front.astype(np.uint64))
-                for t in region[~on].tolist():
+                for t in found[d - 1].tolist():
                     w, added = t, 0
-                    while w != s:
+                    for _ in range(d):
                         added += not member[w]
                         member[w] = True
                         w = int(parent[w])

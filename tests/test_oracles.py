@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import hubpath.hub2 as hub2
 from hubpath import Graph, HubNetwork, HubSet, discover, select_hubs, verify_distance_preserving
+from hubpath.hubs import default_beta
 
+from conftest import ba_graph, cyclic_digraph, er_graph
 from oracles import build_reference, discover_reference, first_parents, label_bfs, verify_reference
 
 
@@ -97,6 +99,19 @@ def test_discover_matches_reference_isolated_and_empty_hubs():
     for ids in ([0, 3, 8, 11], [9, 10], []):
         hubs = HubSet.from_ids(g.n, ids)
         assert_same_network(discover(g, hubs, 4), discover_reference(g, hubs, 4))
+
+
+@pytest.mark.parametrize("beta", [default_beta(4000), 100], ids=["one-block", "two-blocks"])
+@pytest.mark.parametrize("make", [
+    lambda: ba_graph(4000, 5, 3), lambda: er_graph(4000, 10, 3),
+    lambda: cyclic_digraph("ba", 4000, 5, 3)], ids=["ba", "er", "ba-cyclic"])
+def test_discover_matches_reference_past_the_last_basic_pair(make, beta):
+    # the hypothesis graphs are small, so their regions seldom reach past a
+    # hub's last basic pair; on these the backward cone skips most of each
+    # region, on the BA graphs every level after the last basic pair
+    g = make()
+    hubs = select_hubs(g, beta)
+    assert_same_network(discover(g, hubs, 6), discover_reference(g, hubs, 6))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
