@@ -17,7 +17,8 @@ count.  For each workload and gated metric the entry keeps
 both sides' per-seed values, their median and quartiles (statistics.quantiles
 with n=4, as spread.py reports them) and the pairs in which the change was
 better.
-Traced results add both sides' per-layer metrics of BENCHMARK.json.
+Traced results add both sides' per-layer metrics of BENCHMARK.json: each
+traced seed's values and, per metric, their median.
 """
 
 from __future__ import annotations
@@ -48,11 +49,21 @@ def quartiles(values):
 
 
 def traced(paths, names):
-    out = {}
+    """{workload: {"seeds", "metrics", "per_seed"}} from traced result files:
+    every seed's per-layer values, and per metric the median over the seeds
+    that report it."""
+    runs = {}
     for path in paths:
         record = json.loads(Path(path).read_text())
-        out[record["workload"]] = {"seed": record["seed"], "metrics": {
-            name: record["metrics"][name]["value"] for name in names if name in record["metrics"]}}
+        runs.setdefault(record["workload"], {})[record["seed"]] = {
+            name: record["metrics"][name]["value"] for name in names if name in record["metrics"]}
+    out = {}
+    for workload, by_seed in runs.items():
+        seeds = sorted(by_seed)
+        metrics = {name: statistics.median(values) for name in names
+                   if (values := [by_seed[s][name] for s in seeds if name in by_seed[s]])}
+        out[workload] = {"seeds": seeds, "metrics": metrics,
+                         "per_seed": {s: by_seed[s] for s in seeds}}
     return out
 
 

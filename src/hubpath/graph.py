@@ -295,12 +295,11 @@ def frontier_edges(offsets, targets, frontier):
 
 
 def set_bits(words):
-    """(index, bit) of every set bit of a uint64 array, by index, then bit."""
-    data = words.astype("<u8", copy=False).view(np.uint8)
-    byte = np.flatnonzero(data)
-    at = np.flatnonzero(np.unpackbits(data[byte], bitorder="little"))
-    byte = byte[at // 8]
-    return byte // 8, byte % 8 * 8 + at % 8
+    """(index, bit) of every set bit of a uint64 array, by index, then bit: its
+    little-endian bytes unpacked little bit first, scanned as bool."""
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    at = np.flatnonzero(bits.view(bool))
+    return at >> 6, at & 63
 
 
 def pull_or(offsets, sources, words):

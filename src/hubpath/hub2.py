@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -148,11 +149,12 @@ class Hub2Index:
 def _pass(g, hubs, lo, k, reverse, dist=None):
     """Bounded BFS from the BIT_BLOCK hubs ranked lo onward, bit b for rank lo + b.
 
-    Returns the block's label arrays and, given the matrix distances, fills
-    the block's rows.  The levels come from graph.bit_levels; a label is a
-    free first reach.  The pass that fills the matrix labels hubs too, as the
-    paths of basic pairs; the other one, whose hub labels nothing reads, does
-    not.  reverse=True walks in-edges (directed graphs) and gives outgoing-side
+    Returns the block's labels, one (vertex, dist, rank) part per depth in
+    (vertex, rank) order, and, given the matrix distances, fills its rows.
+    The levels come from graph.bit_levels; a label is a free first reach.
+    The pass that fills the matrix labels hubs too, as the paths of basic
+    pairs; the other one, whose hub labels nothing reads, does not.
+    reverse=True walks in-edges (directed graphs) and gives outgoing-side
     labels; the forward walk gives incoming-side labels.
     """
     offsets, sources = g.adjacency(not reverse)
@@ -172,24 +174,22 @@ def _pass(g, hubs, lo, k, reverse, dist=None):
     return parts
 
 
-def _label_table(n, dim, parts):
-    """The (vertex, dist, rank)-sorted table of the passes' label arrays.
+def _label_table(n, blocks):
+    """The (vertex, dist, rank)-sorted table of the passes' parts, a list per block.
 
-    Empties parts, so the passes' arrays are freed before the sort.
+    Each part has one depth and one block and ascends by (vertex, bit), so,
+    joined by depth, then block, a stable sort by vertex leaves each vertex's
+    entries by (dist, rank), as rank = lo + bit and the blocks' ranks ascend;
+    no two entries share (vertex, dist, rank), so the order is the unique one.
+    Empties blocks, so the passes' arrays are freed before the sort.
     """
+    parts = [p for level in zip_longest(*blocks) for p in level if p is not None]
+    blocks.clear()
     vertex, dist, rank = (np.concatenate(f) for f in zip(_NO_LABELS, *parts))
-    parts.clear()
+    del parts
     offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
-    # one distinct int64 key per entry: n < 2^32, dist < 2^8 and dim <= MAX_HUBS,
-    # so keys stay under 2^56
-    key = vertex.astype(np.int64)
+    order = np.argsort(vertex, kind="stable")
     del vertex
-    key *= MAX_K + 1
-    key += dist
-    key *= dim
-    key += rank
-    order = np.argsort(key)
-    del key
     return LabelTable(offsets, rank[order], dist[order])
 
 
@@ -210,13 +210,13 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     dim = hubs.size
     dist = np.full((dim, dim), INF, np.uint8)
     np.fill_diagonal(dist, 0)
-    parts_in, parts_out = [], []
+    blocks_in, blocks_out = [], []
     for lo in range(0, dim, BIT_BLOCK):
-        parts_in += _pass(g, hubs, lo, k, False, dist)
+        blocks_in.append(_pass(g, hubs, lo, k, False, dist))
         if g.directed:
-            parts_out += _pass(g, hubs, lo, k, True)
-    labels_in = _label_table(g.n, dim, parts_in)
-    labels_out = _label_table(g.n, dim, parts_out) if g.directed else labels_in
+            blocks_out.append(_pass(g, hubs, lo, k, True))
+    labels_in = _label_table(g.n, blocks_in)
+    labels_out = _label_table(g.n, blocks_out) if g.directed else labels_in
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
                      matrix=Hub2Matrix(dim, dist), labels_in=labels_in, labels_out=labels_out)

@@ -62,6 +62,31 @@ def test_chunks_merge_by_seed_and_count_wins(tmp_path):
     assert wl["seeds"] == [1, 2, 3, 4]
     assert wl["metrics"]["setup_s"]["change_better_pairs"] == 3
     assert wl["metrics"]["hl.qps"]["change_better_pairs"] == 2  # higher is better
-    assert entries[0]["traced"]["change"]["er-flat"] == {"seed": 21,
-                                                         "metrics": {"network.discover_s": 0.4}}
+    assert entries[0]["traced"]["change"]["er-flat"] == {
+        "seeds": [21], "metrics": {"network.discover_s": 0.4},
+        "per_seed": {"21": {"network.discover_s": 0.4}}}
     assert entries[0]["traced"]["parent"] == {}
+
+
+def test_every_traced_seed_is_kept(tmp_path):
+    parent = [result(tmp_path / f"p{s}.json", s, 2.0, 10) for s in (1, 2)]
+    change = [result(tmp_path / f"c{s}.json", s, 1.0, 10) for s in (1, 2)]
+    traced = []
+    for seed, build in [(23, 0.5), (21, 0.3), (22, 0.1)]:
+        metrics = {"hub2.build_s": {"value": build}, "setup_s": {"value": 1.0}}
+        if seed != 22:
+            metrics["network.discover_s"] = {"value": seed / 100}
+        traced.append(tmp_path / f"t{seed}.result.json")
+        traced[-1].write_text(json.dumps({"workload": "er-flat", "seed": seed, "metrics": metrics}))
+    out = tmp_path / "bench.json"
+    bench_record.main(["--title", "t", "--parent-commit", "a", "--change-commit", "b",
+                       "--parent", *parent, "--change", *change,
+                       "--traced-parent", *map(str, traced), "--out", str(out)])
+    got = json.loads(out.read_text())["entries"][0]["traced"]["parent"]["er-flat"]
+    assert got["seeds"] == [21, 22, 23]
+    # each metric's median over the seeds that report it
+    assert got["metrics"] == {"network.discover_s": 0.22, "hub2.build_s": 0.3}
+    assert got["per_seed"] == {
+        "21": {"network.discover_s": 0.21, "hub2.build_s": 0.3},
+        "22": {"hub2.build_s": 0.1},
+        "23": {"network.discover_s": 0.23, "hub2.build_s": 0.5}}

@@ -310,6 +310,27 @@ def test_bfs_tree_parents_at_scale(cyclic):
     assert max(most) >= 8
 
 
+def _random_words():
+    """200 seeded words, the last 100 masked down to about 4 set bits each."""
+    rng = np.random.default_rng(11)
+    words = rng.integers(0, 2**64 - 1, 200, np.uint64, endpoint=True)
+    for _ in range(4):
+        words[100:] &= rng.integers(0, 2**64 - 1, 100, np.uint64, endpoint=True)
+    return words
+
+
+_EDGE_WORDS = np.array([0, 1, 1 << 63, 2**64 - 1, (1 << 63) | 1], np.uint64)
+
+
+@pytest.mark.parametrize("words", [
+    _EDGE_WORDS, np.empty(0, np.uint64), _EDGE_WORDS.astype(">u8"), _random_words()],
+    ids=["edge-words", "empty", "big-endian", "random"])
+def test_set_bits_matches_bit_loop(words):
+    index, bit = graph.set_bits(words)
+    want = [(i, b) for i, w in enumerate(words.tolist()) for b in range(64) if w >> b & 1]
+    assert list(zip(index.tolist(), bit.tolist())) == want
+
+
 def test_validate_path_cases(chain4):
     assert validate_path(chain4, [0, 1, 2])
     assert not validate_path(chain4, [0, 2])

@@ -69,6 +69,17 @@ def test_build_matches_reference(case):
     assert hub2.to_bytes(hub2.build(g, hubs, k)) == hub2.to_bytes(build_reference(g, hubs, k))
 
 
+@pytest.mark.parametrize("make", [lambda: er_graph(4000, 10, 3),
+                                  lambda: cyclic_digraph("ba", 4000, 5, 3)],
+                         ids=["er", "ba-cyclic"])
+def test_build_matches_reference_on_dense_words(make):
+    # the hypothesis graphs have n <= 150, where few free words carry many
+    # bits; here 100 hubs make two blocks, and a level's free words carry many
+    g = make()
+    hubs = select_hubs(g, 100)
+    assert hub2.to_bytes(hub2.build(g, hubs, 6)) == hub2.to_bytes(build_reference(g, hubs, 6))
+
+
 def assert_same_network(got, want):
     assert got.basic_pairs == want.basic_pairs
     assert got.added_per_pair == want.added_per_pair
