@@ -25,9 +25,12 @@ Fixed numpy cost per call dominates small levels and Python's per-edge cost
 dominates large ones; the threshold comes from a sweep over the perfbench
 workloads, where 256 to 512 were fastest for all three engines.  Both steps
 write levels only, and the same ones, so answers, paths and counters do not
-depend on which step ran; _stitch reads the path back from the levels.  The
-label join is a scalar loop over the stored labels, read in place through
-the label tables' memoryviews.
+depend on which step ran; _stitch reads the path back from the levels.
+Levels are stored as level + 1 in one byte per vertex, so these searches
+take k <= hub2.MAX_K.  The scalar step keeps each level in discovery order
+and collects the meets as it labels them.  The label join is a scalar loop
+over the stored labels, read in place through the label tables'
+memoryviews.
 
 bfs_query and estimate_full_join are the oracles the fast paths are checked
 against, so they share no level step or join with them: bfs_query runs
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, bfs_tree, csr_slices, sort_unique, validate_path
-from .hub2 import INF, Hub2Index, IndexIntegrityError
+from .hub2 import INF, MAX_K, Hub2Index, IndexIntegrityError
 from .hubs import HubSet
 from .network import HubNetwork
 
@@ -124,10 +127,13 @@ class _Side:
 
     The view (offsets, targets, lists) holds the same rows as CSR arrays for
     the vectorized step and as Python lists for the scalar one.  lv holds
-    level + 1 (0 = unlabeled) in one numpy buffer, written by the vectorized
-    step and, through a memoryview, by the scalar one; _stitch reads the
-    path back from it.  The frontier is a list after a scalar step and an
-    int64 array after a vectorized one, ascending either way.
+    level + 1 (0 = unlabeled) in one bytearray, written by the scalar step
+    and, through lv_np, a numpy array over the same bytes, by the vectorized
+    one; _stitch reads the path back from it.  other_lv is the other side's
+    lv, set by _bidirectional once both sides exist; through it the scalar
+    step collects hits, the fresh labels the other side has already labeled.  The frontier is a list in discovery
+    order after a scalar step and an ascending int64 array after a
+    vectorized one.
 
     Vertices in the labeled mask start labeled, so no step enters them, and
     nothing reads their level: meets are checked on fresh labels only, and
@@ -138,14 +144,14 @@ class _Side:
     never cleared, so the met hubs before hub_head stay met for good.
     """
 
-    __slots__ = ("lv", "lv_np", "frontier", "radius", "offsets", "targets", "adj",
-                 "is_hub", "is_hub_np", "hubs", "hub_head")
+    __slots__ = ("lv", "lv_np", "other_lv", "hits", "frontier", "radius", "offsets",
+                 "targets", "adj", "is_hub", "is_hub_np", "hubs", "hub_head")
 
     def __init__(self, view, start, labeled, hub_mask):
         self.offsets, self.targets, self.adj = view
         n = len(self.adj)
-        self.lv_np = np.zeros(n, np.uint16) if labeled is None else labeled.astype(np.uint16)
-        self.lv = memoryview(self.lv_np)
+        self.lv = bytearray(n) if labeled is None else bytearray(np.asarray(labeled, bool))
+        self.lv_np = np.frombuffer(self.lv, np.uint8)
         self.lv[start] = 1
         self.frontier = [start]
         self.radius = 0
@@ -172,16 +178,22 @@ class _Side:
 
 
 def _scalar_step(side, frontier):
-    """Label the next level with Python scalars; frontier is a list."""
-    lv, adj = side.lv, side.adj
+    """Label the next level with Python scalars; frontier and result are lists.
+
+    The level comes out in discovery order, and side.hits gets its vertices
+    that the other side has labeled, in the same order.
+    """
+    lv, other_lv, adj = side.lv, side.other_lv, side.adj
     mark = side.radius + 2
-    new = []
+    new, hits = [], []
     for v in frontier:
         for w in adj[v]:
             if not lv[w]:
                 lv[w] = mark
                 new.append(w)
-    new.sort()
+                if other_lv[w]:
+                    hits.append(w)
+    side.hits = hits
     return new
 
 
@@ -193,23 +205,32 @@ def _vector_step(side, frontier):
     return new
 
 
-def _out_edges(side, frontier):
+def _few_edges(side, frontier):
+    """Whether the frontier has at most SCALAR_EDGES out-edges; a list is
+    counted only until the count passes the threshold."""
     if isinstance(frontier, list):
-        adj = side.adj
-        return sum([len(adj[v]) for v in frontier])
+        adj, left = side.adj, SCALAR_EDGES
+        for v in frontier:
+            left -= len(adj[v])
+            if left < 0:
+                return False
+        return True
     offsets = side.offsets
-    return int(offsets[frontier + 1].sum() - offsets[frontier].sum())
+    return int(offsets[frontier + 1].sum() - offsets[frontier].sum()) <= SCALAR_EDGES
 
 
 def _expand(side, stats):
     """Advance one side by one level; returns the newly labeled vertices.
 
     Neither step filters: the side's view and pre-labeled vertices decide.
-    Frontiers with at most SCALAR_EDGES out-edges take the scalar step.
+    Frontiers with at most SCALAR_EDGES out-edges take the scalar step,
+    which returns a list in discovery order and sets side.hits; larger ones
+    the vectorized step, which returns an ascending array.  Both label the
+    same vertices, so only the order within a level depends on the step.
     """
     frontier = side.frontier
     stats.visited += len(frontier)
-    if _out_edges(side, frontier) <= SCALAR_EDGES:
+    if _few_edges(side, frontier):
         new = _scalar_step(side, frontier if isinstance(frontier, list) else frontier.tolist())
     else:
         new = _vector_step(side, np.asarray(frontier, dtype=np.int64))
@@ -223,17 +244,19 @@ def _expand(side, stats):
 def _register_meets(new, side, other, best, meet):
     """Fold newly double-labeled vertices into the best meeting candidate.
 
-    Candidates are scanned in ascending id order and only a strictly smaller
-    sum replaces the best, so the meeting vertex is the smallest id among
-    those attaining the minimum.
+    After a scalar step (new is a list) the candidates are side.hits, which
+    the step collected; after a vectorized one, the vertices of new that
+    other has labeled.  Candidates are scanned in ascending id order and
+    only a strictly smaller sum replaces the best, so the meeting vertex is
+    the smallest id among those attaining the minimum.
     """
     radius = side.radius
     if isinstance(new, list):
         other_lv = other.lv
-        for w in new:
-            hit = other_lv[w]
-            if hit and radius + hit - 1 < best:
-                best, meet = radius + hit - 1, w
+        for w in sorted(side.hits):
+            total = radius + other_lv[w] - 1
+            if total < best:
+                best, meet = total, w
         return best, meet
     hits = other.lv_np[new]
     seen = np.flatnonzero(hits)
@@ -320,15 +343,18 @@ def _bidirectional(g, views, s, t, cap, engine, labeled=None, hub_mask=None):
     """Shared core over the (forward, reverse) views, labeled vertices excluded;
     only distances strictly below cap are reported.  _next_side picks each
     side to expand and ends the search; hub_mask (hn) gives it open hubs.
+    A side labels levels up to cap - 1, stored as marks up to cap in its
+    byte buffer, so cap above 0xFF (k above MAX_K) is an error.
     """
+    if cap > 0xFF:
+        raise ValueError(f"k={cap - 1} exceeds MAX_K={MAX_K}: the search stores "
+                         f"level + 1 in one byte per vertex")
     stats = SearchStats(engine)
     if s == t:
         return QueryResult(0 if 0 < cap else None, [s] if 0 < cap else None, stats)
-    if cap + 2 > 0xFFFF:
-        # levels are stored as level + 1 in uint16
-        raise ValueError(f"distance bound {cap} does not fit the 16-bit level buffer")
     fwd = _Side(views[0], s, labeled, hub_mask)
     bwd = _Side(views[1], t, labeled, hub_mask)
+    fwd.other_lv, bwd.other_lv = bwd.lv, fwd.lv
     stats.enqueued = 2
     best, meet = _UNSET, -1
     while (side := _next_side(fwd, bwd, best, cap)) is not None:
@@ -343,7 +369,7 @@ def _bidirectional(g, views, s, t, cap, engine, labeled=None, hub_mask=None):
 
 
 def bibfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
-    """Bidirectional BFS, expanding the smaller frontier first."""
+    """Bidirectional BFS, expanding the smaller frontier first; k <= MAX_K."""
     _check_pair(g, s, t)
     return _bidirectional(g, _graph_views(g), s, t, k + 1, "bibfs")
 
@@ -360,7 +386,7 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     The path is read back over g's own lists, not the views, so it may step
     from a hub to a vertex outside H*; it is still a shortest path of G.
     Discovery preserves hub-pair distances only up to net.k, so a larger k
-    is an error.
+    is an error, and so is k above MAX_K.
     """
     _check_pair(g, s, t)
     if k > net.k:
@@ -373,9 +399,10 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
 def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
     """Bidirectional BFS that never enqueues a masked vertex.
 
-    Masked vertices start labeled (hub_mask is the initial level buffer), so
-    no level step enters one.  Returns a QueryResult whose distance is
-    strictly below bound, or absent.
+    Masked vertices start labeled (hub_mask, as bytes, is the initial level
+    buffer), so no level step enters one.  Returns a QueryResult whose
+    distance is strictly below bound, or absent; bound - 1 is the search's
+    k, so bound may be at most MAX_K + 1.
     """
     _check_pair(g, s, t)
     if hub_mask[s] or hub_mask[t]:

@@ -14,14 +14,15 @@ def expanded(monkeypatch):
     """expanded(query, *args) -> (query(*args), the vertices its searches expanded).
 
     A spy on engines._expand records each frontier handed to it, in order,
-    only while the query runs.
+    only while the query runs.  Each frontier is recorded sorted: the order
+    within a level is the step's own business.
     """
     frontiers = None
     real_expand = engines._expand
 
     def spy(side, stats):
         if frontiers is not None:
-            frontiers.append(np.asarray(side.frontier, dtype=np.int64))
+            frontiers.append(np.sort(np.asarray(side.frontier, dtype=np.int64)))
         return real_expand(side, stats)
 
     def run(query, *args):

@@ -110,6 +110,14 @@ def test_query_reports_both_counters(graph_file, capsys):
     assert 0 < int(fields["expanded"]) < int(fields["enqueued"])
 
 
+def test_query_k_above_max_k_is_an_error(graph_file, capsys):
+    code, out, err = run(capsys, "query", "--graph", str(graph_file), "--engine", "bibfs",
+                         "--k", "255", "17", "201")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "MAX_K=254" in err and "Traceback" not in err
+
+
 def test_query_hl_reports_the_answering_step(tmp_path, capsys):
     # on the 12-vertex chain the one hub is vertex 1, so d(0, 6) comes from the estimate
     graph, idx = tmp_path / "chain.txt", tmp_path / "chain.hub2"

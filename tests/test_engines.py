@@ -668,6 +668,23 @@ def test_scalar_and_vector_steps_agree(monkeypatch, expanded):
     assert res.stats.enqueued == MAX_K + 2
 
 
+def test_searches_refuse_k_above_max_k(chain4):
+    # the level buffers hold level + 1 in one byte: k = MAX_K labels marks up
+    # to MAX_K + 1 = 255, and one more level would not fit
+    hubs = HubSet.from_ids(chain4.n, [1])
+    net = discover(chain4, hubs, MAX_K + 1)
+    unmasked = np.zeros(chain4.n, bool)
+    assert bibfs_query(chain4, 0, 3, MAX_K).distance == 3
+    assert hn_query(chain4, hubs, net, 0, 3, MAX_K).distance == 3
+    assert hp_bbfs(chain4, unmasked, 0, 3, MAX_K + 1).distance == 3
+    for query, *args in ((bibfs_query, chain4, 0, 3, MAX_K + 1),
+                         (bibfs_query, chain4, 2, 2, MAX_K + 1),
+                         (hn_query, chain4, hubs, net, 0, 3, MAX_K + 1),
+                         (hp_bbfs, chain4, unmasked, 0, 3, MAX_K + 2)):
+        with pytest.raises(ValueError, match=f"exceeds MAX_K={MAX_K}"):
+            query(*args)
+
+
 def pinned_graph(kind, param, seed, directed):
     """The 600-vertex graph of a pinned row; directed="cyclic" orients it
     with conftest.cyclic_digraph."""
