@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Same-process A/B of the query engines between this checkout and another.
+
+From the root of a checkout:
+
+    python3 scripts/engines_ab.py --other ../parent --seeds 21 2501 [--pairs N]
+
+The other checkout's src/hubpath is loaded as a second package, hubpath_other,
+so both trees run in one process on one interpreter.  For each seed and
+perfbench workload, each tree builds its own graph, hubs, network and index
+from perfbench's inputs (imported from perfbench/inputs.py and
+perfbench/run.py, which this script only reads), and both answer the pairs
+make_pairs(N, pairs, seed).  Per pair and engine (bibfs, hn, hl), each tree's
+time is the best of three calls in thread CPU time, and the tree that runs
+first alternates from pair to pair.  Before timing, the first pairs warm up
+both trees and the heap is frozen (gc.collect(); gc.freeze()), as perfbench
+does.
+
+It prints one line per seed, workload and engine: the mean µs per call of
+this tree and the other, their ratio (this / other), and the median of the
+per-pair ratios.  A ratio below 1 means this tree is faster.  It exits with
+status 1 at the first pair whose distance or path differs between the trees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import hubpath  # noqa: E402
+from inputs import N, WORKLOADS, make_graph_bytes, make_pairs  # noqa: E402
+from run import BETA, K, POOL, WARMUP_PAIRS  # noqa: E402
+
+ENGINES = ("bibfs", "hn", "hl")
+REPS = 3
+
+
+def load_other(checkout):
+    """The hubpath package of another checkout, imported as hubpath_other
+    afresh: the modules of an earlier load are dropped first."""
+    for name in [m for m in sys.modules if m.partition(".")[0] == "hubpath_other"]:
+        del sys.modules[name]
+    pkg = Path(checkout).resolve() / "src" / "hubpath"
+    spec = importlib.util.spec_from_file_location(
+        "hubpath_other", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["hubpath_other"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def engine_table(pkg, spec, seed):
+    """{engine: query(s, t)} over the tree pkg's own graph, hubs, network and index."""
+    g = pkg.load_edge_list(make_graph_bytes(spec, seed), directed=spec.directed)
+    hubs = pkg.select_hubs(g, BETA)
+    net, idx = pkg.discover(g, hubs, K), pkg.build_index(g, hubs, K)
+    e = pkg.engines
+    return {"bibfs": lambda s, t: e.bibfs_query(g, s, t, K),
+            "hn": lambda s, t: e.hn_query(g, hubs, net, s, t, K),
+            "hl": lambda s, t: e.hl_query(g, idx, s, t)}
+
+
+def best_of(query, s, t):
+    """(least thread time in ns over REPS calls, the last call's result)."""
+    best = None
+    for _ in range(REPS):
+        t0 = time.thread_time_ns()
+        res = query(s, t)
+        dt = time.thread_time_ns() - t0
+        best = dt if best is None else min(best, dt)
+    return best, res
+
+
+def compare(tables, pairs):
+    """{engine: ([this ns], [other ns])} per pair; None at the first differing answer."""
+    times = {engine: ([], []) for engine in ENGINES}
+    for i, (s, t) in enumerate(pairs):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for engine in ENGINES:
+            answers = [None, None]
+            for tree in order:
+                dt, res = best_of(tables[tree][engine], s, t)
+                times[engine][tree].append(dt)
+                answers[tree] = (res.distance, res.path)
+            if answers[0] != answers[1]:
+                print(f"{engine} answers differ on pair ({s}, {t}): this {answers[0]}, "
+                      f"other {answers[1]}", file=sys.stderr)
+                return None
+    return times
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--other", required=True, help="root of the checkout to compare with")
+    p.add_argument("--seeds", type=int, nargs="+", required=True)
+    p.add_argument("--pairs", type=int, default=POOL)
+    args = p.parse_args(argv)
+    other = load_other(args.other)
+
+    for seed in args.seeds:
+        pairs = make_pairs(N, args.pairs, seed)
+        for name, spec in WORKLOADS.items():
+            tables = (engine_table(hubpath, spec, seed), engine_table(other, spec, seed))
+            for s, t in pairs[:WARMUP_PAIRS]:
+                for table in tables:
+                    for query in table.values():
+                        query(s, t)
+            gc.collect()
+            gc.freeze()
+            try:
+                times = compare(tables, pairs)
+            finally:
+                gc.unfreeze()
+            if times is None:
+                print(f"{name} seed={seed}: the trees' answers differ", file=sys.stderr)
+                return 1
+            for engine, (this, that) in times.items():
+                ratios = [a / b for a, b in zip(this, that)]
+                print(f"{name} seed={seed} {engine} this_us={statistics.fmean(this) / 1e3:.1f} "
+                      f"other_us={statistics.fmean(that) / 1e3:.1f} "
+                      f"mean_ratio={statistics.fmean(this) / statistics.fmean(that):.3f} "
+                      f"median_pair_ratio={statistics.median(ratios):.3f}", flush=True)
+            del tables
+            gc.collect()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,10 +27,10 @@ workloads, where 256 to 512 were fastest for all three engines.  Both steps
 write levels only, and the same ones, so answers, paths and counters do not
 depend on which step ran; _stitch reads the path back from the levels.
 Levels are stored as level + 1 in one byte per vertex, so these searches
-take k <= hub2.MAX_K.  The scalar step keeps each level in discovery order
-and collects the meets as it labels them.  The label join is a scalar loop
-over the stored labels, read in place through the label tables'
-memoryviews.
+take k <= hub2.MAX_K.  Either step takes either frontier type, and each
+leaves the level's meets in the side's hits, which one scan folds into the
+best meet.  The label join is a scalar loop over the stored labels, read
+in place through the label tables' memoryviews.
 
 bfs_query and estimate_full_join are the oracles the fast paths are checked
 against, so they share no level step or join with them: bfs_query runs
@@ -130,24 +130,25 @@ class _Side:
     level + 1 (0 = unlabeled) in one bytearray, written by the scalar step
     and, through lv_np, a numpy array over the same bytes, by the vectorized
     one; _stitch reads the path back from it.  other_lv is the other side's
-    lv, set by _bidirectional once both sides exist; through it the scalar
-    step collects hits, the fresh labels the other side has already labeled.  The frontier is a list in discovery
-    order after a scalar step and an ascending int64 array after a
-    vectorized one.
+    lv, set by _bidirectional once both sides exist.  Each step leaves in
+    hits the fresh labels that other_lv already holds.  The frontier is a
+    list in discovery order after a scalar step and an ascending int64 array
+    after a vectorized one; either step takes either.
 
     Vertices in the labeled mask start labeled, so no step enters them, and
     nothing reads their level: meets are checked on fresh labels only, and
     _stitch steps only onto marks above the start's.
 
-    Given hn's hub mask (is_hub, a memoryview of is_hub_np), hubs lists the
-    hubs this side labeled in level order, its start included.  Labels are
-    never cleared, so the met hubs before hub_head stay met for good.
+    For hn, hub_ids holds the hub ids as intp and hubs lists the hubs this
+    side labeled in level order, its start included; _expand appends each
+    level's hubs.  Labels are never cleared, so the met hubs before hub_head
+    stay met for good.
     """
 
     __slots__ = ("lv", "lv_np", "other_lv", "hits", "frontier", "radius", "offsets",
-                 "targets", "adj", "is_hub", "is_hub_np", "hubs", "hub_head")
+                 "targets", "adj", "hub_ids", "hubs", "hub_head")
 
-    def __init__(self, view, start, labeled, hub_mask):
+    def __init__(self, view, start, labeled, hubs):
         self.offsets, self.targets, self.adj = view
         n = len(self.adj)
         self.lv = bytearray(n) if labeled is None else bytearray(np.asarray(labeled, bool))
@@ -155,18 +156,9 @@ class _Side:
         self.lv[start] = 1
         self.frontier = [start]
         self.radius = 0
-        self.is_hub_np = hub_mask
-        self.is_hub = None if hub_mask is None else memoryview(hub_mask)
-        self.hubs = [start] if hub_mask is not None and hub_mask[start] else []
+        self.hub_ids = None if hubs is None else hubs.ids.astype(np.intp)
+        self.hubs = [start] if hubs is not None and hubs.is_hub[start] else []
         self.hub_head = 0
-
-    def add_hubs(self, new):
-        """Append the hubs among the fresh labels new, one level's worth."""
-        if isinstance(new, list):
-            is_hub = self.is_hub
-            self.hubs += [w for w in new if is_hub[w]]
-        else:
-            self.hubs += new[self.is_hub_np[new]].tolist()
 
     def min_open_hub(self, other):
         """Level of the first hub this side labeled and other has not; _UNSET if none."""
@@ -178,7 +170,7 @@ class _Side:
 
 
 def _scalar_step(side, frontier):
-    """Label the next level with Python scalars; frontier and result are lists.
+    """Label the next level with Python scalars; the result is a list.
 
     The level comes out in discovery order, and side.hits gets its vertices
     that the other side has labeled, in the same order.
@@ -198,25 +190,25 @@ def _scalar_step(side, frontier):
 
 
 def _vector_step(side, frontier):
-    """Label the next level with whole-array operations; frontier and result are int64 arrays."""
-    dsts = side.targets[csr_slices(side.offsets, frontier)[0]]
+    """Label the next level with whole-array operations; the result is an
+    ascending int64 array, and side.hits gets its vertices that the other
+    side has labeled, ascending, as a list."""
+    dsts = side.targets[csr_slices(side.offsets, np.asarray(frontier, np.int64))[0]]
     new = sort_unique(dsts[side.lv_np[dsts] == 0]).astype(np.int64)
     side.lv_np[new] = side.radius + 2
+    side.hits = new[np.frombuffer(side.other_lv, np.uint8)[new] != 0].tolist()
     return new
 
 
 def _few_edges(side, frontier):
-    """Whether the frontier has at most SCALAR_EDGES out-edges; a list is
-    counted only until the count passes the threshold."""
-    if isinstance(frontier, list):
-        adj, left = side.adj, SCALAR_EDGES
-        for v in frontier:
-            left -= len(adj[v])
-            if left < 0:
-                return False
-        return True
-    offsets = side.offsets
-    return int(offsets[frontier + 1].sum() - offsets[frontier].sum()) <= SCALAR_EDGES
+    """Whether the frontier has at most SCALAR_EDGES out-edges, counted over
+    the view's lists only until the count passes the threshold."""
+    adj, left = side.adj, SCALAR_EDGES
+    for v in frontier:
+        left -= len(adj[v])
+        if left < 0:
+            return False
+    return True
 
 
 def _expand(side, stats):
@@ -224,47 +216,36 @@ def _expand(side, stats):
 
     Neither step filters: the side's view and pre-labeled vertices decide.
     Frontiers with at most SCALAR_EDGES out-edges take the scalar step,
-    which returns a list in discovery order and sets side.hits; larger ones
-    the vectorized step, which returns an ascending array.  Both label the
-    same vertices, so only the order within a level depends on the step.
+    which returns a list in discovery order; larger ones the vectorized
+    step, which returns an ascending array.  Both label the same vertices
+    and set side.hits, so only the order within a level depends on the
+    step.  For hn, the new level's hubs are then read from the hubs' side:
+    a gather of the hub ids' marks, ascending within the level.
     """
     frontier = side.frontier
     stats.visited += len(frontier)
-    if _few_edges(side, frontier):
-        new = _scalar_step(side, frontier if isinstance(frontier, list) else frontier.tolist())
-    else:
-        new = _vector_step(side, np.asarray(frontier, dtype=np.int64))
+    new = (_scalar_step if _few_edges(side, frontier) else _vector_step)(side, frontier)
     side.frontier = new
     if len(new):
         side.radius += 1
         stats.enqueued += len(new)
+        hub_ids = side.hub_ids
+        if hub_ids is not None:
+            side.hubs += hub_ids[side.lv_np[hub_ids] == side.radius + 1].tolist()
     return new
 
 
-def _register_meets(new, side, other, best, meet):
-    """Fold newly double-labeled vertices into the best meeting candidate.
-
-    After a scalar step (new is a list) the candidates are side.hits, which
-    the step collected; after a vectorized one, the vertices of new that
-    other has labeled.  Candidates are scanned in ascending id order and
-    only a strictly smaller sum replaces the best, so the meeting vertex is
-    the smallest id among those attaining the minimum.
+def _register_meets(side, best, meet):
+    """Fold the side's hits, its newly double-labeled vertices, into the best
+    meeting candidate.  They are scanned in ascending id order and only a
+    strictly smaller sum replaces the best, so the meeting vertex is the
+    smallest id among those attaining the minimum.
     """
-    radius = side.radius
-    if isinstance(new, list):
-        other_lv = other.lv
-        for w in sorted(side.hits):
-            total = radius + other_lv[w] - 1
-            if total < best:
-                best, meet = total, w
-        return best, meet
-    hits = other.lv_np[new]
-    seen = np.flatnonzero(hits)
-    if seen.size:
-        sums = hits[seen].astype(np.int64) + (radius - 1)
-        pos = int(np.argmin(sums))
-        if int(sums[pos]) < best:
-            return int(sums[pos]), int(new[seen[pos]])
+    radius, other_lv = side.radius, side.other_lv
+    for w in sorted(side.hits):
+        total = radius + other_lv[w] - 1
+        if total < best:
+            best, meet = total, w
     return best, meet
 
 
@@ -339,10 +320,10 @@ def _graph_views(g):
     return (*g.adjacency(), g.adj_lists()), (*g.adjacency(True), g.adj_lists(True))
 
 
-def _bidirectional(g, views, s, t, cap, engine, labeled=None, hub_mask=None):
+def _bidirectional(g, views, s, t, cap, engine, labeled=None, hubs=None):
     """Shared core over the (forward, reverse) views, labeled vertices excluded;
     only distances strictly below cap are reported.  _next_side picks each
-    side to expand and ends the search; hub_mask (hn) gives it open hubs.
+    side to expand and ends the search; hubs (hn's HubSet) gives it open hubs.
     A side labels levels up to cap - 1, stored as marks up to cap in its
     byte buffer, so cap above 0xFF (k above MAX_K) is an error.
     """
@@ -352,17 +333,14 @@ def _bidirectional(g, views, s, t, cap, engine, labeled=None, hub_mask=None):
     stats = SearchStats(engine)
     if s == t:
         return QueryResult(0 if 0 < cap else None, [s] if 0 < cap else None, stats)
-    fwd = _Side(views[0], s, labeled, hub_mask)
-    bwd = _Side(views[1], t, labeled, hub_mask)
+    fwd = _Side(views[0], s, labeled, hubs)
+    bwd = _Side(views[1], t, labeled, hubs)
     fwd.other_lv, bwd.other_lv = bwd.lv, fwd.lv
     stats.enqueued = 2
     best, meet = _UNSET, -1
     while (side := _next_side(fwd, bwd, best, cap)) is not None:
-        new = _expand(side, stats)
-        if hub_mask is not None:
-            side.add_hubs(new)
-        other = bwd if side is fwd else fwd
-        best, meet = _register_meets(new, side, other, best, meet)
+        _expand(side, stats)
+        best, meet = _register_meets(side, best, meet)
     if best >= cap:
         return QueryResult(None, None, stats)
     return QueryResult(best, _stitch(g, fwd, bwd, meet, s, t), stats)
@@ -382,7 +360,8 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     k has its stretch from first to last hub (all of it, if hub-free) at true
     levels in both directions, so the minimum over meeting vertices is still
     the distance.  The search stops once neither the radius sum nor a hub
-    labeled by one side only leaves room for a shorter path (_next_side).
+    labeled by one side only leaves room for a shorter path (_next_side);
+    each side finds the hubs of a new level by reading the hubs' marks.
     The path is read back over g's own lists, not the views, so it may step
     from a hub to a vertex outside H*; it is still a shortest path of G.
     Discovery preserves hub-pair distances only up to net.k, so a larger k
@@ -392,8 +371,7 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     if k > net.k:
         raise ValueError(f"k={k} exceeds the hub network's k={net.k}; engine hn "
                          f"needs k <= {net.k} or a network discovered with k={k}")
-    return _bidirectional(g, net.search_views(g, hubs), s, t, k + 1, "hn",
-                          hub_mask=hubs.is_hub)
+    return _bidirectional(g, net.search_views(g, hubs), s, t, k + 1, "hn", hubs=hubs)
 
 
 def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):

@@ -85,11 +85,15 @@ class Graph:
         """Build a graph from parallel source/target id arrays.
 
         Undirected mode inserts both orientations; duplicates collapse and
-        self-loops are dropped in either mode.
+        self-loops are dropped in either mode.  An id outside [0, n) is a
+        ValueError: _csr's row * n + col codes would fold it into another edge.
         """
         n = int(n)
-        src = np.asarray(sources, dtype=np.uint64)
-        dst = np.asarray(targets, dtype=np.uint64)
+        src, dst = np.asarray(sources), np.asarray(targets)
+        for ids in (src, dst):
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise ValueError(f"vertex id {ids[(ids < 0) | (ids >= n)][0]} outside [0, {n})")
+        src, dst = np.asarray(src, np.uint64), np.asarray(dst, np.uint64)
         keep = src != dst
         src, dst = src[keep], dst[keep]
         if not directed:

@@ -668,6 +668,77 @@ def test_scalar_and_vector_steps_agree(monkeypatch, expanded):
     assert res.stats.enqueued == MAX_K + 2
 
 
+def side_copy(side):
+    """A fresh _Side over the same view with side's levels, radius and other_lv."""
+    copy = engines._Side((side.offsets, side.targets, side.adj), 0, None, None)
+    copy.lv[:] = side.lv
+    copy.other_lv, copy.radius = side.other_lv, side.radius
+    return copy
+
+
+def test_steps_leave_the_same_level_and_hits():
+    # from identical side states, both steps label the same vertices at the
+    # same mark and leave the same hits, whether the frontier is a list or an
+    # array; hl's hub pre-labels are covered by the labeled mask
+    steps = {"scalar": engines._scalar_step, "vector": engines._vector_step}
+    compared = hit_levels = 0
+    for g in (ba_graph(600, 3, seed=71), er_graph(500, 6, seed=72),
+              cyclic_digraph("er", 500, 5, 73)):
+        hubs = select_hubs(g, 20)
+        rng = np.random.Generator(np.random.PCG64(74))
+        pairs = [(s, t) for s, t in rng.integers(0, g.n, size=(40, 2)).tolist()
+                 if s != t and not (hubs.is_hub[s] or hubs.is_hub[t])][:12]
+        for labeled in (None, hubs.is_hub):
+            for s, t in pairs:
+                fwd, bwd = (engines._Side(view, v, labeled, None)
+                            for view, v in zip(engines._graph_views(g), (s, t)))
+                fwd.other_lv, bwd.other_lv = bwd.lv, fwd.lv
+                stats = engines.SearchStats("test")
+                for _ in range(3):
+                    for side in (fwd, bwd):
+                        if not len(side.frontier):
+                            continue
+                        frontier = side.frontier
+                        forms = (np.asarray(frontier, dtype=np.int64),
+                                 np.asarray(frontier).tolist())
+                        outcomes = set()
+                        for step in steps.values():
+                            for form in forms:
+                                copy = side_copy(side)
+                                new = step(copy, form)
+                                outcomes.add((tuple(sorted(np.asarray(new).tolist())),
+                                              tuple(sorted(copy.hits)), bytes(copy.lv)))
+                        assert len(outcomes) == 1, (s, t, side.radius)
+                        compared += 1
+                        hit_levels += bool(outcomes.pop()[1])
+                        engines._expand(side, stats)
+    assert compared >= 400 and hit_levels >= 50
+
+
+def test_step_choice_at_the_threshold():
+    # 0 has exactly SCALAR_EDGES out-arcs, a one more, and the vertices 1 to
+    # SCALAR_EDGES none: the scalar step runs up to SCALAR_EDGES out-edges,
+    # however many vertices carry them, and the vectorized one from one more
+    cap = engines.SCALAR_EDGES
+    a = cap + 1
+    g = Graph.from_edges(cap + 3, [0] * cap + [a], list(range(1, cap + 1)) + [1], directed=True)
+    view = engines._graph_views(g)[0]
+    leaves = list(range(1, cap + 1))
+    cases = [([0], True), ([0, 5, 6], True), ([6, 0, cap + 2], True), (leaves, True),
+             ([a] + leaves, True), ([0, a], False), ([a, 0], False),
+             ([cap + 2, a] + leaves + [0], False)]
+    for frontier, few in cases:
+        for form in (frontier, np.asarray(frontier, dtype=np.int64)):
+            side = engines._Side(view, cap + 2, None, None)
+            side.other_lv = bytearray(g.n)
+            assert engines._few_edges(side, form) is few, (frontier[:3], len(frontier))
+            side.frontier = form
+            new = engines._expand(side, engines.SearchStats("test"))
+            assert isinstance(new, list) is few
+            assert sorted(np.asarray(new).tolist()) == sorted(
+                {w for v in frontier for w in view[2][v]} - {cap + 2})
+
+
 def test_searches_refuse_k_above_max_k(chain4):
     # the level buffers hold level + 1 in one byte: k = MAX_K labels marks up
     # to MAX_K + 1 = 255, and one more level would not fit

@@ -360,3 +360,18 @@ def test_from_edges_equality_and_checksum_changes():
     assert g1 == g2 and g1.checksum == g2.checksum
     g3 = Graph.from_edges(4, [0, 1], [1, 3], directed=False)
     assert g1 != g3 and g1.checksum != g3.checksum
+
+
+@pytest.mark.parametrize("sources, targets, bad", [
+    ([0, 1], [5, 2], 5),
+    ([0, 3], [1, 2], 3),
+    (np.array([0, -1], np.int64), np.array([1, 2], np.int64), -1),
+    ([0, 1], np.array([1, -2], np.int64), -2),
+], ids=["target-too-big", "source-equals-n", "negative-source", "negative-target"])
+@pytest.mark.parametrize("directed", [False, True])
+def test_from_edges_rejects_ids_outside_n(sources, targets, bad, directed):
+    # row * n + col would fold edge 0-5 of a 3-vertex graph into edge 1-2
+    with pytest.raises(ValueError, match=rf"vertex id {bad} outside \[0, 3\)"):
+        Graph.from_edges(3, sources, targets, directed=directed)
+    ok = Graph.from_edges(3, [0, 1], [1, 2], directed=directed)
+    assert ok.out_offsets.size == 4 and ok.out_targets.max() == 2
