@@ -139,7 +139,7 @@ class _Side:
     nothing reads their level: meets are checked on fresh labels only, and
     _stitch steps only onto marks above the start's.
 
-    For hn, hub_ids holds the hub ids as intp and hubs lists the hubs this
+    For hn, hub_ids is the HubSet's ids (intp) and hubs lists the hubs this
     side labeled in level order, its start included; _expand appends each
     level's hubs.  Labels are never cleared, so the met hubs before hub_head
     stay met for good.
@@ -156,7 +156,7 @@ class _Side:
         self.lv[start] = 1
         self.frontier = [start]
         self.radius = 0
-        self.hub_ids = None if hubs is None else hubs.ids.astype(np.intp)
+        self.hub_ids = None if hubs is None else hubs.ids
         self.hubs = [start] if hubs is not None and hubs.is_hub[start] else []
         self.hub_head = 0
 

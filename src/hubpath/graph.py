@@ -210,18 +210,25 @@ def load_edge_list(source, directed=False) -> Graph:
 def _parse_edges(data):
     """(sources, targets) int64 arrays of edge-list text, one entry per data line.
 
-    ASCII text goes to np.loadtxt (_parse_buffer); the line loop reads the
-    rest, and any text _parse_buffer turns down.
+    A str is read as its UTF-8 bytes.  np.loadtxt reads plain text (_parse_buffer),
+    the line loop the rest and any text _parse_buffer turns down.
     """
-    if isinstance(data, str) and data.isascii():
-        data = data.encode("ascii")
-    edges = _parse_buffer(data) if isinstance(data, bytes) else None
+    data = _utf8(data)
+    edges = _parse_buffer(data)
     return edges if edges is not None else _parse_lines(data)
+
+
+def _utf8(data):
+    """A str as its UTF-8 bytes, lone surrogates too, so no str fails; bytes as is."""
+    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
 
 
 # The bytes np.loadtxt and the line loop read alike: printable ASCII, tab, LF,
 # and CR where it ends a CRLF (checked apart).
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+# The tokens np.loadtxt's int64 parse takes; int() alone also reads 1_0 as 10.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_buffer(data: bytes):
@@ -256,13 +263,13 @@ def _parse_buffer(data: bytes):
 
 def _parse_lines(data):
     """The line loop: reads what np.loadtxt is not trusted with, and names the
-    first line it cannot read; every error that names a line comes from here."""
-    from_bytes = isinstance(data, bytes)
-    text = data.decode("ascii", "surrogateescape") if from_bytes else data
+    first line it cannot read; every error that names a line comes from here.
+    A str is read as its UTF-8 bytes (_utf8)."""
+    text = _utf8(data).decode("ascii", "surrogateescape")
     srcs, dsts = [], []
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if from_bytes and not line.isascii():
+        if not line.isascii():
             shown = line.encode("ascii", "surrogateescape")
             raise EdgeListParseError(f"line {line_no}: non-ASCII byte in {shown!r}")
         if not line or line.startswith("#"):
@@ -271,7 +278,9 @@ def _parse_lines(data):
         if len(parts) < 2:
             raise EdgeListParseError(f"line {line_no}: expected two integer tokens, got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            if not (_INT_TOKEN.fullmatch(parts[0]) and _INT_TOKEN.fullmatch(parts[1])):
+                raise ValueError
+            u, v = int(parts[0]), int(parts[1])  # ValueError past int()'s digit limit
         except ValueError:
             raise EdgeListParseError(f"line {line_no}: malformed integer token in {line!r}") from None
         if u < 0 or v < 0:

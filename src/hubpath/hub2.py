@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
@@ -146,45 +145,45 @@ class Hub2Index:
         return table.vertex_slice(v)
 
 
-def _pass(g, hubs, lo, k, reverse, dist=None):
-    """Bounded BFS from the BIT_BLOCK hubs ranked lo onward, bit b for rank lo + b.
+def _pass(g, hubs, k, reverse, dist=None):
+    """Bounded BFS from every hub, one graph.bit_levels pass per BIT_BLOCK hubs.
 
-    Returns the block's labels, one (vertex, dist, rank) part per depth in
-    (vertex, rank) order, and, given the matrix distances, fills its rows.
-    The levels come from graph.bit_levels; a label is a free first reach.
-    The pass that fills the matrix labels hubs too, as the paths of basic
-    pairs; the other one, whose hub labels nothing reads, does not.
-    reverse=True walks in-edges (directed graphs) and gives outgoing-side
-    labels; the forward walk gives incoming-side labels.
+    Returns one side's labels as a list per depth 1..k of the blocks' parts in
+    rank order, each (vertex, dist, rank) in (vertex, rank) order, bit b of the
+    block from rank lo being rank lo + b; given the matrix distances, fills
+    them too.  A label is a free first reach.  The pass that fills the matrix
+    labels hubs too, as the paths of basic pairs; the other one, whose hub
+    labels nothing reads, does not.  reverse=True walks in-edges (directed
+    graphs) and gives outgoing-side labels; the forward walk incoming-side ones.
     """
     offsets, sources = g.adjacency(not reverse)
-    hub_ids = hubs.ids.astype(np.int64)
-    parts = []
-    levels = bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + BIT_BLOCK], k)
-    for depth, (new, free) in enumerate(levels, 1):
-        rows = np.flatnonzero(free)
-        if dist is None:
-            rows = rows[~hubs.is_hub[rows]]
-        i, bit = set_bits(free[rows])
-        parts.append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
-                      (lo + bit).astype(np.uint16)))
-        if dist is not None:
-            j, bit = set_bits(new[hub_ids])
-            dist[lo + bit, j] = depth
-    return parts
+    levels = [[] for _ in range(k)]
+    for lo in range(0, hubs.size, BIT_BLOCK):
+        roots = hubs.ids[lo:lo + BIT_BLOCK]
+        for depth, (new, free) in enumerate(bit_levels(offsets, sources, hubs.ids, roots, k), 1):
+            rows = np.flatnonzero(free)
+            if dist is None:
+                rows = rows[~hubs.is_hub[rows]]
+            i, bit = set_bits(free[rows])
+            levels[depth - 1].append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
+                                      (lo + bit).astype(np.uint16)))
+            if dist is not None:
+                j, bit = set_bits(new[hubs.ids])
+                dist[lo + bit, j] = depth
+    return levels
 
 
-def _label_table(n, blocks):
-    """The (vertex, dist, rank)-sorted table of the passes' parts, a list per block.
+def _label_table(n, levels):
+    """The (vertex, dist, rank)-sorted table of one side's parts, a list per depth.
 
     Each part has one depth and one block and ascends by (vertex, bit), so,
     joined by depth, then block, a stable sort by vertex leaves each vertex's
     entries by (dist, rank), as rank = lo + bit and the blocks' ranks ascend;
     no two entries share (vertex, dist, rank), so the order is the unique one.
-    Empties blocks, so the passes' arrays are freed before the sort.
+    Empties levels, so the pass's arrays are freed before the sort.
     """
-    parts = [p for level in zip_longest(*blocks) for p in level if p is not None]
-    blocks.clear()
+    parts = [p for level in levels for p in level]
+    levels.clear()
     vertex, dist, rank = (np.concatenate(f) for f in zip(_NO_LABELS, *parts))
     del parts
     offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
@@ -194,12 +193,13 @@ def _label_table(n, blocks):
 
 
 def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
-    """Label every vertex and fill the hub matrix with one pass per BIT_BLOCK hubs.
+    """Label every vertex and fill the hub matrix, one label table per side.
 
-    Each pass is a bit-parallel bounded BFS from the block's hubs, in rank
-    order; a directed graph adds a reverse pass for the outgoing labels.
-    Python loops over blocks and levels only, and every tie goes to the
-    smallest id, so the index is the same for any block size and order.
+    Each side's table comes from one _pass, a bit-parallel bounded BFS per
+    BIT_BLOCK hubs in rank order, merged before the next side's pass starts;
+    a directed graph adds a reverse pass for the outgoing labels.  Python
+    loops over blocks and levels only, and every tie goes to the smallest
+    id, so the index is the same for any block size and order.
     """
     if hubs.size == 0:
         raise ValueError("cannot build an index over an empty hub set")
@@ -210,13 +210,8 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     dim = hubs.size
     dist = np.full((dim, dim), INF, np.uint8)
     np.fill_diagonal(dist, 0)
-    blocks_in, blocks_out = [], []
-    for lo in range(0, dim, BIT_BLOCK):
-        blocks_in.append(_pass(g, hubs, lo, k, False, dist))
-        if g.directed:
-            blocks_out.append(_pass(g, hubs, lo, k, True))
-    labels_in = _label_table(g.n, blocks_in)
-    labels_out = _label_table(g.n, blocks_out) if g.directed else labels_in
+    labels_in = _label_table(g.n, _pass(g, hubs, k, False, dist))
+    labels_out = _label_table(g.n, _pass(g, hubs, k, True)) if g.directed else labels_in
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
                      matrix=Hub2Matrix(dim, dist), labels_in=labels_in, labels_out=labels_out)
@@ -239,9 +234,8 @@ def core_hubs_oracle(g: Graph, hubs: HubSet, k: int, v: int, side="out"):
     # from v gives d(., v) and a BFS from h2 gives d(., h2) == d(h, h2) read
     # at h, which is exactly the mirrored strictly-between test.
     offsets, targets = g.adjacency(reverse=(side == "in"))
-    hub_ids = hubs.ids.astype(np.int64)
-    d = bfs_tree(offsets, targets, v, k)[0][hub_ids]
-    cand, d = hub_ids[d > 0], d[d > 0]
+    d = bfs_tree(offsets, targets, v, k)[0][hubs.ids]
+    cand, d = hubs.ids[d > 0], d[d > 0]
     # between[i, j] = d(cand_i, cand_j); only i == j has distance 0
     between = np.array([bfs_tree(offsets, targets, h, k)[0][cand] for h in cand.tolist()],
                        np.int32).reshape(cand.size, cand.size)
@@ -329,7 +323,7 @@ def from_bytes(data: bytes) -> Hub2Index:
     dim = struct.unpack("<I", r.take(4))[0]
     if dim == 0 or dim > min(n, MAX_HUBS):
         raise IndexFormatError(f"hub count {dim} out of range for n={n}")
-    ids = np.frombuffer(r.take(4 * dim), dtype="<u4").astype(np.uint32)
+    ids = np.frombuffer(r.take(4 * dim), dtype="<u4")
     if np.any(ids[1:] <= ids[:-1]) or (dim and ids[-1] >= n):
         raise IndexFormatError("hub ids must be strictly ascending and < n")
     dist = np.frombuffer(r.take(dim * dim), dtype=np.uint8).reshape(dim, dim)
@@ -341,9 +335,8 @@ def from_bytes(data: bytes) -> Hub2Index:
     labels_out = _read_label_table(r, n, dim, k) if directed else labels_in
     if r.remaining():
         raise IndexFormatError(f"{r.remaining()} unexpected trailing bytes")
-    hubs = HubSet(n, ids, dim)
     return Hub2Index(k=int(k), directed=directed, n=int(n), m=int(m),
-                     graph_checksum=int(checksum), hubs=hubs,
+                     graph_checksum=int(checksum), hubs=HubSet(n, ids, dim),
                      matrix=Hub2Matrix(dim, dist), labels_in=labels_in,
                      labels_out=labels_out)
 

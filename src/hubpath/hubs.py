@@ -11,11 +11,15 @@ class HubSet:
     """The selected hub vertices, ascending, with O(1) rank and membership.
 
     ids[rank] is the inverse of rank[v]; membership is a bitmap over V.  Two
-    sets are equal when their ids are.
+    sets are equal when their ids are.  ids are intp, so no reader casts them
+    (the index file stores <u4), and one outside [0, n) is a ValueError.
     """
 
     def __init__(self, n, ids, beta):
-        self.ids = np.asarray(ids, dtype=np.uint32)
+        self.ids = np.asarray(ids, dtype=np.intp)
+        bad = self.ids[(self.ids < 0) | (self.ids >= n)]
+        if bad.size:
+            raise ValueError(f"hub id {bad[0]} outside [0, {n})")
         self.beta = int(beta)
         self.rank = np.full(n, -1, np.int32)
         self.rank[self.ids] = np.arange(self.ids.size, dtype=np.int32)
@@ -25,7 +29,7 @@ class HubSet:
     @classmethod
     def from_ids(cls, n, ids):
         """Hub set over an explicit id list (ids are sorted and deduplicated)."""
-        ids = sort_unique(np.asarray(ids, dtype=np.uint32).ravel())
+        ids = sort_unique(np.asarray(ids, dtype=np.intp).ravel())
         return cls(n, ids, ids.size)
 
     @property
@@ -55,10 +59,8 @@ def select_hubs(g: Graph, beta: int) -> HubSet:
     """
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    deg = g.total_degrees().astype(np.int64)
-    order = np.lexsort((np.arange(g.n), -deg))
-    chosen = np.sort(order[:min(beta, g.n)])
-    return HubSet(g.n, chosen, beta)
+    order = np.argsort(-g.total_degrees(), kind="stable")
+    return HubSet(g.n, np.sort(order[:beta]), beta)
 
 
 def default_beta(n: int) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (BIT_BLOCK, Graph, bit_levels, csr_slices, induced_subgraph,
-                    offsets_from_counts, sort_unique)
+                    offsets_from_counts, set_bits, sort_unique)
 from .hubs import HubSet
 
 
@@ -133,8 +133,7 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     net = HubNetwork(member=member, members=None, k=k,
                      added_per_hub=np.zeros(hubs.size, np.int64))
     offsets, sources = g.adjacency(True)
-    n, one, is_hub = np.uint64(g.n), np.uint64(1), hubs.is_hub
-    hub_ids = hubs.ids.astype(np.int64)
+    n, one, is_hub, hub_ids = np.uint64(g.n), np.uint64(1), hubs.is_hub, hubs.ids
     # key[u] > 0 exactly at the candidate parents of the level being walked,
     # the non-hubs of the cone one level up: score * n + n - u with the score
     # counted from s, so the largest key has the highest score, then the
@@ -203,28 +202,25 @@ def verify_distance_preserving(g: Graph, hubs: HubSet, net: HubNetwork, k: int) 
     hubs on each graph: bit b first set at hub j on depth d is d(root_b, j).
     """
     report = PreservationReport()
-    if hubs.size == 0:
-        return report
-    hub_ids = hubs.ids.astype(np.int64)
     sub = induced_subgraph(g, net.member)
-    for lo in range(0, hub_ids.size, BIT_BLOCK):
-        roots = hub_ids[lo:lo + BIT_BLOCK]
-        dg, ds = (_hub_distances(graph, roots, hub_ids, k) for graph in (g, sub))
+    for lo in range(0, hubs.size, BIT_BLOCK):
+        roots = hubs.ids[lo:lo + BIT_BLOCK]
+        dg, ds = (_hub_distances(graph, roots, hubs.ids, k) for graph in (g, sub))
         within = dg > 0
         report.checked += int(within.sum())
         for b, j in zip(*np.nonzero(within & (ds != dg))):
             d_sub = int(ds[b, j]) if ds[b, j] > 0 else None
-            report.failures.append((int(roots[b]), int(hub_ids[j]), int(dg[b, j]), d_sub))
+            report.failures.append((int(roots[b]), int(hubs.ids[j]), int(dg[b, j]), d_sub))
     return report
 
 
 def _hub_distances(g, roots, hub_ids, k):
-    """(roots, hubs) int64 distances within k from each root, 0 where unreached."""
+    """(roots, hubs) int64 distances within k from each root, 0 where unreached;
+    each level is read at the hubs with set_bits, as hub2._pass fills its matrix."""
     dist = np.zeros((roots.size, hub_ids.size), np.int64)
-    bits = np.arange(roots.size, dtype=np.uint64)[:, None]
-    no_hubs = np.empty(0, np.int64)
-    for d, (new, _) in enumerate(bit_levels(*g.adjacency(True), no_hubs, roots, k), 1):
-        dist[(new[hub_ids] >> bits) & np.uint64(1) == 1] = d
+    for d, (new, _) in enumerate(bit_levels(*g.adjacency(True), hub_ids[:0], roots, k), 1):
+        j, bit = set_bits(new[hub_ids])
+        dist[bit, j] = d
     return dist
 
 
@@ -236,9 +232,8 @@ def network_stats(g: Graph, hubs: HubSet, net: HubNetwork) -> dict:
     deg = g.total_degrees()
     sub = induced_subgraph(g, net.member)
     sdeg = sub.total_degrees()
-    hub_ids = hubs.ids
     return {
         "size_hstar": net.size,
-        "avg_hub_degree_original": float(deg[hub_ids].mean()),
-        "avg_hub_degree_network": float(sdeg[hub_ids].mean()),
+        "avg_hub_degree_original": float(deg[hubs.ids].mean()),
+        "avg_hub_degree_network": float(sdeg[hubs.ids].mean()),
     }

@@ -15,14 +15,18 @@ def test_digest_lines_match_the_dump(tmp_path, capsys):
     dump = tmp_path / "answers.json"
     answers_digest.main(["--seeds", "3", "--pairs", "25", "--dump", str(dump)])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 * len(answers_digest.ENGINES)
+    assert len(lines) == 3 * (1 + len(answers_digest.ENGINES))
     rows = json.loads(dump.read_text())
     assert sorted(rows) == ["ba-directed/3", "ba-social/3", "er-flat/3"]
     for line in lines:
-        name, seed, engine, answers, work = line.split()
+        name, seed, engine, first, second = line.split()
         per_engine = rows[f"{name}/{seed.removeprefix('seed=')}"]
-        assert answers == "answers=" + answers_digest.sha(per_engine[engine]["answers"])
-        assert work == "work=" + answers_digest.sha(per_engine[engine]["work"])
+        if engine == "setup":
+            assert first == "index=" + per_engine["setup"]["index"]
+            assert second == "network=" + answers_digest.sha(per_engine["setup"]["network"])
+            continue
+        assert first == "answers=" + answers_digest.sha(per_engine[engine]["answers"])
+        assert second == "work=" + answers_digest.sha(per_engine[engine]["work"])
     for per_engine in rows.values():
         truth = [d for d, _ in per_engine["bfs"]["answers"]]
         assert len(truth) == 25 and any(d is not None for d in truth)

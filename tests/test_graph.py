@@ -169,6 +169,37 @@ def test_parse_guards_keep_the_line_loop_outcome(data):
             assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("text", [
+    "\u0661 \u0662\n", "\uff11 \uff12\n",  # digits int() reads
+    "1\u00a02\n", "0 1\n2\u20283\n",  # a blank str.split() and a break str.splitlines() reads
+    "0 1\n# caf\u00e9\n",  # a non-ASCII comment
+    "\ud800 1\n", "0 1\n2 \udcff\n",  # lone surrogates, which no codec but surrogatepass encodes
+])
+def test_str_reads_as_its_utf8_bytes(text):
+    data = text.encode("utf-8", "surrogatepass")
+    with pytest.raises(EdgeListParseError, match="non-ASCII byte") as from_bytes:
+        load_edge_list(data)
+    with pytest.raises(EdgeListParseError) as from_str:
+        load_edge_list(text)
+    assert str(from_str.value) == str(from_bytes.value)
+    with pytest.raises(EdgeListParseError, match="non-ASCII byte"):
+        load_edge_list(io.StringIO(text))
+
+
+def test_line_loop_takes_only_plain_integer_tokens():
+    # int() reads Python's digit grouping; np.loadtxt and the format do not
+    for data, line in [(b"1_0 2\n", 1), (b"0 1\n2 3_4\n", 2), (b"0 1\n--5 2\n", 2),
+                       (b"0 1\n1 " + b"9" * 5000 + b"\n", 2)]:
+        with pytest.raises(EdgeListParseError, match=f"line {line}: malformed integer token"):
+            load_edge_list(data)
+        with pytest.raises(EdgeListParseError, match=f"line {line}: malformed integer token"):
+            graph._parse_lines(data)
+    src, dst = graph._parse_lines(b"+5 2\n-0 +0012\n")
+    assert src.tolist() == [5, 0] and dst.tolist() == [2, 12]
+    g = load_edge_list(b"+5 2\n")
+    assert g.n == 6 and list(g.neighbors(5)) == [2]
+
+
 def test_benchmark_texts_take_the_loadtxt_path():
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hubpath import Graph, HubSet, gen_synthetic, load_edge_list, select_hubs
+from hubpath import Graph, HubSet, build_index, gen_synthetic, load_edge_list, select_hubs
+from hubpath.hub2 import from_bytes, to_bytes
 from hubpath.hubs import default_beta
 
 from conftest import ba_graph
@@ -75,6 +76,19 @@ def test_from_ids_constructor():
     assert hubs.size == 2
     empty = HubSet.from_ids(10, [])
     assert empty.size == 0
+
+
+def test_hub_ids_are_intp_and_from_ids_rejects_ids_outside_n():
+    for ids, bad in [([7], 7), ([-1], -1), (np.array([-1]), -1), ([0, 5, 2], 5),
+                     (np.array([3, 9, -2], np.int32), -2), (np.array([[1], [6]]), 6)]:
+        with pytest.raises(ValueError, match=rf"hub id {bad} outside \[0, 5\)"):
+            HubSet.from_ids(5, ids)
+    g = ba_graph(200, 4, seed=2)
+    hubs = select_hubs(g, 12)
+    loaded = from_bytes(to_bytes(build_index(g, hubs, 4))).hubs
+    for h in (hubs, HubSet.from_ids(g.n, np.array([7, 3, 3], np.uint32)), loaded):
+        assert h.ids.dtype == np.intp
+    assert loaded == hubs and np.array_equal(loaded.rank, hubs.rank)
 
 
 def test_default_beta_bounds():
