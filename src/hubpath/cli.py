@@ -94,7 +94,7 @@ def _hub_count(args, g):
     if args.hubs is not None:
         if args.hubs < 1:
             raise SystemExit("--hubs must be >= 1")
-        return min(args.hubs, g.n)
+        return args.hubs
     return default_beta(g.n)
 
 

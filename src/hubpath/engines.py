@@ -325,9 +325,9 @@ def _bidirectional(g, views, s, t, cap, engine, labeled=None, hubs=None):
     only distances strictly below cap are reported.  _next_side picks each
     side to expand and ends the search; hubs (hn's HubSet) gives it open hubs.
     A side labels levels up to cap - 1, stored as marks up to cap in its
-    byte buffer, so cap above 0xFF (k above MAX_K) is an error.
+    byte buffer, so cap above MAX_K + 1 = 0xFF is an error.
     """
-    if cap > 0xFF:
+    if cap > MAX_K + 1:
         raise ValueError(f"k={cap - 1} exceeds MAX_K={MAX_K}: the search stores "
                          f"level + 1 in one byte per vertex")
     stats = SearchStats(engine)
@@ -364,14 +364,16 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     each side finds the hubs of a new level by reading the hubs' marks.
     The path is read back over g's own lists, not the views, so it may step
     from a hub to a vertex outside H*; it is still a shortest path of G.
-    Discovery preserves hub-pair distances only up to net.k, so a larger k
-    is an error, and so is k above MAX_K.
+    Discovery preserves hub-pair distances only up to net.k and only between
+    the network's own hubs, so a larger k is an error, and so are another
+    hub set (HubNetwork.check_hubs) and k above MAX_K.
     """
     _check_pair(g, s, t)
+    net.check_hubs(hubs)
     if k > net.k:
         raise ValueError(f"k={k} exceeds the hub network's k={net.k}; engine hn "
                          f"needs k <= {net.k} or a network discovered with k={k}")
-    return _bidirectional(g, net.search_views(g, hubs), s, t, k + 1, "hn", hubs=hubs)
+    return _bidirectional(g, net.search_views(g), s, t, k + 1, "hn", hubs=hubs)
 
 
 def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
@@ -449,7 +451,8 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int) -> QueryResult:
 
     A hub endpoint makes the estimate exact (its implicit self label joins the
     core-hub recursion), so the second step runs only for non-hub endpoints,
-    bounded by the estimate.  On equal distances the estimate's path wins.
+    bounded by the estimate (hp_bbfs's search, on a pair already checked).
+    On equal distances the estimate's path wins.
     """
     _check_pair(g, s, t)
     k = idx.k
@@ -461,9 +464,8 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int) -> QueryResult:
     stats.join_ops = est.join_ops
     if not hub_endpoint:
         bound = est.value if est.value is not None else k + 1
-        res = hp_bbfs(g, idx.hubs.is_hub, s, t, bound)
+        res = _bidirectional(g, _graph_views(g), s, t, bound, "hl", labeled=idx.hubs.is_hub)
         res.stats.join_ops = est.join_ops
-        res.stats.engine = "hl"
         if res.found:
             res.stats.answered_by = "search"
             return res

@@ -12,8 +12,9 @@ LF or CRLF line breaks, '#' only at the start of a token, and first two
 columns that are ids in [0, MAX_VERTEX_ID].  Anything else -- any other byte,
 a lone CR, a '#' inside a token, a line loadtxt cannot read, no data line, an
 id out of range -- goes to the line loop, which accepts it as the format
-allows or names the line.  from_edges and HubSet.from_ids deduplicate
-through sort_unique.
+allows or names the line.  from_edges and HubSet read ids through
+vertex_ids, which refuses any that is not an integer in [0, n);
+from_edges and HubSet.from_ids deduplicate through sort_unique.
 
 bfs_tree is the one single-source BFS level loop outside the engines: the
 reference engine bfs_query, bounded_bfs and the label oracle
@@ -85,15 +86,13 @@ class Graph:
         """Build a graph from parallel source/target id arrays.
 
         Undirected mode inserts both orientations; duplicates collapse and
-        self-loops are dropped in either mode.  An id outside [0, n) is a
-        ValueError: _csr's row * n + col codes would fold it into another edge.
+        self-loops are dropped in either mode.  An id that is not an integer
+        in [0, n) is a ValueError (vertex_ids): _csr's row * n + col codes
+        would fold it into another edge.
         """
         n = int(n)
-        src, dst = np.asarray(sources), np.asarray(targets)
-        for ids in (src, dst):
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
-                raise ValueError(f"vertex id {ids[(ids < 0) | (ids >= n)][0]} outside [0, {n})")
-        src, dst = np.asarray(src, np.uint64), np.asarray(dst, np.uint64)
+        src, dst = (np.asarray(vertex_ids(ids, n, "vertex id"), np.uint64)
+                    for ids in (sources, targets))
         keep = src != dst
         src, dst = src[keep], dst[keep]
         if not directed:
@@ -174,6 +173,20 @@ def sort_unique(values):
         np.not_equal(out[1:], out[:-1], out=keep[1:])
         out = out[keep]
     return out
+
+
+def vertex_ids(values, n, name):
+    """values as intp ids; a ValueError names the first that is not an
+    integer (NaN and inf included) or lies outside [0, n)."""
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iu":
+        ids = ids.astype(np.float64)
+        bad = ids[~(np.isfinite(ids) & (np.floor(ids) == ids))]
+        if bad.size:
+            raise ValueError(f"{name} {bad[0]} is not an integer")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"{name} {int(ids[(ids < 0) | (ids >= n)][0])} outside [0, {n})")
+    return ids.astype(np.intp, copy=False)
 
 
 def _csr(n, rows, cols):

@@ -138,10 +138,15 @@ class Hub2Index:
         (distance, rank), as two sequences of Python ints: the table's
         memoryview slices (LabelTable.vertex_slice).  For a hub that is its
         implicit self label (rank, 0) alone; its table entries are the paths
-        of basic pairs, not core hubs."""
+        of basic pairs, not core hubs.  Any other side is a ValueError."""
+        if side == "out":
+            table = self.labels_out
+        elif side == "in":
+            table = self.labels_in
+        else:
+            raise ValueError(f"side must be 'out' or 'in', not {side!r}")
         if self.hubs.is_hub[v]:
             return (int(self.hubs.rank[v]),), (0,)
-        table = self.labels_out if side == "out" else self.labels_in
         return table.vertex_slice(v)
 
 
@@ -300,7 +305,8 @@ def serialize(idx: Hub2Index, sink) -> None:
 
 
 def from_bytes(data: bytes) -> Hub2Index:
-    """Parse and validate a serialized index; any corruption raises."""
+    """Parse and validate a serialized index; any corruption raises
+    IndexFormatError, HubSet's ValueError on the hub ids included."""
     if len(data) < 8:
         raise IndexFormatError("truncated file: too short for checksum")
     # sections are read in place through one view; only decoded arrays copy
@@ -324,8 +330,6 @@ def from_bytes(data: bytes) -> Hub2Index:
     if dim == 0 or dim > min(n, MAX_HUBS):
         raise IndexFormatError(f"hub count {dim} out of range for n={n}")
     ids = np.frombuffer(r.take(4 * dim), dtype="<u4")
-    if np.any(ids[1:] <= ids[:-1]) or (dim and ids[-1] >= n):
-        raise IndexFormatError("hub ids must be strictly ascending and < n")
     dist = np.frombuffer(r.take(dim * dim), dtype=np.uint8).reshape(dim, dim)
     if np.any(np.diag(dist) != 0):
         raise IndexFormatError("matrix diagonal must be zero")
@@ -335,8 +339,13 @@ def from_bytes(data: bytes) -> Hub2Index:
     labels_out = _read_label_table(r, n, dim, k) if directed else labels_in
     if r.remaining():
         raise IndexFormatError(f"{r.remaining()} unexpected trailing bytes")
+    # last: HubSet allocates n entries, and only the label tables check n
+    try:
+        hubs = HubSet(n, ids)
+    except ValueError as exc:
+        raise IndexFormatError(str(exc)) from exc
     return Hub2Index(k=int(k), directed=directed, n=int(n), m=int(m),
-                     graph_checksum=int(checksum), hubs=HubSet(n, ids, dim),
+                     graph_checksum=int(checksum), hubs=hubs,
                      matrix=Hub2Matrix(dim, dist), labels_in=labels_in,
                      labels_out=labels_out)
 

@@ -28,24 +28,35 @@ from .hubs import HubSet
 
 @dataclass
 class HubNetwork:
-    """The extracted vertex set H* with discovery instrumentation.
+    """The extracted vertex set H* (the mask member) with discovery
+    instrumentation, and hubs, the hub set it was discovered from.
 
     basic_pairs holds (source_hub, hub, distance) in discovery order; ordered
     pairs, so undirected graphs record each unordered pair once per direction.
-    added_per_pair is aligned with basic_pairs; added_per_hub with hub rank.
+    added_per_pair is aligned with basic_pairs.
     """
 
+    hubs: HubSet
     member: np.ndarray
-    members: np.ndarray
     k: int
     basic_pairs: list = field(default_factory=list)
     added_per_pair: list = field(default_factory=list)
-    added_per_hub: np.ndarray = None
     _views: tuple = field(default=None, init=False, compare=False, repr=False)
 
     @property
+    def members(self):
+        return np.flatnonzero(self.member).astype(np.uint32)
+
+    @property
     def size(self):
-        return int(self.members.size)
+        return int(np.count_nonzero(self.member))
+
+    def check_hubs(self, hubs: HubSet):
+        """Refuse any hub set but this network's: it preserves distances
+        between its own hubs only."""
+        if hubs is not self.hubs and hubs != self.hubs:
+            raise ValueError(f"hub set of {hubs.size} hubs is not the {self.hubs.size} "
+                             f"hubs this network was discovered from")
 
     def size_bound(self):
         """Worst-case size: one fresh shortest path per unordered basic pair."""
@@ -58,15 +69,16 @@ class HubNetwork:
                 total += d - 1
         return total
 
-    def search_views(self, g: Graph, hubs: HubSet):
-        """hn's (forward, reverse) views (offsets, targets, lists): hub rows keep
-        only H* members, non-hub rows are g's own list objects, and an
-        undirected graph shares one view.  Cached on first use, so they belong
-        to the (g, hubs) this network was discovered from.
+    def search_views(self, g: Graph):
+        """hn's (forward, reverse) views (offsets, targets, lists): rows of the
+        network's hubs keep only H* members, non-hub rows are g's own list
+        objects, and an undirected graph shares one view.  Cached on first
+        use, so they belong to the g this network was discovered on.
         """
         if self._views is None:
-            fwd = _hub_view(g, hubs.is_hub, self.member, False)
-            self._views = (fwd, _hub_view(g, hubs.is_hub, self.member, True) if g.directed else fwd)
+            is_hub = self.hubs.is_hub
+            fwd = _hub_view(g, is_hub, self.member, False)
+            self._views = (fwd, _hub_view(g, is_hub, self.member, True) if g.directed else fwd)
         return self._views
 
 
@@ -130,8 +142,7 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     if k < 1:
         raise ValueError("k must be >= 1")
     member = hubs.is_hub.copy()
-    net = HubNetwork(member=member, members=None, k=k,
-                     added_per_hub=np.zeros(hubs.size, np.int64))
+    net = HubNetwork(hubs=hubs, member=member, k=k)
     offsets, sources = g.adjacency(True)
     n, one, is_hub, hub_ids = np.uint64(g.n), np.uint64(1), hubs.is_hub, hubs.ids
     # key[u] > 0 exactly at the candidate parents of the level being walked,
@@ -164,7 +175,7 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
                 pulls.append((src, at))
                 cand = src[(frees[d - 2][src] & bit) != 0]
                 cones.append(sort_unique(np.concatenate((cand, found[d - 2]))))
-            front, total = np.empty(0, np.int64), 0
+            front = np.empty(0, np.int64)
             for d, cone in enumerate(reversed(cones), 1):
                 if d == 1:
                     parent[cone] = s
@@ -186,10 +197,7 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
                         w = int(parent[w])
                     net.basic_pairs.append((s, t, d))
                     net.added_per_pair.append(added)
-                    total += added
             key[front] = 0
-            net.added_per_hub[lo + b] = total
-    net.members = np.flatnonzero(member).astype(np.uint32)
     return net
 
 
@@ -200,7 +208,9 @@ def verify_distance_preserving(g: Graph, hubs: HubSet, net: HubNetwork, k: int) 
     by source hub, then target hub in rank order.  The distances come from
     graph.bit_levels with no blocking hubs, one pass per block of 64 source
     hubs on each graph: bit b first set at hub j on depth d is d(root_b, j).
+    hubs must be the network's own (HubNetwork.check_hubs).
     """
+    net.check_hubs(hubs)
     report = PreservationReport()
     sub = induced_subgraph(g, net.member)
     for lo in range(0, hubs.size, BIT_BLOCK):
@@ -225,7 +235,9 @@ def _hub_distances(g, roots, hub_ids, k):
 
 
 def network_stats(g: Graph, hubs: HubSet, net: HubNetwork) -> dict:
-    """Hub degrees before and after restriction to G[H*]."""
+    """Hub degrees before and after restriction to G[H*]; hubs must be the
+    network's own (HubNetwork.check_hubs)."""
+    net.check_hubs(hubs)
     if hubs.size == 0:
         return {"size_hstar": net.size, "avg_hub_degree_original": 0.0,
                 "avg_hub_degree_network": 0.0}

@@ -367,14 +367,11 @@ def discover_reference(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     if k < 1:
         raise ValueError("k must be >= 1")
     member = hubs.is_hub.copy()
-    net = HubNetwork(member=member, members=None, k=k,
-                     added_per_hub=np.zeros(hubs.size, np.int64))
-    for i, h in enumerate(hubs.ids):
-        pairs, added, total = bfs_extract(g, hubs, int(h), k, member)
+    net = HubNetwork(hubs=hubs, member=member, k=k)
+    for h in hubs.ids:
+        pairs, added, _ = bfs_extract(g, hubs, int(h), k, member)
         net.basic_pairs.extend(pairs)
         net.added_per_pair.extend(added)
-        net.added_per_hub[i] = total
-    net.members = np.flatnonzero(member).astype(np.uint32)
     return net
 
 

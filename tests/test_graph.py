@@ -2,6 +2,7 @@ import importlib.util
 import io
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -406,3 +407,20 @@ def test_from_edges_rejects_ids_outside_n(sources, targets, bad, directed):
         Graph.from_edges(3, sources, targets, directed=directed)
     ok = Graph.from_edges(3, [0, 1], [1, 2], directed=directed)
     assert ok.out_offsets.size == 4 and ok.out_targets.max() == 2
+
+
+@pytest.mark.parametrize("sources, targets, bad", [
+    ([0.5, 1.9], [1.2, 2.0], "0.5"),
+    ([0, 1], [2.0, 1.5], "1.5"),
+    (np.array([0, np.nan]), [1, 2], "nan"),
+    ([0, 1], np.array([np.inf, 2]), "inf"),
+    ([0, 1], np.array([-np.inf, 2]), "-inf"),
+], ids=["fractions", "one-fraction", "nan", "inf", "minus-inf"])
+def test_from_edges_rejects_ids_that_are_not_integers(sources, targets, bad):
+    # a cast would truncate 0.5 and 1.9 to an edge 0-1 no input named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"vertex id {bad} is not an integer"):
+            Graph.from_edges(3, sources, targets)
+        whole = Graph.from_edges(3, [0.0, 1.0], np.array([1.0, 2.0]))
+    assert whole.out_targets.tolist() == [1, 0, 2, 1]

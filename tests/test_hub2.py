@@ -123,7 +123,7 @@ def test_build_rejects_empty_hubs_and_bad_k(chain4):
     n = hub2.MAX_HUBS + 1
     isolated = Graph.from_edges(n, [], [], directed=False)
     with pytest.raises(ValueError, match="caps hubs at 65535"):
-        build_index(isolated, HubSet(n, np.arange(n), n), 4)
+        build_index(isolated, HubSet(n, np.arange(n)), 4)
 
 
 # ------------------------------------------------------------ oracle checks
@@ -449,6 +449,32 @@ def test_labels_are_the_stored_columns_read_in_place():
             assert len(ranks) == len(dists) > 0
             for seq in (ranks, dists, *idx.labels(hub, side)):
                 assert all(type(x) is int for x in seq)
+
+
+def test_labels_refuse_an_unknown_side():
+    # any side but "out" used to read the incoming labels
+    g = er_graph(120, 5, seed=3, directed=True)
+    idx = build_index(g, select_hubs(g, 6), 4)
+    for v in (50, int(idx.hubs.ids[0])):
+        for side in ("outgoing", "IN", None):
+            with pytest.raises(ValueError, match="side must be 'out' or 'in'"):
+                idx.labels(v, side)
+
+
+def test_resealed_hub_ids_out_of_order_rejected():
+    # HubSet decides which hub lists are valid, and from_bytes reports its
+    # refusal; the ids start after magic, header, n, m, checksum and dim
+    g = er_graph(150, 6, seed=2)
+    idx = build_index(g, select_hubs(g, 8), 4)
+    body = hub2.to_bytes(idx)[:-8]
+    ids = idx.hubs.ids.tolist()
+    for edited in ([ids[1], ids[0], *ids[2:]], [ids[0], *ids[:-1]], [*ids[:-1], g.n]):
+        blob = body[:40] + np.array(edited, "<u4").tobytes() + body[40 + 4 * len(ids):]
+        blob += digest64(blob).to_bytes(8, "little")
+        with pytest.raises(IndexFormatError, match="hub id"):
+            hub2.from_bytes(blob)
+    blob = body + digest64(body).to_bytes(8, "little")
+    assert hub2.from_bytes(blob) == idx
 
 
 def test_index_matches_graph(chain4):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ def test_tie_breaks_toward_smaller_id():
 def test_beta_clamps_to_n(chain4):
     hubs = select_hubs(chain4, 100)
     assert hubs.size == 4
-    assert hubs.beta == 100
 
 
 def test_beta_validation(chain4):
@@ -89,6 +90,26 @@ def test_hub_ids_are_intp_and_from_ids_rejects_ids_outside_n():
     for h in (hubs, HubSet.from_ids(g.n, np.array([7, 3, 3], np.uint32)), loaded):
         assert h.ids.dtype == np.intp
     assert loaded == hubs and np.array_equal(loaded.rank, hubs.rank)
+
+
+@pytest.mark.parametrize("ids", [[30, 3, 7], [3, 3, 7], [7, 3]], ids=["descending", "repeated", "pair"])
+def test_hub_ids_must_ascend_strictly(ids):
+    # rank, the matrix rows and the index file all order hubs by id: a
+    # descending list built an index that from_bytes refused, and a repeated
+    # id lost the rank of its first copy
+    with pytest.raises(ValueError, match="strictly ascending"):
+        HubSet(200, ids)
+    assert HubSet.from_ids(200, ids) == HubSet(200, sorted(set(ids)))
+
+
+@pytest.mark.parametrize("ids, bad", [([1.7, 3.2], "1.7"), ([3.0, 0.5], "0.5"),
+                                      ([np.nan, 1], "nan"), ([2, np.inf], "inf")])
+def test_hub_ids_that_are_not_integers_are_refused(ids, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"hub id {bad} is not an integer"):
+            HubSet.from_ids(5, ids)
+        assert HubSet.from_ids(5, [3.0, 1.0]).ids.tolist() == [1, 3]
 
 
 def test_default_beta_bounds():

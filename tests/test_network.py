@@ -6,10 +6,12 @@ import pytest
 
 from hubpath import (
     Graph,
+    bfs_query,
     HubNetwork,
     HubSet,
     discover,
     gen_synthetic,
+    hn_query,
     load_edge_list,
     network_stats,
     select_hubs,
@@ -122,7 +124,7 @@ def test_negative_control_detects_missing_vertex():
     g = Graph.from_edges(3, [0, 1], [1, 2], directed=False)
     hubs = hubset(g, [0, 2])
     member = hubs.is_hub.copy()  # drop the middle vertex on purpose
-    fake = HubNetwork(member=member, members=np.flatnonzero(member), k=4)
+    fake = HubNetwork(hubs=hubs, member=member, k=4)
     report = verify_distance_preserving(g, hubs, fake, 4)
     assert (0, 2, 2, None) in report.failures and (2, 0, 2, None) in report.failures
 
@@ -159,8 +161,8 @@ def test_search_views_keep_hub_rows_inside_the_network(directed):
     g = ba_graph(300, 3, seed=81, directed=directed)
     hubs = select_hubs(g, 12)
     net = discover(g, hubs, 4)
-    views = net.search_views(g, hubs)
-    assert net.search_views(g, hubs) is views
+    views = net.search_views(g)
+    assert net.search_views(g) is views
     assert (views[0] is views[1]) == (not directed)
     dropped = 0
     for reverse, (offsets, targets, lists) in zip((False, True), views):
@@ -174,6 +176,27 @@ def test_search_views_keep_hub_rows_inside_the_network(directed):
             else:
                 assert lists[v] is own[v]
     assert dropped > 0
+
+
+def test_readers_refuse_a_hub_set_other_than_the_networks():
+    # a network discovered from 3 hubs preserves distances between those 3
+    # only: hn_query given 30 hubs answered 897 of 4300 pairs wrongly
+    g = load_edge_list(gen_synthetic("ba", 300, 2, 3))
+    net = discover(g, select_hubs(g, 3), 4)
+    other = select_hubs(g, 30)
+    calls = [lambda hubs: hn_query(g, hubs, net, 0, 1, 4),
+             lambda hubs: network_stats(g, hubs, net),
+             lambda hubs: verify_distance_preserving(g, hubs, net, 4)]
+    for call in calls:
+        with pytest.raises(ValueError, match="not the 3 hubs this network was discovered from"):
+            call(other)
+    # an equal set built apart is the network's own
+    same = select_hubs(g, 3)
+    assert same is not net.hubs
+    assert verify_distance_preserving(g, same, net, 4).ok
+    for s in range(0, g.n, 15):
+        want = [bfs_query(g, s, t, 4).distance for t in range(g.n)]
+        assert [hn_query(g, same, net, s, t, 4).distance for t in range(g.n)] == want
 
 
 def test_network_stats_chain(chain4):
