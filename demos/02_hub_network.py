@@ -38,7 +38,7 @@ print(f"avg hub degree: {stats['avg_hub_degree_original']:.1f} in G, "
 
 # Check the preservation property directly: every ordered hub pair within
 # k must keep its distance in the induced subgraph.
-report = verify_distance_preserving(g, hubs, net, k)
+report = verify_distance_preserving(g, net)
 print(f"preservation check: {report.checked} pairs, {len(report.failures)} failures")
 
 # The greedy never adds more than one fresh path per unordered basic pair.

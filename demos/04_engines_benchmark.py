@@ -46,8 +46,7 @@ workload = make_workload(g, 400, seed=11, non_hub_only=True, hubs=hubs)
 
 records = []
 for engine in ("bfs", "bibfs", "hn", "hl"):
-    records.extend(run_engine(engine, g, workload.pairs, k,
-                              hubs=hubs, net=net, idx=idx))
+    records.extend(run_engine(engine, g, workload.pairs, k, net=net, idx=idx))
 
 # All engines agree pairwise on every distance.
 by_pair = {}

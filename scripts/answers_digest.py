@@ -56,7 +56,7 @@ def workload_answers(name, seed, pairs=POOL):
     out.update({engine: {"answers": [], "work": []} for engine in ENGINES})
     for s, t in make_pairs(N, pairs, seed):
         for engine in ENGINES:
-            res = query_with_engine(engine, g, s, t, K, hubs=hubs, net=net, idx=idx)
+            res = query_with_engine(engine, g, s, t, K, net=net, idx=idx)
             st = res.stats
             out[engine]["answers"].append([res.distance, res.path])
             out[engine]["work"].append([st.visited, st.enqueued, st.join_ops, st.answered_by])

@@ -92,17 +92,18 @@ def make_workload(g: Graph, count: int, seed: int, k: int = None,
     return Workload(seed=seed, pairs=pairs, filter=name)
 
 
-def run_engine(engine, g, pairs, k, hubs=None, net=None, idx=None):
+def run_engine(engine, g, pairs, k, net=None, idx=None):
     """Benchmark one engine over the workload, records in pair order.
 
-    One unmeasured warm-up pass per engine precedes the measured one.
+    hn needs net, hl idx (query_with_engine).  One unmeasured warm-up pass
+    per engine precedes the measured one.
     """
     for s, t in pairs:
-        query_with_engine(engine, g, s, t, k, hubs=hubs, net=net, idx=idx)
+        query_with_engine(engine, g, s, t, k, net=net, idx=idx)
     records = []
     for s, t in pairs:
         t0 = time.perf_counter_ns()
-        res = query_with_engine(engine, g, s, t, k, hubs=hubs, net=net, idx=idx)
+        res = query_with_engine(engine, g, s, t, k, net=net, idx=idx)
         wall = time.perf_counter_ns() - t0
         records.append(BenchRecord(engine, s, t,
                                    -1 if res.distance is None else res.distance,

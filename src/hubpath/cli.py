@@ -19,15 +19,18 @@ from .hubs import default_beta, select_hubs
 from .network import discover, network_stats, verify_distance_preserving
 
 
-def _add_graph_args(p):
-    p.add_argument("--graph", required=True, help="edge-list file")
-    p.add_argument("--directed", action="store_true", help="treat edges as directed")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="hubpath",
                                      description="Exact k-bounded shortest paths on scale-free graphs")
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True, help="edge-list file")
+    graph.add_argument("--directed", action="store_true", help="treat edges as directed")
+    graph.add_argument("--hubs", type=int, default=None, help="hub count (default 0.5%% of n)")
+    graph.add_argument("--k", type=int, default=6)
+    indexed = argparse.ArgumentParser(add_help=False, parents=[graph])
+    indexed.add_argument("--index", default=None,
+                         help="index file (hl engine); its hubs replace --hubs")
 
     p = sub.add_parser("gen", help="write a synthetic edge list")
     p.add_argument("--kind", required=True, choices=KINDS)
@@ -37,34 +40,21 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("build", help="build and write an index file")
-    _add_graph_args(p)
-    p.add_argument("--hubs", type=int, default=None, help="hub count (default 0.5%% of n)")
-    p.add_argument("--k", type=int, default=6)
+    p = sub.add_parser("build", parents=[graph], help="build and write an index file")
     p.add_argument("--out", required=True, help="index output path")
 
-    p = sub.add_parser("query", help="answer one query with a chosen engine")
-    _add_graph_args(p)
-    p.add_argument("--index", default=None, help="index file (hl engine)")
-    p.add_argument("--hubs", type=int, default=None, help="hub count (hn engine)")
+    p = sub.add_parser("query", parents=[indexed], help="answer one query with a chosen engine")
     p.add_argument("--engine", default="bfs", choices=ENGINES)
-    p.add_argument("--k", type=int, default=6)
     p.add_argument("s", type=int)
     p.add_argument("t", type=int)
 
-    p = sub.add_parser("hubnet", help="discover the hub network and report stats")
-    _add_graph_args(p)
-    p.add_argument("--hubs", type=int, default=None)
-    p.add_argument("--k", type=int, default=6)
+    p = sub.add_parser("hubnet", parents=[graph],
+                       help="discover the hub network and report stats")
     p.add_argument("--verify", action="store_true",
                    help="check distance preservation over all hub pairs")
     p.add_argument("--stats-out", default=None, help="write stats TSV here")
 
-    p = sub.add_parser("bench", help="run seeded workloads per engine")
-    _add_graph_args(p)
-    p.add_argument("--index", default=None)
-    p.add_argument("--hubs", type=int, default=None)
-    p.add_argument("--k", type=int, default=6)
+    p = sub.add_parser("bench", parents=[indexed], help="run seeded workloads per engine")
     p.add_argument("--engines", default="bfs,bibfs", help="comma-separated engine list")
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -73,11 +63,8 @@ def build_parser():
     p.add_argument("--non-hub-only", action="store_true")
     p.add_argument("--records", default=None, help="write JSON-lines records here")
 
-    p = sub.add_parser("verify", help="run the oracle suites against a graph/index")
-    _add_graph_args(p)
-    p.add_argument("--index", default=None)
-    p.add_argument("--hubs", type=int, default=None)
-    p.add_argument("--k", type=int, default=6)
+    p = sub.add_parser("verify", parents=[indexed],
+                       help="run the oracle suites against a graph/index")
     p.add_argument("--limit", type=int, default=300,
                    help="label-oracle check only when n <= limit")
     p.add_argument("--pairs", type=int, default=200, help="engine-agreement sample size")
@@ -106,10 +93,21 @@ def _load_index(path, g):
     return idx
 
 
-def _load_hl_index(args, g):
-    if not args.index:
+def _engine_setup(args, g, engines, need_hubs=False):
+    """(index, hubs, network) for query and bench on engines.  With --index
+    the index is loaded and its hubs are the hubs; otherwise select_hubs runs
+    only when hn or need_hubs asks for hubs, and hl is an error."""
+    idx = hubs = net = None
+    if args.index:
+        idx = _load_index(args.index, g)
+        hubs = idx.hubs
+    elif "hl" in engines:
         raise SystemExit("engine hl needs --index")
-    return _load_index(args.index, g)
+    elif "hn" in engines or need_hubs:
+        hubs = select_hubs(g, _hub_count(args, g))
+    if "hn" in engines:
+        net = discover(g, hubs, args.k)
+    return idx, hubs, net
 
 
 def cmd_gen(args):
@@ -143,14 +141,8 @@ def cmd_build(args):
 
 def cmd_query(args):
     g = _load_graph(args)
-    hubs = net = idx = None
-    if args.engine == "hl":
-        idx = _load_hl_index(args, g)
-    elif args.engine == "hn":
-        hubs = select_hubs(g, _hub_count(args, g))
-        net = discover(g, hubs, args.k)
-    res = query_with_engine(args.engine, g, args.s, args.t, args.k,
-                            hubs=hubs, net=net, idx=idx)
+    idx, _, net = _engine_setup(args, g, (args.engine,))
+    res = query_with_engine(args.engine, g, args.s, args.t, args.k, net=net, idx=idx)
     dist = "none" if res.distance is None else str(res.distance)
     path = "none" if res.path is None else ",".join(str(v) for v in res.path)
     branch = "" if res.stats.answered_by is None else f" answered_by={res.stats.answered_by}"
@@ -160,8 +152,6 @@ def cmd_query(args):
 
 
 def cmd_hubnet(args):
-    if args.k < 1:
-        raise SystemExit("--k must be >= 1")
     g = _load_graph(args)
     hubs = select_hubs(g, _hub_count(args, g))
     net = discover(g, hubs, args.k)
@@ -177,7 +167,7 @@ def cmd_hubnet(args):
     print(tsv, end="")
     status = 0
     if args.verify:
-        report = verify_distance_preserving(g, hubs, net, args.k)
+        report = verify_distance_preserving(g, net)
         print(f"preservation_checked={report.checked} failures={len(report.failures)}")
         for failure in report.failures[:20]:
             print(f"FAIL {failure}")
@@ -191,20 +181,13 @@ def cmd_bench(args):
     bad = [e for e in engines if e not in ENGINES]
     if bad:
         raise SystemExit(f"unknown engines: {bad}; choose from {ENGINES}")
-    hubs = net = idx = None
-    if "hl" in engines:
-        idx = _load_hl_index(args, g)
-    if "hn" in engines or args.non_hub_only:
-        hubs = select_hubs(g, _hub_count(args, g)) if idx is None else idx.hubs
-        if "hn" in engines:
-            net = discover(g, hubs, args.k)
+    idx, hubs, net = _engine_setup(args, g, engines, args.non_hub_only)
     workload = make_workload(g, args.pairs, args.seed, k=args.k,
                              min_dist=args.min_dist,
                              non_hub_only=args.non_hub_only, hubs=hubs)
     records = []
     for engine in engines:
-        records.extend(run_engine(engine, g, workload.pairs, args.k,
-                                  hubs=hubs, net=net, idx=idx))
+        records.extend(run_engine(engine, g, workload.pairs, args.k, net=net, idx=idx))
     if args.records:
         with open(args.records, "w") as fh:
             for rec in records:
@@ -235,7 +218,7 @@ def cmd_verify(args):
         k = args.k
 
     net = discover(g, hubs, k)
-    report = verify_distance_preserving(g, hubs, net, k)
+    report = verify_distance_preserving(g, net)
     print(f"preservation: checked={report.checked} failures={len(report.failures)}")
     failures.extend(("preservation", f) for f in report.failures)
 

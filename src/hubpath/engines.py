@@ -105,9 +105,11 @@ def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     """Bounded BFS from s; the reference engine the others are checked against.
 
     It runs graph.bfs_tree, not the engines' level step, so a fault in that
-    step cannot hide in its own reference.
+    step cannot hide in its own reference.  k must be nonnegative.
     """
     _check_pair(g, s, t)
+    if k < 0:
+        raise ValueError(f"k={k} is negative")
     stats = SearchStats("bfs")
     if s == t:
         return QueryResult(0, [s], stats)
@@ -325,14 +327,16 @@ def _bidirectional(g, views, s, t, cap, engine, labeled=None, hubs=None):
     only distances strictly below cap are reported.  _next_side picks each
     side to expand and ends the search; hubs (hn's HubSet) gives it open hubs.
     A side labels levels up to cap - 1, stored as marks up to cap in its
-    byte buffer, so cap above MAX_K + 1 = 0xFF is an error.
+    byte buffer, so cap outside [1, MAX_K + 1 = 0xFF] is an error.
     """
+    if cap < 1:
+        raise ValueError(f"k={cap - 1} is negative")
     if cap > MAX_K + 1:
         raise ValueError(f"k={cap - 1} exceeds MAX_K={MAX_K}: the search stores "
                          f"level + 1 in one byte per vertex")
     stats = SearchStats(engine)
     if s == t:
-        return QueryResult(0 if 0 < cap else None, [s] if 0 < cap else None, stats)
+        return QueryResult(0, [s], stats)
     fwd = _Side(views[0], s, labeled, hubs)
     bwd = _Side(views[1], t, labeled, hubs)
     fwd.other_lv, bwd.other_lv = bwd.lv, fwd.lv
@@ -347,7 +351,7 @@ def _bidirectional(g, views, s, t, cap, engine, labeled=None, hubs=None):
 
 
 def bibfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
-    """Bidirectional BFS, expanding the smaller frontier first; k <= MAX_K."""
+    """Bidirectional BFS, expanding the smaller frontier first; 0 <= k <= MAX_K."""
     _check_pair(g, s, t)
     return _bidirectional(g, _graph_views(g), s, t, k + 1, "bibfs")
 
@@ -365,11 +369,11 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     The path is read back over g's own lists, not the views, so it may step
     from a hub to a vertex outside H*; it is still a shortest path of G.
     Discovery preserves hub-pair distances only up to net.k and only between
-    the network's own hubs, so a larger k is an error, and so are another
-    hub set (HubNetwork.check_hubs) and k above MAX_K.
+    the network's own hubs on its own graph, so a larger k is an error, and
+    so are another graph or hub set (HubNetwork.check) and k above MAX_K.
     """
     _check_pair(g, s, t)
-    net.check_hubs(hubs)
+    net.check(g, hubs)
     if k > net.k:
         raise ValueError(f"k={k} exceeds the hub network's k={net.k}; engine hn "
                          f"needs k <= {net.k} or a network discovered with k={k}")
@@ -382,7 +386,7 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
     Masked vertices start labeled (hub_mask, as bytes, is the initial level
     buffer), so no level step enters one.  Returns a QueryResult whose
     distance is strictly below bound, or absent; bound - 1 is the search's
-    k, so bound may be at most MAX_K + 1.
+    k, so bound must lie in [1, MAX_K + 1].
     """
     _check_pair(g, s, t)
     if hub_mask[s] or hub_mask[t]:
@@ -452,9 +456,12 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int) -> QueryResult:
     A hub endpoint makes the estimate exact (its implicit self label joins the
     core-hub recursion), so the second step runs only for non-hub endpoints,
     bounded by the estimate (hp_bbfs's search, on a pair already checked).
-    On equal distances the estimate's path wins.
+    On equal distances the estimate's path wins.  The index answers for the
+    graph it was built on only (Hub2Index.matches), so any other is an error.
     """
     _check_pair(g, s, t)
+    if not idx.matches(g):
+        raise ValueError("graph is not the one this index was built on")
     k = idx.k
     hub_endpoint = bool(idx.hubs.is_hub[s] or idx.hubs.is_hub[t])
     stats = SearchStats("hl", answered_by="hub_endpoint" if hub_endpoint else "search")
@@ -567,19 +574,20 @@ def reconstruct_estimated_path(idx: Hub2Index, g: Graph, s, x, y, t) -> list:
     return head + middle[1:] + tail[1:]
 
 
-def query_with_engine(engine, g, s, t, k, hubs=None, net=None, idx=None) -> QueryResult:
+def query_with_engine(engine, g, s, t, k, net=None, idx=None) -> QueryResult:
     """Dispatch by engine name; used by the command-line front end and the bench.
 
-    hl answers up to the k its index was built for, so any other k is an error.
+    hn searches net with its own hubs (net.hubs); hl answers up to the k its
+    index was built for, so any other k is an error.
     """
     if engine == "bfs":
         return bfs_query(g, s, t, k)
     if engine == "bibfs":
         return bibfs_query(g, s, t, k)
     if engine == "hn":
-        if hubs is None or net is None:
-            raise ValueError("hn engine needs a hub set and a discovered network")
-        return hn_query(g, hubs, net, s, t, k)
+        if net is None:
+            raise ValueError("hn engine needs a discovered network")
+        return hn_query(g, net.hubs, net, s, t, k)
     if engine == "hl":
         if idx is None:
             raise ValueError("hl engine needs a built index")

@@ -29,7 +29,8 @@ from .hubs import HubSet
 @dataclass
 class HubNetwork:
     """The extracted vertex set H* (the mask member) with discovery
-    instrumentation, and hubs, the hub set it was discovered from.
+    instrumentation, and the hub set (hubs), graph (graph_checksum) and k it
+    was discovered from; check refuses any other graph or hub set.
 
     basic_pairs holds (source_hub, hub, distance) in discovery order; ordered
     pairs, so undirected graphs record each unordered pair once per direction.
@@ -37,6 +38,7 @@ class HubNetwork:
     """
 
     hubs: HubSet
+    graph_checksum: int
     member: np.ndarray
     k: int
     basic_pairs: list = field(default_factory=list)
@@ -51,9 +53,11 @@ class HubNetwork:
     def size(self):
         return int(np.count_nonzero(self.member))
 
-    def check_hubs(self, hubs: HubSet):
-        """Refuse any hub set but this network's: it preserves distances
-        between its own hubs only."""
+    def check(self, g: Graph, hubs: HubSet):
+        """Refuse a graph with another checksum (an equal one loaded apart
+        passes), then any hub set but this network's own, with ValueError."""
+        if g.checksum != self.graph_checksum:
+            raise ValueError("graph is not the one this network was discovered on")
         if hubs is not self.hubs and hubs != self.hubs:
             raise ValueError(f"hub set of {hubs.size} hubs is not the {self.hubs.size} "
                              f"hubs this network was discovered from")
@@ -73,8 +77,9 @@ class HubNetwork:
         """hn's (forward, reverse) views (offsets, targets, lists): rows of the
         network's hubs keep only H* members, non-hub rows are g's own list
         objects, and an undirected graph shares one view.  Cached on first
-        use, so they belong to the g this network was discovered on.
+        use; check refuses any g but the one this network was discovered on.
         """
+        self.check(g, self.hubs)
         if self._views is None:
             is_hub = self.hubs.is_hub
             fwd = _hub_view(g, is_hub, self.member, False)
@@ -142,7 +147,7 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     if k < 1:
         raise ValueError("k must be >= 1")
     member = hubs.is_hub.copy()
-    net = HubNetwork(hubs=hubs, member=member, k=k)
+    net = HubNetwork(hubs=hubs, graph_checksum=g.checksum, member=member, k=k)
     offsets, sources = g.adjacency(True)
     n, one, is_hub, hub_ids = np.uint64(g.n), np.uint64(1), hubs.is_hub, hubs.ids
     # key[u] > 0 exactly at the candidate parents of the level being walked,
@@ -201,16 +206,17 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     return net
 
 
-def verify_distance_preserving(g: Graph, hubs: HubSet, net: HubNetwork, k: int) -> PreservationReport:
+def verify_distance_preserving(g: Graph, net: HubNetwork) -> PreservationReport:
     """Compare hub-pair distances in G against the induced subgraph G[H*].
 
-    Checks every ordered hub pair within k; failures are reported, not thrown,
-    by source hub, then target hub in rank order.  The distances come from
-    graph.bit_levels with no blocking hubs, one pass per block of 64 source
-    hubs on each graph: bit b first set at hub j on depth d is d(root_b, j).
-    hubs must be the network's own (HubNetwork.check_hubs).
+    Checks every ordered pair of net's hubs within net.k; failures are
+    reported, not thrown, by source hub, then target hub in rank order.  The
+    distances come from graph.bit_levels with no blocking hubs, one pass per
+    block of 64 source hubs on each graph: bit b first set at hub j on depth
+    d is d(root_b, j).  g must be net's own (HubNetwork.check).
     """
-    net.check_hubs(hubs)
+    hubs, k = net.hubs, net.k
+    net.check(g, hubs)
     report = PreservationReport()
     sub = induced_subgraph(g, net.member)
     for lo in range(0, hubs.size, BIT_BLOCK):
@@ -235,9 +241,9 @@ def _hub_distances(g, roots, hub_ids, k):
 
 
 def network_stats(g: Graph, hubs: HubSet, net: HubNetwork) -> dict:
-    """Hub degrees before and after restriction to G[H*]; hubs must be the
-    network's own (HubNetwork.check_hubs)."""
-    net.check_hubs(hubs)
+    """Hub degrees before and after restriction to G[H*]; g and hubs must be
+    the network's own (HubNetwork.check)."""
+    net.check(g, hubs)
     if hubs.size == 0:
         return {"size_hstar": net.size, "avg_hub_degree_original": 0.0,
                 "avg_hub_degree_network": 0.0}

@@ -367,7 +367,7 @@ def discover_reference(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     if k < 1:
         raise ValueError("k must be >= 1")
     member = hubs.is_hub.copy()
-    net = HubNetwork(hubs=hubs, member=member, k=k)
+    net = HubNetwork(hubs=hubs, graph_checksum=g.checksum, member=member, k=k)
     for h in hubs.ids:
         pairs, added, _ = bfs_extract(g, hubs, int(h), k, member)
         net.basic_pairs.extend(pairs)

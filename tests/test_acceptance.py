@@ -139,7 +139,7 @@ def test_criterion_2_distance_preservation():
     for kind, seed, g, hubs, per_k in suite_2000():
         for k in (4, 6):
             net, _ = per_k[k]
-            rep = verify_distance_preserving(g, hubs, net, k)
+            rep = verify_distance_preserving(g, net)
             failures += len(rep.failures)
             if net.size > net.size_bound() + hubs.size:
                 bound_violations += 1

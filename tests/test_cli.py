@@ -101,6 +101,19 @@ def test_hl_rejects_k_other_than_the_index(tmp_path, capsys, command):
         assert out.startswith("dist=6 ")
 
 
+def test_query_hn_takes_the_hubs_of_the_index(tmp_path, graph_file, capsys):
+    # with --index the hubs are the index's, whatever --hubs says; on 3 hubs
+    # this pair expands 55 vertices, on the index's 10 only 6
+    idx = tmp_path / "g.hub2"
+    run(capsys, "build", "--graph", str(graph_file), "--hubs", "10", "--k", "6",
+        "--out", str(idx))
+    outs = [run(capsys, "query", "--graph", str(graph_file), "--engine", "hn", "--k", "6",
+                *extra, "5", "300")[1] for extra in (["--index", str(idx), "--hubs", "3"],
+                                                     ["--hubs", "10"])]
+    assert outs[0] == outs[1]
+    assert "expanded=6 enqueued=36" in outs[0]
+
+
 def test_query_reports_both_counters(graph_file, capsys):
     code, out, _ = run(capsys, "query", "--graph", str(graph_file), "--engine", "bibfs",
                        "--k", "6", "17", "201")

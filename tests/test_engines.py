@@ -756,6 +756,38 @@ def test_searches_refuse_k_above_max_k(chain4):
             query(*args)
 
 
+def test_searches_refuse_negative_k(chain4):
+    # bfs_query(g, 3, 3, -1) used to return distance 0 where bibfs and hn
+    # return none
+    hubs = HubSet.from_ids(chain4.n, [1])
+    net = discover(chain4, hubs, 4)
+    unmasked = np.zeros(chain4.n, bool)
+    for query, *args in ((bfs_query, chain4, 3, 3, -1),
+                         (bfs_query, chain4, 0, 3, -2),
+                         (bibfs_query, chain4, 3, 3, -1),
+                         (bibfs_query, chain4, 0, 3, -2),
+                         (hn_query, chain4, hubs, net, 3, 3, -1),
+                         (hp_bbfs, chain4, unmasked, 0, 3, 0)):
+        with pytest.raises(ValueError, match="is negative"):
+            query(*args)
+
+
+def test_hl_refuses_a_graph_other_than_the_indexs():
+    # an index built on the seed 3 graph, queried on the seed 4 graph of the
+    # same n, gave 4078 wrong answers with no error (s in range(0, 300, 3))
+    g = load_edge_list(gen_synthetic("ba", 300, 2, 3))
+    idx = build_index(g, select_hubs(g, 6), 4)
+    other = load_edge_list(gen_synthetic("ba", 300, 2, 4))
+    with pytest.raises(ValueError, match="not the one this index was built on"):
+        hl_query(other, idx, 0, 1)
+    # the same graph loaded apart is the index's own
+    again = load_edge_list(gen_synthetic("ba", 300, 2, 3))
+    assert again is not g
+    for s in range(0, g.n, 15):
+        want = [bfs_query(g, s, t, 4).distance for t in range(g.n)]
+        assert [hl_query(again, idx, s, t).distance for t in range(g.n)] == want
+
+
 def pinned_graph(kind, param, seed, directed):
     """The 600-vertex graph of a pinned row; directed="cyclic" orients it
     with conftest.cyclic_digraph."""

@@ -88,7 +88,7 @@ def test_discover_preserves_distances_randomized():
         g = er_graph(250, 6, seed=seed)
         hubs = select_hubs(g, 12)
         net = discover(g, hubs, 4)
-        report = verify_distance_preserving(g, hubs, net, 4)
+        report = verify_distance_preserving(g, net)
         assert report.checked > 0
         assert report.failures == []
 
@@ -97,7 +97,7 @@ def test_discover_preserves_distances_directed():
     g = er_graph(220, 6, seed=5, directed=True)
     hubs = select_hubs(g, 10)
     net = discover(g, hubs, 4)
-    report = verify_distance_preserving(g, hubs, net, 4)
+    report = verify_distance_preserving(g, net)
     assert report.failures == []
 
 
@@ -124,15 +124,15 @@ def test_negative_control_detects_missing_vertex():
     g = Graph.from_edges(3, [0, 1], [1, 2], directed=False)
     hubs = hubset(g, [0, 2])
     member = hubs.is_hub.copy()  # drop the middle vertex on purpose
-    fake = HubNetwork(hubs=hubs, member=member, k=4)
-    report = verify_distance_preserving(g, hubs, fake, 4)
+    fake = HubNetwork(hubs=hubs, graph_checksum=g.checksum, member=member, k=4)
+    report = verify_distance_preserving(g, fake)
     assert (0, 2, 2, None) in report.failures and (2, 0, 2, None) in report.failures
 
 
 def test_k1_only_adjacent_pairs(chain4):
     hubs = hubset(chain4, [0, 1, 3])
     net = discover(chain4, hubs, 1)
-    report = verify_distance_preserving(chain4, hubs, net, 1)
+    report = verify_distance_preserving(chain4, net)
     assert report.failures == []
     assert report.checked == 2  # (0,1) and (1,0)
 
@@ -185,18 +185,38 @@ def test_readers_refuse_a_hub_set_other_than_the_networks():
     net = discover(g, select_hubs(g, 3), 4)
     other = select_hubs(g, 30)
     calls = [lambda hubs: hn_query(g, hubs, net, 0, 1, 4),
-             lambda hubs: network_stats(g, hubs, net),
-             lambda hubs: verify_distance_preserving(g, hubs, net, 4)]
+             lambda hubs: network_stats(g, hubs, net)]
     for call in calls:
         with pytest.raises(ValueError, match="not the 3 hubs this network was discovered from"):
             call(other)
     # an equal set built apart is the network's own
     same = select_hubs(g, 3)
     assert same is not net.hubs
-    assert verify_distance_preserving(g, same, net, 4).ok
     for s in range(0, g.n, 15):
         want = [bfs_query(g, s, t, 4).distance for t in range(g.n)]
         assert [hn_query(g, same, net, s, t, 4).distance for t in range(g.n)] == want
+
+
+def test_readers_refuse_a_graph_other_than_the_networks():
+    # a network discovered on the seed 3 graph answered 5845 of 9000 hn
+    # queries on the seed 4 graph, of the same n, wrongly and with no error
+    g = load_edge_list(gen_synthetic("ba", 300, 2, 3))
+    net = discover(g, select_hubs(g, 3), 4)
+    other = load_edge_list(gen_synthetic("ba", 300, 2, 4))
+    calls = [lambda: net.search_views(other),
+             lambda: hn_query(other, net.hubs, net, 0, 1, 4),
+             lambda: network_stats(other, net.hubs, net),
+             lambda: verify_distance_preserving(other, net)]
+    for call in calls:
+        with pytest.raises(ValueError, match="not the one this network was discovered on"):
+            call()
+    # the same graph loaded apart is the network's own, checked by content
+    again = load_edge_list(gen_synthetic("ba", 300, 2, 3))
+    assert again is not g
+    assert verify_distance_preserving(again, net).ok
+    for s in range(0, g.n, 15):
+        want = [bfs_query(g, s, t, 4).distance for t in range(g.n)]
+        assert [hn_query(again, net.hubs, net, s, t, 4).distance for t in range(g.n)] == want
 
 
 def test_network_stats_chain(chain4):

@@ -132,7 +132,7 @@ def test_preservation_check_matches_reference(case, drop, seed):
     g, hubs, k = case
     member = discover(g, hubs, k).member
     member &= np.random.default_rng(seed).random(g.n) >= drop
-    net = HubNetwork(hubs=hubs, member=member, k=k)
-    got, want = verify_distance_preserving(g, hubs, net, k), verify_reference(g, hubs, net, k)
+    net = HubNetwork(hubs=hubs, graph_checksum=g.checksum, member=member, k=k)
+    got, want = verify_distance_preserving(g, net), verify_reference(g, hubs, net, k)
     assert got.checked == want.checked
     assert got.failures == want.failures
