@@ -59,6 +59,8 @@ def make_workload(g: Graph, count: int, seed: int, k: int = None,
     min_dist keeps pairs whose true distance lies in [min_dist, k];
     non_hub_only keeps pairs with both endpoints outside the hub set.
     """
+    if count < 0:
+        raise ValueError(f"pair count {count} is negative")
     if non_hub_only and hubs is None:
         raise ValueError("non_hub_only filtering needs a hub set")
     if min_dist > 0 and k is None:

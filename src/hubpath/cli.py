@@ -197,6 +197,8 @@ def cmd_bench(args):
 
 
 def cmd_verify(args):
+    if args.pairs < 0:
+        raise SystemExit("--pairs must be >= 0")
     g = _load_graph(args)
     failures = []
     idx = None

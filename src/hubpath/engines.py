@@ -7,8 +7,8 @@ path when the distance is within k, otherwise report nothing.
 - bibfs_query: bidirectional BFS, smaller frontier first, level-sum cutoff.
 - hn_query: bidirectional BFS in which hubs expand only their neighbors
   inside the discovered hub network; once the radii reach the cutoff or a
-  side is exhausted, it stops as soon as no hub labeled by one side only
-  can close a path below the best meet.
+  side is exhausted, it stops as soon as the nearest hub each side has
+  labeled can no longer close a path below the best meet.
 - hl_query: two steps -- a label join against the hub matrix for an upper
   bound, then a bidirectional BFS that never touches a hub.
 
@@ -19,8 +19,8 @@ labeled.  A frontier with at most SCALAR_EDGES out-edges is expanded by a
 plain Python loop over the view's lists; a larger one by the vectorized
 step over its CSR arrays.  One rule, _next_side, picks the side to expand
 and stops all three searches: bibfs and hl's search end at the level-sum
-cutoff or as soon as one side is exhausted; hn goes on past either while a
-hub labeled by one side only can still close a shorter path.
+cutoff or as soon as one side is exhausted; hn goes on past either while
+the nearest hub a side has labeled can still close a shorter path.
 Fixed numpy cost per call dominates small levels and Python's per-edge cost
 dominates large ones; the threshold comes from a sweep over the perfbench
 workloads, where 256 to 512 were fastest for all three engines.  Both steps
@@ -130,45 +130,34 @@ class _Side:
     The view (offsets, targets, lists) holds the same rows as CSR arrays for
     the vectorized step and as Python lists for the scalar one.  lv holds
     level + 1 (0 = unlabeled) in one bytearray, written by the scalar step
-    and, through lv_np, a numpy array over the same bytes, by the vectorized
-    one; _stitch reads the path back from it.  other_lv is the other side's
-    lv, set by _bidirectional once both sides exist.  Each step leaves in
-    hits the fresh labels that other_lv already holds.  The frontier is a
-    list in discovery order after a scalar step and an ascending int64 array
-    after a vectorized one; either step takes either.
+    and, through a numpy array over the same bytes, by the vectorized one;
+    _stitch reads the path back from it and _hub_level hn's nearest hub.
+    other_lv is the other side's lv, set by _bidirectional once both sides
+    exist.  Each step leaves in hits the fresh labels that other_lv already
+    holds.  The frontier is a list in discovery order after a scalar step
+    and an ascending int64 array after a vectorized one; either takes either.
 
     Vertices in the labeled mask start labeled, so no step enters them, and
     nothing reads their level: meets are checked on fresh labels only, and
     _stitch steps only onto marks above the start's.
-
-    For hn, hub_ids is the HubSet's ids (intp) and hubs lists the hubs this
-    side labeled in level order, its start included; _expand appends each
-    level's hubs.  Labels are never cleared, so the met hubs before hub_head
-    stay met for good.
     """
 
-    __slots__ = ("lv", "lv_np", "other_lv", "hits", "frontier", "radius", "offsets",
-                 "targets", "adj", "hub_ids", "hubs", "hub_head")
+    __slots__ = ("lv", "other_lv", "hits", "frontier", "radius", "offsets", "targets", "adj")
 
-    def __init__(self, view, start, labeled, hubs):
+    def __init__(self, view, start, labeled):
         self.offsets, self.targets, self.adj = view
         n = len(self.adj)
         self.lv = bytearray(n) if labeled is None else bytearray(np.asarray(labeled, bool))
-        self.lv_np = np.frombuffer(self.lv, np.uint8)
         self.lv[start] = 1
         self.frontier = [start]
         self.radius = 0
-        self.hub_ids = None if hubs is None else hubs.ids
-        self.hubs = [start] if hubs is not None and hubs.is_hub[start] else []
-        self.hub_head = 0
 
-    def min_open_hub(self, other):
-        """Level of the first hub this side labeled and other has not; _UNSET if none."""
-        hubs, head, other_lv = self.hubs, self.hub_head, other.lv
-        while head < len(hubs) and other_lv[hubs[head]]:
-            head += 1
-        self.hub_head = head
-        return self.lv[hubs[head]] - 1 if head < len(hubs) else _UNSET
+
+def _hub_level(side, hub_ids):
+    """Level of the nearest hub the side has labeled (its start too); _UNSET if none."""
+    marks = np.frombuffer(side.lv, np.uint8)[hub_ids]
+    marks = marks[marks != 0]
+    return int(marks.min()) - 1 if marks.size else _UNSET
 
 
 def _scalar_step(side, frontier):
@@ -195,9 +184,10 @@ def _vector_step(side, frontier):
     """Label the next level with whole-array operations; the result is an
     ascending int64 array, and side.hits gets its vertices that the other
     side has labeled, ascending, as a list."""
+    lv = np.frombuffer(side.lv, np.uint8)
     dsts = side.targets[csr_slices(side.offsets, np.asarray(frontier, np.int64))[0]]
-    new = sort_unique(dsts[side.lv_np[dsts] == 0]).astype(np.int64)
-    side.lv_np[new] = side.radius + 2
+    new = sort_unique(dsts[lv[dsts] == 0]).astype(np.int64)
+    lv[new] = side.radius + 2
     side.hits = new[np.frombuffer(side.other_lv, np.uint8)[new] != 0].tolist()
     return new
 
@@ -221,8 +211,7 @@ def _expand(side, stats):
     which returns a list in discovery order; larger ones the vectorized
     step, which returns an ascending array.  Both label the same vertices
     and set side.hits, so only the order within a level depends on the
-    step.  For hn, the new level's hubs are then read from the hubs' side:
-    a gather of the hub ids' marks, ascending within the level.
+    step.
     """
     frontier = side.frontier
     stats.visited += len(frontier)
@@ -231,9 +220,6 @@ def _expand(side, stats):
     if len(new):
         side.radius += 1
         stats.enqueued += len(new)
-        hub_ids = side.hub_ids
-        if hub_ids is not None:
-            side.hubs += hub_ids[side.lv_np[hub_ids] == side.radius + 1].tolist()
     return new
 
 
@@ -272,17 +258,23 @@ def _stitch(g, fwd, bwd, meet, s, t):
     return halves[0][::-1] + halves[1][1:]
 
 
-def _next_side(fwd, bwd, best, cap):
+def _next_side(fwd, bwd, best, cap, hub_ids):
     """The side to expand next, or None once no meet can sum below min(best, cap).
 
     Let target = min(best, cap).  (A) While both frontiers are nonempty and
     r_f + r_b < target - 1, the smaller frontier grows.  After that, forward
-    grows while r_f + 1 + open_b < target and backward while
-    open_f + r_b + 1 < target, where open_x is the level of the first hub
-    side x labeled and the other side has not, or _UNSET.  A side with an
-    empty frontier never grows; when both can, the smaller frontier goes
-    first.  bibfs and hp_bbfs keep no hubs, so they stop right after (A):
-    at the radius sum, or as soon as one side is exhausted.
+    grows while r_f + 1 + h_b < target and backward while
+    h_f + r_b + 1 < target, where h_x is the level of the nearest hub side x
+    has labeled (_hub_level), or _UNSET.  A side with an empty frontier
+    never grows; when both can, the smaller frontier goes first.  bibfs, hl
+    and hp_bbfs pass no hub_ids, so they stop right after (A): at the radius
+    sum, or as soon as one side is exhausted.
+
+    h_x need not skip hubs both sides have labeled: such a hub, say forward's
+    nearest, was registered as a meet when the second side labeled it, so
+    best <= h_f + r_b and backward's test fails on it (mirrored for
+    backward's nearest).  A hub only one side has labeled is no nearer than
+    that side's nearest, so h_x decides as the nearest such hub would.
 
     Why no path shorter than target is missed.  Let P be a shortest s-t
     path of length L < target.  A side is exhausted only once it has
@@ -296,7 +288,7 @@ def _next_side(fwd, bwd, best, cap):
     x, so forward levels are exact on P up to y, backward levels from x,
     and a vertex of x..y labeled by both sides gives best <= L.  A stop
     short of that needs one of three cases, and none can stop the search.
-    Forward labeled x and backward did not: then open_f <= pos(x), and
+    Forward labeled x and backward did not: then h_f <= pos(x), and
     backward, whose frontier cannot empty before it labels x, grows until
     r_b >= L - pos(x) and labels x.  Backward labeled y and forward did
     not: the mirror case.  Forward has not reached x nor backward y: then
@@ -310,8 +302,10 @@ def _next_side(fwd, bwd, best, cap):
     target = min(best, cap)
     grow_f, grow_b = len(fwd.frontier) > 0, len(bwd.frontier) > 0
     if fwd.radius + bwd.radius >= target - 1 or not (grow_f and grow_b):
-        grow_f = grow_f and fwd.radius + 1 + bwd.min_open_hub(fwd) < target
-        grow_b = grow_b and fwd.min_open_hub(bwd) + bwd.radius + 1 < target
+        if hub_ids is None:
+            return None
+        grow_f = grow_f and fwd.radius + 1 + _hub_level(bwd, hub_ids) < target
+        grow_b = grow_b and _hub_level(fwd, hub_ids) + bwd.radius + 1 < target
     if grow_f and grow_b:
         return fwd if len(fwd.frontier) <= len(bwd.frontier) else bwd
     return fwd if grow_f else bwd if grow_b else None
@@ -322,10 +316,11 @@ def _graph_views(g):
     return (*g.adjacency(), g.adj_lists()), (*g.adjacency(True), g.adj_lists(True))
 
 
-def _bidirectional(g, views, s, t, cap, engine, labeled=None, hubs=None):
+def _bidirectional(g, views, s, t, cap, stats, labeled=None, hub_ids=None):
     """Shared core over the (forward, reverse) views, labeled vertices excluded;
-    only distances strictly below cap are reported.  _next_side picks each
-    side to expand and ends the search; hubs (hn's HubSet) gives it open hubs.
+    only distances strictly below cap are reported, and the work is counted
+    into the caller's stats.  _next_side picks each side to expand and ends
+    the search; hub_ids (hn's hub ids) lets it read each side's nearest hub.
     A side labels levels up to cap - 1, stored as marks up to cap in its
     byte buffer, so cap outside [1, MAX_K + 1 = 0xFF] is an error.
     """
@@ -334,15 +329,14 @@ def _bidirectional(g, views, s, t, cap, engine, labeled=None, hubs=None):
     if cap > MAX_K + 1:
         raise ValueError(f"k={cap - 1} exceeds MAX_K={MAX_K}: the search stores "
                          f"level + 1 in one byte per vertex")
-    stats = SearchStats(engine)
     if s == t:
         return QueryResult(0, [s], stats)
-    fwd = _Side(views[0], s, labeled, hubs)
-    bwd = _Side(views[1], t, labeled, hubs)
+    fwd = _Side(views[0], s, labeled)
+    bwd = _Side(views[1], t, labeled)
     fwd.other_lv, bwd.other_lv = bwd.lv, fwd.lv
     stats.enqueued = 2
     best, meet = _UNSET, -1
-    while (side := _next_side(fwd, bwd, best, cap)) is not None:
+    while (side := _next_side(fwd, bwd, best, cap, hub_ids)) is not None:
         _expand(side, stats)
         best, meet = _register_meets(side, best, meet)
     if best >= cap:
@@ -353,7 +347,7 @@ def _bidirectional(g, views, s, t, cap, engine, labeled=None, hubs=None):
 def bibfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     """Bidirectional BFS, expanding the smaller frontier first; 0 <= k <= MAX_K."""
     _check_pair(g, s, t)
-    return _bidirectional(g, _graph_views(g), s, t, k + 1, "bibfs")
+    return _bidirectional(g, _graph_views(g), s, t, k + 1, SearchStats("bibfs"))
 
 
 def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) -> QueryResult:
@@ -363,9 +357,9 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     restricted hubs can exceed true distances, but some shortest path within
     k has its stretch from first to last hub (all of it, if hub-free) at true
     levels in both directions, so the minimum over meeting vertices is still
-    the distance.  The search stops once neither the radius sum nor a hub
-    labeled by one side only leaves room for a shorter path (_next_side);
-    each side finds the hubs of a new level by reading the hubs' marks.
+    the distance.  The search stops once neither the radius sum nor the
+    nearest hub either side has labeled, read from its levels at the hub
+    ids, leaves room for a shorter path (_next_side).
     The path is read back over g's own lists, not the views, so it may step
     from a hub to a vertex outside H*; it is still a shortest path of G.
     Discovery preserves hub-pair distances only up to net.k and only between
@@ -377,7 +371,7 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     if k > net.k:
         raise ValueError(f"k={k} exceeds the hub network's k={net.k}; engine hn "
                          f"needs k <= {net.k} or a network discovered with k={k}")
-    return _bidirectional(g, net.search_views(g), s, t, k + 1, "hn", hubs=hubs)
+    return _bidirectional(g, net.search_views(g), s, t, k + 1, SearchStats("hn"), hub_ids=hubs.ids)
 
 
 def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
@@ -391,7 +385,7 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
     _check_pair(g, s, t)
     if hub_mask[s] or hub_mask[t]:
         raise ValueError("hub-pruning search requires unmasked endpoints")
-    return _bidirectional(g, _graph_views(g), s, t, bound, "hp-bbfs", labeled=hub_mask)
+    return _bidirectional(g, _graph_views(g), s, t, bound, SearchStats("hp-bbfs"), labeled=hub_mask)
 
 
 def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
@@ -471,12 +465,9 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int) -> QueryResult:
     stats.join_ops = est.join_ops
     if not hub_endpoint:
         bound = est.value if est.value is not None else k + 1
-        res = _bidirectional(g, _graph_views(g), s, t, bound, "hl", labeled=idx.hubs.is_hub)
-        res.stats.join_ops = est.join_ops
+        res = _bidirectional(g, _graph_views(g), s, t, bound, stats, labeled=idx.hubs.is_hub)
         if res.found:
-            res.stats.answered_by = "search"
             return res
-        stats = res.stats
         stats.answered_by = "estimate"
     if est.value is None:
         stats.answered_by = "none"

@@ -138,7 +138,10 @@ class Hub2Index:
         (distance, rank), as two sequences of Python ints: the table's
         memoryview slices (LabelTable.vertex_slice).  For a hub that is its
         implicit self label (rank, 0) alone; its table entries are the paths
-        of basic pairs, not core hubs.  Any other side is a ValueError."""
+        of basic pairs, not core hubs.  Any other side, or v outside [0, n),
+        is a ValueError."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range [0, {self.n})")
         if side == "out":
             table = self.labels_out
         elif side == "in":

@@ -42,6 +42,14 @@ def test_workload_min_dist_above_k_fails_fast():
         make_workload(g, 1000, seed=1, k=2, min_dist=3)
 
 
+def test_workload_negative_count_is_a_value_error():
+    # a negative count used to return an empty workload
+    g = ba_graph(300, 3, seed=5)
+    assert make_workload(g, 0, seed=1).pairs == []
+    with pytest.raises(ValueError, match="negative"):
+        make_workload(g, -3, seed=1)
+
+
 def test_workload_exhausted_samples_is_a_value_error():
     g = ba_graph(300, 3, seed=5)
     every_vertex = select_hubs(g, g.n)

@@ -355,6 +355,16 @@ def test_missing_graph_file_errors(capsys):
     assert "error:" in err
 
 
+def test_negative_pairs_refused(graph_file, capsys):
+    # verify used to print "pairs=-3 failures=0" and VERIFY OK after checking
+    # no pair, and bench to exit 0 with an empty table
+    with pytest.raises(SystemExit, match="--pairs must be >= 0"):
+        main(["verify", "--graph", str(graph_file), "--pairs", "-3"])
+    code, out, err = run(capsys, "bench", "--graph", str(graph_file), "--engines", "bfs",
+                         "--pairs", "-3")
+    assert (code, out) == (1, "") and "negative" in err
+
+
 def test_bench_unknown_engine_rejected(graph_file):
     with pytest.raises(SystemExit):
         main(["bench", "--graph", str(graph_file), "--engines", "dijkstra"])

@@ -670,7 +670,7 @@ def test_scalar_and_vector_steps_agree(monkeypatch, expanded):
 
 def side_copy(side):
     """A fresh _Side over the same view with side's levels, radius and other_lv."""
-    copy = engines._Side((side.offsets, side.targets, side.adj), 0, None, None)
+    copy = engines._Side((side.offsets, side.targets, side.adj), 0, None)
     copy.lv[:] = side.lv
     copy.other_lv, copy.radius = side.other_lv, side.radius
     return copy
@@ -690,7 +690,7 @@ def test_steps_leave_the_same_level_and_hits():
                  if s != t and not (hubs.is_hub[s] or hubs.is_hub[t])][:12]
         for labeled in (None, hubs.is_hub):
             for s, t in pairs:
-                fwd, bwd = (engines._Side(view, v, labeled, None)
+                fwd, bwd = (engines._Side(view, v, labeled)
                             for view, v in zip(engines._graph_views(g), (s, t)))
                 fwd.other_lv, bwd.other_lv = bwd.lv, fwd.lv
                 stats = engines.SearchStats("test")
@@ -729,7 +729,7 @@ def test_step_choice_at_the_threshold():
              ([cap + 2, a] + leaves + [0], False)]
     for frontier, few in cases:
         for form in (frontier, np.asarray(frontier, dtype=np.int64)):
-            side = engines._Side(view, cap + 2, None, None)
+            side = engines._Side(view, cap + 2, None)
             side.other_lv = bytearray(g.n)
             assert engines._few_edges(side, form) is few, (frontier[:3], len(frontier))
             side.frontier = form

@@ -24,7 +24,13 @@ from hubpath import (
     serialize,
     validate_path,
 )
-from hubpath.engines import _expand_matrix_path, _walk, check_result
+from hubpath.engines import (
+    _expand_matrix_path,
+    _walk,
+    check_result,
+    estimate,
+    estimate_full_join,
+)
 from hubpath.graph import digest64
 
 from conftest import ba_graph, er_graph
@@ -459,6 +465,21 @@ def test_labels_refuse_an_unknown_side():
         for side in ("outgoing", "IN", None):
             with pytest.raises(ValueError, match="side must be 'out' or 'in'"):
                 idx.labels(v, side)
+
+
+def test_labels_refuse_a_vertex_out_of_range():
+    # a negative id used to index is_hub and the offsets from the end: (-300, 5)
+    # read hub 1's table slice and estimated 3, with no error
+    g = load_edge_list(gen_synthetic("ba", 300, 2, 3))
+    idx = build_index(g, select_hubs(g, 6), 4)
+    assert estimate(idx, 0, 5).value is not None
+    for v in (-300, -1, g.n):
+        with pytest.raises(ValueError, match="out of range"):
+            idx.labels(v, "out")
+        for join in (estimate, estimate_full_join):
+            for pair in ((v, 5), (5, v)):
+                with pytest.raises(ValueError, match="out of range"):
+                    join(idx, *pair)
 
 
 def test_resealed_hub_ids_out_of_order_rejected():
