@@ -10,11 +10,11 @@ so both trees run in one process on one interpreter.  For each seed and
 perfbench workload, each tree builds its own graph, hubs, network and index
 from perfbench's inputs (imported from perfbench/inputs.py and
 perfbench/run.py, which this script only reads), and both answer the pairs
-make_pairs(N, pairs, seed).  Per pair and engine (bibfs, hn, hl), each tree's
-time is the best of three calls in thread CPU time, and the tree that runs
-first alternates from pair to pair.  Before timing, the first pairs warm up
-both trees and the heap is frozen (gc.collect(); gc.freeze()), as perfbench
-does.
+make_pairs(N, pairs, seed).  Per pair and engine (bibfs, hn, hl, then the
+reference bfs), each tree's time is the best of three calls in thread CPU
+time, and the tree that runs first alternates from pair to pair.  Before
+timing, the first pairs warm up both trees and the heap is frozen
+(gc.collect(); gc.freeze()), as perfbench does.
 
 It prints one line per seed, workload and engine: the mean µs per call of
 this tree and the other, their ratio (this / other), and the median of the
@@ -39,7 +39,7 @@ import hubpath  # noqa: E402
 from inputs import N, WORKLOADS, make_graph_bytes, make_pairs  # noqa: E402
 from run import BETA, K, POOL, WARMUP_PAIRS  # noqa: E402
 
-ENGINES = ("bibfs", "hn", "hl")
+ENGINES = ("bibfs", "hn", "hl", "bfs")
 REPS = 3
 
 
@@ -65,7 +65,8 @@ def engine_table(pkg, spec, seed):
     e = pkg.engines
     return {"bibfs": lambda s, t: e.bibfs_query(g, s, t, K),
             "hn": lambda s, t: e.hn_query(g, hubs, net, s, t, K),
-            "hl": lambda s, t: e.hl_query(g, idx, s, t)}
+            "hl": lambda s, t: e.hl_query(g, idx, s, t),
+            "bfs": lambda s, t: e.bfs_query(g, s, t, K)}
 
 
 def best_of(query, s, t):

@@ -247,11 +247,11 @@ def cmd_verify(args):
     for _ in range(args.pairs):
         s, t = (int(x) for x in rng.integers(0, g.n, size=2))
         truth = bfs_query(g, s, t, k)
-        others = [bibfs_query(g, s, t, k), hn_query(g, hubs, net, s, t, k),
-                  hl_query(g, idx, s, t)]
+        answers = [truth, bibfs_query(g, s, t, k), hn_query(g, hubs, net, s, t, k),
+                   hl_query(g, idx, s, t)]
         if not all(check_result(g, res, truth.distance)
                    and (not res.found or (res.path[0], res.path[-1]) == (s, t))
-                   for res in others):
+                   for res in answers):
             bad_pairs += 1
         est, full = estimate(idx, s, t), estimate_full_join(idx, s, t)
         if (est.value, est.argpair) != (full.value, full.argpair):

@@ -3,7 +3,8 @@
 Four engines share one contract: return the exact distance and one shortest
 path when the distance is within k, otherwise report nothing.
 
-- bfs_query: plain bounded BFS (graph.bfs_tree), the ground-truth oracle.
+- bfs_query: plain bounded BFS (graph.bfs_tree), the ground-truth oracle;
+  its path is read back from the levels by graph.level_path.
 - bibfs_query: bidirectional BFS, smaller frontier first, level-sum cutoff.
 - hn_query: bidirectional BFS in which hubs expand only their neighbors
   inside the discovered hub network; once the radii reach the cutoff or a
@@ -34,8 +35,9 @@ in place through the label tables' memoryviews.
 
 bfs_query and estimate_full_join are the oracles the fast paths are checked
 against, so they share no level step or join with them: bfs_query runs
-graph.bfs_tree, the library's other single-source level loop, and
-estimate_full_join joins whole label arrays at once.
+graph.bfs_tree, the library's other single-source level loop, reads its
+path with graph.level_path, not _stitch, and estimate_full_join joins whole
+label arrays at once.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_tree, csr_slices, sort_unique, validate_path
+from .graph import Graph, bfs_tree, csr_slices, level_path, sort_unique, validate_path
 from .hub2 import INF, MAX_K, Hub2Index, IndexIntegrityError
 from .hubs import HubSet
 from .network import HubNetwork
@@ -104,8 +106,11 @@ def _check_pair(g, s, t):
 def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     """Bounded BFS from s; the reference engine the others are checked against.
 
-    It runs graph.bfs_tree, not the engines' level step, so a fault in that
-    step cannot hide in its own reference.  k must be nonnegative.
+    It runs graph.bfs_tree, not the engines' level step, and reads the path
+    back from the levels with graph.level_path, not _stitch, so a fault in
+    the engines' step or read-back cannot hide in its own reference.  The
+    path steps back from t to the smallest-id in-neighbour one level up.
+    k must be nonnegative.
     """
     _check_pair(g, s, t)
     if k < 0:
@@ -113,15 +118,11 @@ def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     stats = SearchStats("bfs")
     if s == t:
         return QueryResult(0, [s], stats)
-    level, parent, stats.visited = bfs_tree(*g.adjacency(), s, k, stop=t)
+    level, stats.visited = bfs_tree(*g.adjacency(), s, k, stop=t)
     stats.enqueued = int(np.count_nonzero(level >= 0))
     if level[t] < 0:
         return QueryResult(None, None, stats)
-    path = [t]
-    while path[-1] != s:
-        path.append(int(parent[path[-1]]))
-    path.reverse()
-    return QueryResult(int(level[t]), path, stats)
+    return QueryResult(int(level[t]), level_path(*g.adjacency(True), level, t), stats)
 
 
 class _Side:

@@ -18,11 +18,13 @@ from_edges and HubSet.from_ids deduplicate through sort_unique.
 
 bfs_tree is the one single-source BFS level loop outside the engines: the
 reference engine bfs_query, bounded_bfs and the label oracle
-hub2.core_hubs_oracle run on it; it alone keeps parents, each level's picked
-by one scatter-min (np.minimum.at) over its fresh edges.  bit_levels is the
-one bit-parallel level loop: hub2.build reads labels and the hub-pair matrix
-from it, network.discover each hub's unblocked region, and the preservation
-check (network.verify_distance_preserving) the hub-pair distances.
+hub2.core_hubs_oracle run on it.  It keeps levels only, each level one
+min-scatter of depth over its frontier's out-targets; level_path reads one
+shortest path back from them, stepping to the smallest-id in-neighbour one
+level up.  bit_levels is the one bit-parallel level loop: hub2.build reads
+labels and the hub-pair matrix from it, network.discover each hub's
+unblocked region, and the preservation check
+(network.verify_distance_preserving) the hub-pair distances.
 """
 
 from __future__ import annotations
@@ -314,12 +316,6 @@ def csr_slices(offsets, rows):
     return np.arange(int(counts.sum())) + np.repeat(starts - at, counts), counts, at
 
 
-def frontier_edges(offsets, targets, frontier):
-    """All (src, dst) pairs leaving the frontier, concatenated in slice order."""
-    pos, counts, _ = csr_slices(offsets, frontier)
-    return np.repeat(frontier, counts), targets[pos].astype(np.int64)
-
-
 def set_bits(words):
     """(index, bit) of every set bit of a uint64 array, by index, then bit: its
     little-endian bytes unpacked little bit first, scanned as bool."""
@@ -371,33 +367,47 @@ def bit_levels(offsets, sources, hub_ids, roots, max_depth):
 def bfs_tree(offsets, targets, source, max_depth, stop=None):
     """Level-synchronous BFS from source bounded at max_depth.
 
-    Returns (level, parent, expanded): int32 levels (-1 unreached), int32
-    parents -- each vertex's smallest-id predecessor one level up, -1 at the
-    source and at unreached vertices -- and the count of frontier vertices
-    expanded.  Each level takes one scatter-min of its fresh edges' sources
-    into parent, which holds n until a vertex is reached; the next frontier
-    is the vertices that have a parent but no level yet, ascending.  The
-    search ends after the level that labels stop.
+    Returns (level, expanded): int32 levels, -1 at unreached vertices, and
+    the count of frontier vertices expanded.  While the loop runs an
+    unreached vertex holds the int32 maximum, so each level is one
+    min-scatter of depth over its frontier's out-targets: a target reached
+    twice gets the same value twice.  The next frontier is the vertices
+    whose level is depth, ascending.  The search ends after the level that
+    labels stop.  No parents are kept; level_path reads a path back.
     """
-    n = offsets.size - 1
-    level = np.full(n, -1, np.int32)
-    parent = np.full_like(level, n)
+    unreached = np.iinfo(np.int32).max
+    level = np.full(offsets.size - 1, unreached, np.int32)
     level[source] = 0
-    frontier = np.array([source], dtype=np.int64)
+    frontier = np.array([source], dtype=np.intp)
     expanded = 0
     for depth in range(1, max_depth + 1):
-        if stop is not None and level[stop] >= 0:
+        if stop is not None and level[stop] != unreached:
             break
         expanded += int(frontier.size)
-        srcs, dsts = frontier_edges(offsets, targets, frontier)
-        fresh = level[dsts] < 0
-        np.minimum.at(parent, dsts[fresh], srcs[fresh].astype(np.int32))
-        frontier = np.flatnonzero((parent < n) & (level < 0))
+        dsts = targets[csr_slices(offsets, frontier)[0]].astype(np.intp)
+        level[dsts] = np.minimum(level[dsts], depth)
+        frontier = np.flatnonzero(level == depth)
         if frontier.size == 0:
             break
-        level[frontier] = depth
-    parent[parent == n] = -1
-    return level, parent, expanded
+    level[level == unreached] = -1
+    return level, expanded
+
+
+def level_path(in_offsets, in_sources, level, v):
+    """The shortest path from the BFS source to a reached vertex v, read back
+    from bfs_tree's levels over the in-edges (in_offsets, in_sources).
+
+    Each step goes from a vertex to its smallest-id in-neighbour one level
+    up: the first match in its ascending in-slice.  Returns python ints,
+    source first, level[v] + 1 of them.
+    """
+    path = [int(v)]
+    for d in range(int(level[v]) - 1, -1, -1):
+        preds = in_sources[in_offsets[v]:in_offsets[v + 1]]
+        v = int(preds[np.argmax(level[preds] == d)])
+        path.append(v)
+    path.reverse()
+    return path
 
 
 def bounded_bfs(g: Graph, source, max_depth, reverse=False):

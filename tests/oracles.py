@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from hubpath.engines import bfs_query, check_result, hn_query
-from hubpath.graph import Graph, bfs_tree, frontier_edges, induced_subgraph, offsets_from_counts
+from hubpath.graph import Graph, bfs_tree, csr_slices, induced_subgraph, offsets_from_counts
 from hubpath.hub2 import INF, MAX_K, Hub2Index, Hub2Matrix, LabelTable
 from hubpath.hubs import HubSet, select_hubs
 from hubpath.network import HubNetwork, PreservationReport, discover
@@ -156,9 +156,16 @@ def masked_bfs_dist(adj, source, masked, max_depth=None):
 # ------------------------------------------------------- reference index build
 #
 # One vectorized bounded BFS per hub (two on a directed graph), as hub2.build
-# ran before its bit-parallel pass.  It uses the library's frontier_edges, so
-# it checks the pass, not that helper; parents are picked by its own
-# first_parents, keyed by the flags the bit-parallel pass does not keep.
+# ran before its bit-parallel pass.  Its edges come from frontier_edges over
+# the library's csr_slices, so it checks the pass, not that gather; parents
+# are picked by its own first_parents, keyed by the flags the bit-parallel
+# pass does not keep.
+
+
+def frontier_edges(offsets, targets, frontier):
+    """All (src, dst) pairs leaving the frontier, concatenated in slice order."""
+    pos, counts, _ = csr_slices(offsets, frontier)
+    return np.repeat(frontier, counts), targets[pos].astype(np.int64)
 
 
 def first_parents(srcs, dsts, *keys):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hubpath import cli
+from hubpath import cli, gen_synthetic
 from hubpath.cli import main
 from hubpath.graph import digest64
 
@@ -317,30 +317,46 @@ def test_verify_rebuild_catches_resealed_label_flip(tmp_path, graph_file, capsys
     assert "index-rebuild: differs" in out
 
 
-def test_verify_catches_path_with_wrong_ends(graph_file, capsys, monkeypatch):
-    # on an undirected graph the reversed path is a walk of the right length,
-    # so only comparing its ends with the query's s and t catches it
-    hl_query = cli.hl_query
-
-    def reversed_hl(g, idx, s, t):
-        res = hl_query(g, idx, s, t)
+def _reversing(query):
+    """query, with each path it finds returned reversed."""
+    def reversed_query(*args):
+        res = query(*args)
         if res.found:
             res.path.reverse()
         return res
+    return reversed_query
 
+
+def test_verify_catches_path_with_wrong_ends(graph_file, capsys, monkeypatch):
+    # on an undirected graph the reversed path is a walk of the right length,
+    # so only comparing its ends with the query's s and t catches it
     argv = ["verify", "--graph", str(graph_file), "--hubs", "8", "--k", "4",
             "--pairs", "20"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "engine-agreement: pairs=20 failures=0" in out
-    monkeypatch.setattr(cli, "hl_query", reversed_hl)
+    monkeypatch.setattr(cli, "hl_query", _reversing(cli.hl_query))
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert "engine-agreement: pairs=20 failures=0" not in out
 
 
+def test_verify_certifies_the_reference_path(tmp_path, capsys, monkeypatch):
+    # the other engines are checked against bfs_query's distance, so its own
+    # path must be certified too: reversed, it is still a walk of the right
+    # length on an undirected graph
+    path = tmp_path / "ba.txt"
+    path.write_bytes(gen_synthetic("ba", 200, 3, 5))
+    argv = ["verify", "--graph", str(path), "--hubs", "5", "--k", "4", "--pairs", "50"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "engine-agreement: pairs=50 failures=0" in out
+    monkeypatch.setattr(cli, "bfs_query", _reversing(cli.bfs_query))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "VERIFY FAILED" in out
+    assert "engine-agreement: pairs=50 failures=0" not in out
+
+
 def test_verify_small_graph_runs_label_oracle(tmp_path, capsys):
     path = tmp_path / "small.txt"
-    from hubpath import gen_synthetic
     path.write_bytes(gen_synthetic("er", 120, 5, seed=3))
     code, out, _ = run(capsys, "verify", "--graph", str(path), "--hubs", "6",
                        "--k", "4", "--pairs", "40")

@@ -22,7 +22,7 @@ from hubpath import (
     validate_path,
 )
 
-from hubpath.graph import MAX_VERTEX_ID, bfs_tree
+from hubpath.graph import MAX_VERTEX_ID, bfs_tree, level_path
 
 from conftest import ba_graph, cyclic_digraph, er_graph
 from oracles import adjacency_from_graph, bfs_dist
@@ -307,10 +307,13 @@ def _bfs_cases(draw):
 
 
 def check_bfs_tree(g, source, max_depth, stop=None):
-    """bfs_tree against a plain queue BFS: levels, parent = the smallest
-    in-neighbour one level up, and expanded.  Returns the most in-neighbours
-    one level up that any vertex has, the candidates its parent is picked from."""
-    level, parent, expanded = bfs_tree(*g.adjacency(), source, max_depth, stop=stop)
+    """bfs_tree against a plain queue BFS: levels and expanded; and for every
+    reached vertex, level_path's path: it starts at source, has level + 1
+    vertices and its last step comes from the smallest in-neighbour one
+    level up, which only the source and unreached vertices lack.  Every step
+    of every path is some vertex's last step, so each is checked.  Returns the most in-neighbours one level up that any
+    vertex has, the candidates that step is picked from."""
+    level, expanded = bfs_tree(*g.adjacency(), source, max_depth, stop=stop)
     truth = bfs_dist(adjacency_from_graph(g), source, max_depth)
     last = max_depth
     if stop is not None and stop in truth:
@@ -321,7 +324,12 @@ def check_bfs_tree(g, source, max_depth, stop=None):
     most = 0
     for v in range(g.n):
         up = [u for u in into[v] if level[v] > 0 and level[u] == level[v] - 1]
-        assert parent[v] == (min(up) if up else -1)
+        if not up:
+            assert level[v] <= 0
+            continue
+        path = level_path(*g.adjacency(True), level, v)
+        assert path[0] == source and len(path) == level[v] + 1
+        assert path[-2] == min(up)
         most = max(most, len(up))
     assert expanded == sum(1 for d in truth.values() if d < last)
     return most
@@ -336,7 +344,7 @@ def test_bfs_tree_levels_parents_and_stop(case):
 @pytest.mark.parametrize("cyclic", [False, True], ids=["ba", "ba-cyclic"])
 def test_bfs_tree_parents_at_scale(cyclic):
     # levels of up to 2593 fresh edges; up to 19 (ba) and 8 (ba-cyclic) of
-    # them lead into one vertex, which keeps the smallest source
+    # them lead into one vertex, whose path steps back to the smallest source
     g = cyclic_digraph("ba", 2000, 3, 17) if cyclic else ba_graph(2000, 3, 17)
     most = [check_bfs_tree(g, source, 6) for source in (0, 1, 700, 1400, 1999)]
     assert max(most) >= 8
