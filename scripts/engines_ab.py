@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Same-process A/B of the query engines between this checkout and another.
+"""Same-process A/B of the query engines, or of the set-up, between this checkout and another.
 
 From the root of a checkout:
 
     python3 scripts/engines_ab.py --other ../parent --seeds 21 2501 [--pairs N]
+    python3 scripts/engines_ab.py --other ../parent --seeds 21 --setup [--kind er --n 80000]
 
 The other checkout's src/hubpath is loaded as a second package, hubpath_other,
 so both trees run in one process on one interpreter.  For each seed and
@@ -20,13 +21,26 @@ It prints one line per seed, workload and engine: the mean µs per call of
 this tree and the other, their ratio (this / other), and the median of the
 per-pair ratios.  A ratio below 1 means this tree is faster.  It exits with
 status 1 at the first pair whose distance or path differs between the trees.
+
+--setup times the set-up instead: per seed and graph, each tree's discover,
+build, to_bytes and from_bytes on its own graph and hubs (perfbench's β and
+k), the best of three rounds in thread CPU time, the tree that runs first
+alternating from round to round.  The graphs are perfbench's workloads, or
+with --kind one gen_synthetic graph of --n vertices (average degree 10 for
+er, 5 edges per new vertex for ba) with default_beta(n) hubs.  It prints one
+line per seed, graph and stage with each tree's seconds and their ratio, and
+one line with the sha256 of the index bytes and of the network (member ids,
+basic_pairs and added_per_pair), as scripts/answers_digest.py digests them.
+It exits with status 1 when the trees' index or network digests differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib.util
+import json
 import statistics
 import sys
 import time
@@ -41,6 +55,8 @@ from run import BETA, K, POOL, WARMUP_PAIRS  # noqa: E402
 
 ENGINES = ("bibfs", "hn", "hl", "bfs")
 REPS = 3
+STAGES = ("discover", "build", "to_bytes", "from_bytes")
+SYNTHETIC_PARAM = {"er": 10, "ba": 5}
 
 
 def load_other(checkout):
@@ -98,13 +114,80 @@ def compare(tables, pairs):
     return times
 
 
+def setup_inputs(kind, n, seed):
+    """[(name, edge-list bytes, directed, β)]: perfbench's workloads when kind
+    is None, else the one gen_synthetic graph."""
+    if kind is None:
+        return [(name, make_graph_bytes(spec, seed), spec.directed, BETA)
+                for name, spec in WORKLOADS.items()]
+    data = hubpath.gen_synthetic(kind, n, SYNTHETIC_PARAM[kind], seed)
+    return [(f"{kind}-{n}", data, False, hubpath.hubs.default_beta(n))]
+
+
+def setup_stages(pkg, data, directed, beta):
+    """A callable that runs the tree pkg's set-up stages once on its own graph
+    and hubs: ({stage: thread seconds}, index sha256, network sha256)."""
+    g = pkg.load_edge_list(data, directed=directed)
+    hubs = pkg.select_hubs(g, beta)
+
+    def run():
+        seconds = {}
+
+        def timed(stage, step, *args):
+            t0 = time.thread_time_ns()
+            out = step(*args)
+            seconds[stage] = (time.thread_time_ns() - t0) / 1e9
+            return out
+
+        net = timed("discover", pkg.discover, g, hubs, K)
+        blob = timed("to_bytes", pkg.hub2.to_bytes, timed("build", pkg.build_index, g, hubs, K))
+        timed("from_bytes", pkg.hub2.from_bytes, blob)
+        network = [net.members.tolist(), net.basic_pairs, net.added_per_pair]
+        return (seconds, hashlib.sha256(blob).hexdigest(),
+                hashlib.sha256(json.dumps(network).encode()).hexdigest())
+    return run
+
+
+def compare_setup(pkgs, args):
+    """Print each stage's best-of-REPS seconds per tree; 1 at differing digests."""
+    for seed in args.seeds:
+        for name, data, directed, beta in setup_inputs(args.kind, args.n, seed):
+            runs = [setup_stages(pkg, data, directed, beta) for pkg in pkgs]
+            best = [dict.fromkeys(STAGES, float("inf")) for _ in pkgs]
+            digests = [None, None]
+            for r in range(REPS):
+                for tree in ((0, 1) if r % 2 == 0 else (1, 0)):
+                    seconds, *digests[tree] = runs[tree]()
+                    for stage, dt in seconds.items():
+                        best[tree][stage] = min(best[tree][stage], dt)
+                    gc.collect()
+            for stage in STAGES:
+                this, that = best[0][stage], best[1][stage]
+                print(f"{name} seed={seed} {stage} this_s={this:.4f} other_s={that:.4f} "
+                      f"ratio={this / that:.3f}", flush=True)
+            print(f"{name} seed={seed} digests index={digests[0][0] == digests[1][0]} "
+                  f"network={digests[0][1] == digests[1][1]}", flush=True)
+            if digests[0] != digests[1]:
+                print(f"{name} seed={seed}: the trees' index or network differ", file=sys.stderr)
+                return 1
+            del runs
+            gc.collect()
+    return 0
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--other", required=True, help="root of the checkout to compare with")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--pairs", type=int, default=POOL)
+    p.add_argument("--setup", action="store_true", help="time the set-up stages instead")
+    p.add_argument("--kind", choices=sorted(SYNTHETIC_PARAM),
+                   help="with --setup: one gen_synthetic graph in place of the workloads")
+    p.add_argument("--n", type=int, default=80000, help="with --kind: vertex count")
     args = p.parse_args(argv)
     other = load_other(args.other)
+    if args.setup:
+        return compare_setup((hubpath, other), args)
 
     for seed in args.seeds:
         pairs = make_pairs(N, args.pairs, seed)

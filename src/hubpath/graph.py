@@ -24,7 +24,9 @@ shortest path back from them, stepping to the smallest-id in-neighbour one
 level up.  bit_levels is the one bit-parallel level loop: hub2.build reads
 labels and the hub-pair matrix from it, network.discover each hub's
 unblocked region, and the preservation check
-(network.verify_distance_preserving) the hub-pair distances.
+(network.verify_distance_preserving) the hub-pair distances.  Its step,
+or_in, pushes a word set with few out-edges and otherwise pulls, over the
+rows that can still change when they are few.
 """
 
 from __future__ import annotations
@@ -324,40 +326,72 @@ def set_bits(words):
     return at >> 6, at & 63
 
 
-def pull_or(offsets, sources, words):
-    """Per vertex, the OR of words over its slice of sources (0 for an empty slice)."""
-    out = np.zeros(offsets.size - 1, np.uint64)
-    full = offsets[1:] > offsets[:-1]
-    if sources.size:
-        out[full] = np.bitwise_or.reduceat(words[sources], offsets[:-1][full])
-    return out
-
-
 # Roots per bit_levels pass: one bit of a uint64 word each.  hub2.build and
 # network.discover run one pass per block of this many hubs.
 BIT_BLOCK = 64
 
+# bit_levels' step choice, set by a sweep (README "Index build").  A word set
+# whose nonzero rows have at most PUSH_SHARE * m out-edges is pushed over them;
+# any other is pulled, over the in-slices of the rows that can still change
+# when those hold at most PULL_SHARE * m edges, else over every in-slice.
+PUSH_SHARE = 0.2
+PULL_SHARE = 0.3
 
-def bit_levels(offsets, sources, hub_ids, roots, max_depth):
+
+def or_in(pull, push, words, changing):
+    """Per vertex, the OR of words over its predecessors: exact where the bool
+    mask changing is set, and either exact or 0 elsewhere.
+
+    pull is (offsets, sources), each vertex's predecessors, and push the
+    opposite view (offsets, targets), each vertex's successors; both list the
+    same edges.  A push ORs each nonzero word into its row's successors; a
+    pull reduces each vertex's predecessor slice, reading only the rows
+    changing marks when their slices are few (direction-optimizing BFS,
+    Beamer et al., SC 2012).
+    """
+    (in_offsets, sources), (out_offsets, targets) = pull, push
+    out = np.zeros(in_offsets.size - 1, np.uint64)
+    lit = np.flatnonzero(words)
+    if out_offsets[lit + 1].sum() - out_offsets[lit].sum() <= PUSH_SHARE * sources.size:
+        pos, counts, _ = csr_slices(out_offsets, lit)
+        np.bitwise_or.at(out, targets[pos], np.repeat(words[lit], counts))
+        return out
+    nonempty = in_offsets[1:] > in_offsets[:-1]
+    rows = np.flatnonzero(changing & nonempty)
+    if in_offsets[rows + 1].sum() - in_offsets[rows].sum() > PULL_SHARE * sources.size:
+        rows = np.flatnonzero(nonempty)
+        out[rows] = np.bitwise_or.reduceat(words[sources], in_offsets[rows])
+    elif rows.size:
+        pos, _, at = csr_slices(in_offsets, rows)
+        out[rows] = np.bitwise_or.reduceat(words[sources[pos]], at)
+    return out
+
+
+def bit_levels(pull, push, hub_ids, roots, max_depth):
     """Bit-parallel BFS bounded at max_depth from up to BIT_BLOCK roots, root i on bit i.
 
     Yields (new, free) per depth 1, 2, ... while anything is reached: the
-    level's first-reach and free words, one uint64 per vertex each.  A vertex
-    ORs the previous level's words over its slice of sources (its
-    predecessors in walk order).  Blocking bits
-    are frontier bits at hubs or reached only through a blocking carrier, and
-    a bit is free where no blocking carrier reaches: no hub lies strictly
-    between root and vertex on any shortest path.  With no blocking bits, as
-    at depth 1 or with no hub_ids, every new bit is free.
+    level's first-reach and free words, one uint64 per vertex each.  pull
+    and push are the walk's two adjacency views, (offsets, sources) listing
+    each vertex's predecessors and (offsets, targets) its successors.  A
+    vertex ORs the previous level's words over its predecessors (or_in): the
+    front's only where some root has not reached it yet, the blocking words'
+    only where it has new bits, and a word set with few out-edges is pushed
+    instead.  Blocking bits are frontier bits at hubs or reached only
+    through a blocking carrier, and a bit is free where no blocking carrier
+    reaches: no hub lies strictly between root and vertex on any shortest
+    path.  With no blocking bits, as at depth 1 or with no hub_ids, every
+    new bit is free.
     """
-    front = np.zeros(offsets.size - 1, np.uint64)
+    front = np.zeros(pull[0].size - 1, np.uint64)
     front[roots] = np.left_shift(np.uint64(1), np.arange(len(roots), dtype=np.uint64))
     seen, blocking = front.copy(), np.zeros_like(front)
+    every = np.uint64((1 << len(roots)) - 1)
     for _ in range(max_depth):
-        new = pull_or(offsets, sources, front) & ~seen
+        new = or_in(pull, push, front, seen != every) & ~seen
         if not new.any():
             return
-        free = new & ~pull_or(offsets, sources, blocking) if blocking.any() else new
+        free = new & ~or_in(pull, push, blocking, new != 0) if blocking.any() else new
         seen |= new
         yield new, free
         front, blocking = new, new & ~free

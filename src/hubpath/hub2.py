@@ -15,7 +15,9 @@ with no hub between (a basic pair) is the walk of the far hub's label, and
 any other hub pair's path is a chain of such walks, split where the matrix
 says (engines._expand_matrix_path), so the index stores no paths.  The
 entries sort by (vertex, distance, rank), so the index does not depend on how
-the hubs are grouped into blocks.
+the hubs are grouped into blocks.  A pass keeps each vertex's free words by
+(depth, block), so reading their set bits vertex by vertex gives that order
+directly, with no sort.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ _FLAG_DIRECTED = 1
 
 _ENTRY_DTYPE = np.dtype([("rank", "<u2"), ("dist", "u1")])
 MAX_HUBS = 0xFFFF         # hub ranks are stored as u2
-
-_NO_LABELS = (np.empty(0, np.uint32), np.empty(0, np.uint8), np.empty(0, np.uint16))
 
 
 class IndexFormatError(ValueError):
@@ -153,61 +153,68 @@ class Hub2Index:
         return table.vertex_slice(v)
 
 
-def _pass(g, hubs, k, reverse, dist=None):
-    """Bounded BFS from every hub, one graph.bit_levels pass per BIT_BLOCK hubs.
+# Vertices per _pass read-out chunk, set by a sweep (README "Index build"):
+# a chunk copies its rows' words and unpacks 64 bytes per nonzero one.
+LABEL_CHUNK = 512
 
-    Returns one side's labels as a list per depth 1..k of the blocks' parts in
-    rank order, each (vertex, dist, rank) in (vertex, rank) order, bit b of the
-    block from rank lo being rank lo + b; given the matrix distances, fills
-    them too.  A label is a free first reach.  The pass that fills the matrix
-    labels hubs too, as the paths of basic pairs; the other one, whose hub
-    labels nothing reads, does not.  reverse=True walks in-edges (directed
-    graphs) and gives outgoing-side labels; the forward walk incoming-side ones.
+
+def _pass(g, hubs, k, reverse, dist=None):
+    """One side's LabelTable: a bounded BFS from every hub, one graph.bit_levels
+    pass per BIT_BLOCK hubs in rank order.
+
+    Each vertex's free words go into one array per depth reached, indexed by
+    (vertex, block), so a vertex's words run by (depth, block) and its set
+    bits, read in that order, by (dist, rank): bit b of the block from rank
+    lo is rank lo + b.  The table is read out in chunks of LABEL_CHUNK
+    vertices, each stacked to rows of (depth, block) words whose set bits
+    come out by (vertex, dist, rank), the file's order, each nonzero word's
+    depth and block repeated over its bits; np.bitwise_count gives the
+    per-vertex counts up front.  A label is a free first reach.
+    Given the matrix distances, the pass fills them too and labels hubs, as
+    the paths of basic pairs; the other pass, whose hub labels nothing
+    reads, clears the hub rows.  reverse=True walks in-edges (directed
+    graphs) and gives outgoing-side labels; the forward walk incoming-side
+    ones.
     """
-    offsets, sources = g.adjacency(not reverse)
-    levels = [[] for _ in range(k)]
-    for lo in range(0, hubs.size, BIT_BLOCK):
+    pull, push = g.adjacency(not reverse), g.adjacency(reverse)
+    blocks = -(-hubs.size // BIT_BLOCK)
+    levels = []
+    for block, lo in enumerate(range(0, hubs.size, BIT_BLOCK)):
         roots = hubs.ids[lo:lo + BIT_BLOCK]
-        for depth, (new, free) in enumerate(bit_levels(offsets, sources, hubs.ids, roots, k), 1):
-            rows = np.flatnonzero(free)
-            if dist is None:
-                rows = rows[~hubs.is_hub[rows]]
-            i, bit = set_bits(free[rows])
-            levels[depth - 1].append((rows[i].astype(np.uint32), np.full(i.size, depth, np.uint8),
-                                      (lo + bit).astype(np.uint16)))
+        for depth, (new, free) in enumerate(bit_levels(pull, push, hubs.ids, roots, k), 1):
+            if depth > len(levels):
+                levels.append(np.zeros((g.n, blocks), np.uint64))
+            levels[depth - 1][:, block] = free
             if dist is not None:
                 j, bit = set_bits(new[hubs.ids])
                 dist[lo + bit, j] = depth
-    return levels
-
-
-def _label_table(n, levels):
-    """The (vertex, dist, rank)-sorted table of one side's parts, a list per depth.
-
-    Each part has one depth and one block and ascends by (vertex, bit), so,
-    joined by depth, then block, a stable sort by vertex leaves each vertex's
-    entries by (dist, rank), as rank = lo + bit and the blocks' ranks ascend;
-    no two entries share (vertex, dist, rank), so the order is the unique one.
-    Empties levels, so the pass's arrays are freed before the sort.
-    """
-    parts = [p for level in levels for p in level]
-    levels.clear()
-    vertex, dist, rank = (np.concatenate(f) for f in zip(_NO_LABELS, *parts))
-    del parts
-    offsets = offsets_from_counts(np.bincount(vertex, minlength=n))
-    order = np.argsort(vertex, kind="stable")
-    del vertex
-    return LabelTable(offsets, rank[order], dist[order])
+    counts = np.zeros(g.n, np.int64)
+    for level in levels:
+        if dist is None:
+            level[hubs.ids] = 0
+        counts += np.bitwise_count(level).sum(axis=1, dtype=np.int64)
+    offsets = offsets_from_counts(counts)
+    table = LabelTable(offsets, np.empty(offsets[-1], np.uint16), np.empty(offsets[-1], np.uint8))
+    for lo in range(0, g.n, LABEL_CHUNK):
+        at, to = offsets[lo], offsets[min(lo + LABEL_CHUNK, g.n)]
+        if at < to:
+            words = np.stack([level[lo:lo + LABEL_CHUNK] for level in levels], 1).ravel()
+            lit = np.flatnonzero(words)
+            count = np.bitwise_count(words[lit])
+            bit = set_bits(words[lit])[1]
+            table.hub_rank[at:to] = np.repeat(lit % blocks * BIT_BLOCK, count) + bit
+            table.dist[at:to] = np.repeat(lit // blocks % len(levels) + 1, count)
+    return table
 
 
 def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     """Label every vertex and fill the hub matrix, one label table per side.
 
     Each side's table comes from one _pass, a bit-parallel bounded BFS per
-    BIT_BLOCK hubs in rank order, merged before the next side's pass starts;
+    BIT_BLOCK hubs in rank order, read out before the next side's pass starts;
     a directed graph adds a reverse pass for the outgoing labels.  Python
-    loops over blocks and levels only, and every tie goes to the smallest
-    id, so the index is the same for any block size and order.
+    loops over blocks, levels and read-out chunks only, and every tie goes to
+    the smallest id, so the index is the same for any block size and order.
     """
     if hubs.size == 0:
         raise ValueError("cannot build an index over an empty hub set")
@@ -218,8 +225,8 @@ def build(g: Graph, hubs: HubSet, k: int) -> Hub2Index:
     dim = hubs.size
     dist = np.full((dim, dim), INF, np.uint8)
     np.fill_diagonal(dist, 0)
-    labels_in = _label_table(g.n, _pass(g, hubs, k, False, dist))
-    labels_out = _label_table(g.n, _pass(g, hubs, k, True)) if g.directed else labels_in
+    labels_in = _pass(g, hubs, k, False, dist)
+    labels_out = _pass(g, hubs, k, True) if g.directed else labels_in
     return Hub2Index(k=k, directed=g.directed, n=g.n, m=g.m,
                      graph_checksum=g.checksum, hubs=hubs,
                      matrix=Hub2Matrix(dim, dist), labels_in=labels_in, labels_out=labels_out)
@@ -365,8 +372,10 @@ def _read_label_table(r, n, dim, k):
             raise IndexFormatError("label distance out of range")
         # entries must be strictly ascending by (vertex, dist, rank): byte-
         # stability, and no label repeated.  The vertex ascends by
-        # construction, so only each vertex's own (dist, rank) keys are checked.
-        key = dist.astype(np.int64) << 16 | rank
+        # construction, so only each vertex's own (dist, rank) keys are checked;
+        # dist <= k < 2^8 and rank < 2^16, so a key fits in 32 bits.
+        key = dist.astype(np.uint32) << 16
+        key |= rank
         ascending = key[1:] > key[:-1]
         starts = offsets[1:-1]
         ascending[starts[(starts > 0) & (starts < key.size)] - 1] = True

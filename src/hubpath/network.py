@@ -142,13 +142,19 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     vertex joins H* between the start of s's walk and the reading of its own
     membership, and scores depend only on H* as it stood before s.  A chain
     from depth d is walked exactly d steps, so a wrong parent gives a wrong
-    network, never an endless walk.
+    network, never an endless walk.  The walk reads parents and membership
+    as Python ints, through a memoryview of the parent array and a bytearray
+    under the member mask, not as numpy scalars.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    member = hubs.is_hub.copy()
+    # the chain walk reads parents through up and membership through in_net;
+    # the vectorized steps use the arrays over the same buffers
+    in_net = bytearray(hubs.is_hub.tobytes())
+    member = np.frombuffer(in_net, bool)
     net = HubNetwork(hubs=hubs, graph_checksum=g.checksum, member=member, k=k)
-    offsets, sources = g.adjacency(True)
+    pull, push = g.adjacency(True), g.adjacency()
+    offsets, sources = pull
     n, one, is_hub, hub_ids = np.uint64(g.n), np.uint64(1), hubs.is_hub, hubs.ids
     # key[u] > 0 exactly at the candidate parents of the level being walked,
     # the non-hubs of the cone one level up: score * n + n - u with the score
@@ -158,9 +164,10 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
     # for every n up to 2^32, and load_edge_list caps ids at MAX_VERTEX_ID
     key = np.zeros(g.n, np.uint64)
     parent = np.zeros(g.n, np.int64)
+    up = memoryview(parent)
     for lo in range(0, hub_ids.size, BIT_BLOCK):
         frees = []
-        for _, free in bit_levels(offsets, sources, hub_ids, hub_ids[lo:lo + BIT_BLOCK], k):
+        for _, free in bit_levels(pull, push, hub_ids, hub_ids[lo:lo + BIT_BLOCK], k):
             if not free.any():
                 break
             frees.append(free)
@@ -197,9 +204,9 @@ def discover(g: Graph, hubs: HubSet, k: int) -> HubNetwork:
                 for t in found[d - 1].tolist():
                     w, added = t, 0
                     for _ in range(d):
-                        added += not member[w]
-                        member[w] = True
-                        w = int(parent[w])
+                        added += not in_net[w]
+                        in_net[w] = 1
+                        w = up[w]
                     net.basic_pairs.append((s, t, d))
                     net.added_per_pair.append(added)
             key[front] = 0
@@ -234,7 +241,8 @@ def _hub_distances(g, roots, hub_ids, k):
     """(roots, hubs) int64 distances within k from each root, 0 where unreached;
     each level is read at the hubs with set_bits, as hub2._pass fills its matrix."""
     dist = np.zeros((roots.size, hub_ids.size), np.int64)
-    for d, (new, _) in enumerate(bit_levels(*g.adjacency(True), hub_ids[:0], roots, k), 1):
+    levels = bit_levels(g.adjacency(True), g.adjacency(), hub_ids[:0], roots, k)
+    for d, (new, _) in enumerate(levels, 1):
         j, bit = set_bits(new[hub_ids])
         dist[bit, j] = d
     return dist

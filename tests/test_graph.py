@@ -432,3 +432,70 @@ def test_from_edges_rejects_ids_that_are_not_integers(sources, targets, bad):
             Graph.from_edges(3, sources, targets)
         whole = Graph.from_edges(3, [0.0, 1.0], np.array([1.0, 2.0]))
     assert whole.out_targets.tolist() == [1, 0, 2, 1]
+
+
+# (PUSH_SHARE, PULL_SHARE) that force every or_in call through one step: a
+# push when the pushed rows' out-edges are at most PUSH_SHARE * m, else a
+# pull over the changing rows when their in-edges are at most PULL_SHARE * m,
+# else a pull over every row
+_STEPS = {"push": (1.0, -1.0), "restricted-pull": (-1.0, 1.0), "full-pull": (-1.0, -1.0)}
+
+
+def _bit_levels_cases():
+    """(name, graph, hub ids, roots): undirected and cyclic directed graphs,
+    one whose arcs all run one way along the ids (empty in-slices in either
+    direction) and a path with isolated vertices, each with 100 seeded
+    random hubs; roots are the first block of 64 hubs, the last block of 36,
+    or the first block with no hubs, as _hub_distances passes them.  Last, a
+    star whose centre 0 is one step from roots 1-63 and three from root 64,
+    so it misses only the block's top bit for two levels."""
+    src = np.arange(199)
+    graphs = {"er": er_graph(600, 6, 5), "ba-cyclic": cyclic_digraph("ba", 600, 3, 5),
+              "ba-one-way": ba_graph(400, 3, 5, directed=True),
+              "path-isolated": Graph.from_edges(260, src, src + 1)}
+    cases = []
+    for name, g in graphs.items():
+        hub_ids = np.sort(np.random.default_rng(7).choice(g.n, 100, replace=False))
+        cases += [(f"{name}-first-block", g, hub_ids, hub_ids[:64]),
+                  (f"{name}-last-block", g, hub_ids, hub_ids[64:]),
+                  (f"{name}-no-hubs", g, hub_ids[:0], hub_ids[:64])]
+    star = Graph.from_edges(67, [0] * 63 + [64, 65, 66], [*range(1, 64), 65, 66, 0])
+    roots = np.arange(1, 65)
+    return cases + [("star-tail", star, roots, roots),
+                    ("star-tail-no-hubs", star, roots[:0], roots)]
+
+
+_BIT_LEVELS_CASES = _bit_levels_cases()
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+@pytest.mark.parametrize("name, g, hub_ids, roots", _BIT_LEVELS_CASES,
+                         ids=[case[0] for case in _BIT_LEVELS_CASES])
+def test_bit_levels_steps_yield_the_same_words(monkeypatch, name, g, hub_ids, roots, reverse):
+    # each forcing is checked to take its step: a push gathers the push
+    # view's slices, a restricted pull the pull view's, a full pull none
+    pull, push = g.adjacency(not reverse), g.adjacency(reverse)
+    gathered = []
+    real_slices = graph.csr_slices
+
+    def slices(offsets, rows):
+        gathered.append(offsets)
+        return real_slices(offsets, rows)
+    monkeypatch.setattr(graph, "csr_slices", slices)
+    words = {}
+    for step, (push_share, pull_share) in _STEPS.items():
+        monkeypatch.setattr(graph, "PUSH_SHARE", push_share)
+        monkeypatch.setattr(graph, "PULL_SHARE", pull_share)
+        gathered.clear()
+        words[step] = [(new.copy(), free.copy())
+                       for new, free in graph.bit_levels(pull, push, hub_ids, roots, 6)]
+        view = {"push": push[0], "restricted-pull": pull[0]}.get(step)
+        assert all(offsets is view for offsets in gathered), step
+        assert bool(gathered) == (view is not None), step
+    want = words.pop("full-pull")
+    assert len(want) >= 2
+    for step, got in words.items():
+        assert len(got) == len(want), step
+        for d, ((new, free), (new_want, free_want)) in enumerate(zip(got, want), 1):
+            assert np.array_equal(new, new_want), (step, d)
+            assert np.array_equal(free, free_want), (step, d)

@@ -1,6 +1,8 @@
 """The per-hub reference build, discovery and preservation check, and the
 block-wise code checked against them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,40 @@ def test_build_matches_reference_on_dense_words(make):
     g = make()
     hubs = select_hubs(g, 100)
     assert hub2.to_bytes(hub2.build(g, hubs, 6)) == hub2.to_bytes(build_reference(g, hubs, 6))
+
+
+@pytest.mark.parametrize("chunk", [hub2.LABEL_CHUNK, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize("beta, k", [(65, 5), (130, 5), (65, 1)], ids=["65", "130", "k1"])
+@pytest.mark.parametrize("make", [lambda: er_graph(700, 6, 9),
+                                  lambda: cyclic_digraph("ba", 700, 3, 9)],
+                         ids=["er", "ba-cyclic"])
+def test_label_read_out_matches_reference(monkeypatch, make, beta, k, chunk):
+    # _pass reads the labels out of its (depth, block) words in chunks of
+    # LABEL_CHUNK vertices: with 7, the table is written in 100 chunks, each
+    # placed by the offsets at its boundaries.  β 65 and 130 leave a last
+    # block of 1 and 2 hubs beside full ones, and k 1 a single depth
+    monkeypatch.setattr(hub2, "LABEL_CHUNK", chunk)
+    g = make()
+    hubs = select_hubs(g, beta)
+    assert hub2.to_bytes(hub2.build(g, hubs, k)) == hub2.to_bytes(build_reference(g, hubs, k))
+
+
+def test_label_read_out_memory_follows_the_levels_reached():
+    # a 12-vertex path among 60000 isolated vertices at k = MAX_K: the levels
+    # stop after 11 depths, so the pass keeps 11 words per vertex, not 254
+    # (8 B * 60012 * 254 = 122 MB)
+    n = 60012
+    src = np.arange(11)
+    g = Graph.from_edges(n, src, src + 1)
+    hubs = HubSet.from_ids(n, [0, 5, 6])
+    tracemalloc.start()
+    try:
+        blob = hub2.to_bytes(hub2.build(g, hubs, hub2.MAX_K))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blob == hub2.to_bytes(build_reference(g, hubs, hub2.MAX_K))
+    assert peak < 12 * 8 * n + 4_000_000
 
 
 def assert_same_network(got, want):
