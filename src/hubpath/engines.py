@@ -29,9 +29,11 @@ write levels only, and the same ones, so answers, paths and counters do not
 depend on which step ran; _stitch reads the path back from the levels.
 Levels are stored as level + 1 in one byte per vertex, so these searches
 take k <= hub2.MAX_K.  Either step takes either frontier type, and each
-leaves the level's meets in the side's hits, which one scan folds into the
-best meet.  The label join is a scalar loop over the stored labels, read
-in place through the label tables' memoryviews.
+returns its level's meet: of the new vertices the other side has labeled,
+the one with the lowest other-side level, the smallest id among ties.  One
+comparison folds it into the best meet.  The label join is a scalar loop
+over the stored labels, read in place through the label tables'
+memoryviews.
 
 bfs_query and estimate_full_join are the oracles the fast paths are checked
 against, so they share no level step or join with them: bfs_query runs
@@ -42,6 +44,7 @@ label arrays at once.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -99,8 +102,14 @@ class QueryResult:
 
 
 def _check_pair(g, s, t):
+    """(s, t) as ints; ValueError unless both are integer vertex ids of g."""
+    try:
+        s, t = operator.index(s), operator.index(t)
+    except TypeError:
+        raise ValueError(f"query pair ({s!r}, {t!r}) is not a pair of integers") from None
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"query pair ({s}, {t}) out of range [0, {g.n})")
+    return s, t
 
 
 def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
@@ -112,7 +121,7 @@ def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     path steps back from t to the smallest-id in-neighbour one level up.
     k must be nonnegative.
     """
-    _check_pair(g, s, t)
+    s, t = _check_pair(g, s, t)
     if k < 0:
         raise ValueError(f"k={k} is negative")
     stats = SearchStats("bfs")
@@ -134,16 +143,16 @@ class _Side:
     and, through a numpy array over the same bytes, by the vectorized one;
     _stitch reads the path back from it and _hub_level hn's nearest hub.
     other_lv is the other side's lv, set by _bidirectional once both sides
-    exist.  Each step leaves in hits the fresh labels that other_lv already
-    holds.  The frontier is a list in discovery order after a scalar step
-    and an ascending int64 array after a vectorized one; either takes either.
+    exist; each step reads it to pick its level's meet.  The frontier is a
+    list in discovery order after a scalar step and an ascending int64 array
+    after a vectorized one; either takes either.
 
     Vertices in the labeled mask start labeled, so no step enters them, and
     nothing reads their level: meets are checked on fresh labels only, and
     _stitch steps only onto marks above the start's.
     """
 
-    __slots__ = ("lv", "other_lv", "hits", "frontier", "radius", "offsets", "targets", "adj")
+    __slots__ = ("lv", "other_lv", "frontier", "radius", "offsets", "targets", "adj")
 
     def __init__(self, view, start, labeled):
         self.offsets, self.targets, self.adj = view
@@ -162,35 +171,41 @@ def _hub_level(side, hub_ids):
 
 
 def _scalar_step(side, frontier):
-    """Label the next level with Python scalars; the result is a list.
+    """Label the next level with Python scalars; returns (new, meet).
 
-    The level comes out in discovery order, and side.hits gets its vertices
-    that the other side has labeled, in the same order.
+    new is the level as a list in discovery order.  meet is its vertex with
+    the lowest mark in other_lv, the smallest id among ties, or -1 if the
+    other side has labeled none of it; discovery order is not ascending, so
+    ties are broken by id.
     """
     lv, other_lv, adj = side.lv, side.other_lv, side.adj
     mark = side.radius + 2
-    new, hits = [], []
+    new, meet, low = [], -1, 0x100  # low starts above every byte mark
     for v in frontier:
         for w in adj[v]:
             if not lv[w]:
                 lv[w] = mark
                 new.append(w)
                 if other_lv[w]:
-                    hits.append(w)
-    side.hits = hits
-    return new
+                    other = other_lv[w]
+                    if other < low or other == low and w < meet:
+                        meet, low = w, other
+    return new, meet
 
 
 def _vector_step(side, frontier):
-    """Label the next level with whole-array operations; the result is an
-    ascending int64 array, and side.hits gets its vertices that the other
-    side has labeled, ascending, as a list."""
+    """Label the next level with whole-array operations; returns (new, meet).
+
+    new is the level as an ascending int64 array, and meet is what
+    _scalar_step returns: the candidates are ascending and min keeps the
+    first of equal marks.
+    """
     lv = np.frombuffer(side.lv, np.uint8)
     dsts = side.targets[csr_slices(side.offsets, np.asarray(frontier, np.int64))[0]]
     new = sort_unique(dsts[lv[dsts] == 0]).astype(np.int64)
     lv[new] = side.radius + 2
-    side.hits = new[np.frombuffer(side.other_lv, np.uint8)[new] != 0].tolist()
-    return new
+    both = new[np.frombuffer(side.other_lv, np.uint8)[new] != 0].tolist()
+    return new, min(both, key=side.other_lv.__getitem__) if both else -1
 
 
 def _few_edges(side, frontier):
@@ -205,37 +220,23 @@ def _few_edges(side, frontier):
 
 
 def _expand(side, stats):
-    """Advance one side by one level; returns the newly labeled vertices.
+    """Advance one side by one level; returns the level's meet, or -1.
 
     Neither step filters: the side's view and pre-labeled vertices decide.
     Frontiers with at most SCALAR_EDGES out-edges take the scalar step,
-    which returns a list in discovery order; larger ones the vectorized
-    step, which returns an ascending array.  Both label the same vertices
-    and set side.hits, so only the order within a level depends on the
-    step.
+    which leaves a list in discovery order as the frontier; larger ones the
+    vectorized step, which leaves an ascending array.  Both label the same
+    vertices and return the same meet, so only the order within a level
+    depends on the step.
     """
     frontier = side.frontier
     stats.visited += len(frontier)
-    new = (_scalar_step if _few_edges(side, frontier) else _vector_step)(side, frontier)
+    new, meet = (_scalar_step if _few_edges(side, frontier) else _vector_step)(side, frontier)
     side.frontier = new
     if len(new):
         side.radius += 1
         stats.enqueued += len(new)
-    return new
-
-
-def _register_meets(side, best, meet):
-    """Fold the side's hits, its newly double-labeled vertices, into the best
-    meeting candidate.  They are scanned in ascending id order and only a
-    strictly smaller sum replaces the best, so the meeting vertex is the
-    smallest id among those attaining the minimum.
-    """
-    radius, other_lv = side.radius, side.other_lv
-    for w in sorted(side.hits):
-        total = radius + other_lv[w] - 1
-        if total < best:
-            best, meet = total, w
-    return best, meet
+    return meet
 
 
 def _stitch(g, fwd, bwd, meet, s, t):
@@ -272,7 +273,7 @@ def _next_side(fwd, bwd, best, cap, hub_ids):
     sum, or as soon as one side is exhausted.
 
     h_x need not skip hubs both sides have labeled: such a hub, say forward's
-    nearest, was registered as a meet when the second side labeled it, so
+    nearest, was a meet candidate when the second side labeled it, so
     best <= h_f + r_b and backward's test fails on it (mirrored for
     backward's nearest).  A hub only one side has labeled is no nearer than
     that side's nearest, so h_x decides as the nearest such hub would.
@@ -338,8 +339,9 @@ def _bidirectional(g, views, s, t, cap, stats, labeled=None, hub_ids=None):
     stats.enqueued = 2
     best, meet = _UNSET, -1
     while (side := _next_side(fwd, bwd, best, cap, hub_ids)) is not None:
-        _expand(side, stats)
-        best, meet = _register_meets(side, best, meet)
+        w = _expand(side, stats)
+        if w >= 0 and (total := side.radius + side.other_lv[w] - 1) < best:
+            best, meet = total, w
     if best >= cap:
         return QueryResult(None, None, stats)
     return QueryResult(best, _stitch(g, fwd, bwd, meet, s, t), stats)
@@ -347,7 +349,7 @@ def _bidirectional(g, views, s, t, cap, stats, labeled=None, hub_ids=None):
 
 def bibfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     """Bidirectional BFS, expanding the smaller frontier first; 0 <= k <= MAX_K."""
-    _check_pair(g, s, t)
+    s, t = _check_pair(g, s, t)
     return _bidirectional(g, _graph_views(g), s, t, k + 1, SearchStats("bibfs"))
 
 
@@ -367,7 +369,7 @@ def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) ->
     the network's own hubs on its own graph, so a larger k is an error, and
     so are another graph or hub set (HubNetwork.check) and k above MAX_K.
     """
-    _check_pair(g, s, t)
+    s, t = _check_pair(g, s, t)
     net.check(g, hubs)
     if k > net.k:
         raise ValueError(f"k={k} exceeds the hub network's k={net.k}; engine hn "
@@ -383,7 +385,7 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
     distance is strictly below bound, or absent; bound - 1 is the search's
     k, so bound must lie in [1, MAX_K + 1].
     """
-    _check_pair(g, s, t)
+    s, t = _check_pair(g, s, t)
     if hub_mask[s] or hub_mask[t]:
         raise ValueError("hub-pruning search requires unmasked endpoints")
     return _bidirectional(g, _graph_views(g), s, t, bound, SearchStats("hp-bbfs"), labeled=hub_mask)
@@ -454,7 +456,7 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int) -> QueryResult:
     On equal distances the estimate's path wins.  The index answers for the
     graph it was built on only (Hub2Index.matches), so any other is an error.
     """
-    _check_pair(g, s, t)
+    s, t = _check_pair(g, s, t)
     if not idx.matches(g):
         raise ValueError("graph is not the one this index was built on")
     k = idx.k

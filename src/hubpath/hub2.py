@@ -275,23 +275,24 @@ def index_stats(idx: Hub2Index) -> dict:
 
 
 def to_bytes(idx: Hub2Index) -> bytes:
-    """Serialize to the binary index format (little-endian, checksummed)."""
-    buf = bytearray()
-    buf += MAGIC
+    """Serialize to the binary index format (little-endian, checksummed).
+
+    Its sections are digested as separate buffers and joined once, so the
+    only copies made are the packed label entries and the result."""
     flags = _FLAG_DIRECTED if idx.directed else 0
-    buf += struct.pack("<HHB3x", VERSION, flags, idx.k)
-    buf += struct.pack("<QQQ", idx.n, idx.m, idx.graph_checksum)
-    buf += struct.pack("<I", idx.hubs.size)
-    buf += idx.hubs.ids.astype("<u4").tobytes()
-    buf += idx.matrix.dist.tobytes(order="C")
-    _write_label_table(buf, idx.labels_in)
+    parts = [MAGIC, struct.pack("<HHB3x", VERSION, flags, idx.k),
+             struct.pack("<QQQ", idx.n, idx.m, idx.graph_checksum),
+             struct.pack("<I", idx.hubs.size), idx.hubs.ids.astype("<u4"),
+             idx.matrix.cells]
+    parts += _label_table_parts(idx.labels_in)
     if idx.directed:
-        _write_label_table(buf, idx.labels_out)
-    buf += struct.pack("<Q", digest64(buf))
-    return bytes(buf)
+        parts += _label_table_parts(idx.labels_out)
+    parts.append(struct.pack("<Q", digest64(*parts)))
+    return b"".join(parts)
 
 
-def _write_label_table(buf, table):
+def _label_table_parts(table):
+    """The table's section: per-vertex label counts, then packed entries."""
     counts = table.counts()
     over = np.flatnonzero(counts > 0xFFFF)
     if over.size:
@@ -300,8 +301,7 @@ def _write_label_table(buf, table):
     entries = np.empty(table.total, _ENTRY_DTYPE)
     entries["rank"] = table.hub_rank
     entries["dist"] = table.dist
-    buf += counts.astype("<u2").tobytes()
-    buf += entries.tobytes()
+    return [counts.astype("<u2"), entries]
 
 
 def serialize(idx: Hub2Index, sink) -> None:
@@ -387,8 +387,9 @@ def _read_label_table(r, n, dim, k):
 
 
 def deserialize(source) -> Hub2Index:
-    """Read an index from bytes, a binary file-like object, or a path."""
-    if isinstance(source, bytes):
+    """Read an index from a bytes-like object (bytes, bytearray, memoryview),
+    a binary file-like object, or a path."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
         return from_bytes(source)
     if hasattr(source, "read"):
         return from_bytes(source.read())

@@ -440,9 +440,9 @@ def test_search_ends_once_a_side_is_exhausted(monkeypatch, expanded):
     steps, spy = [], engines._expand
 
     def record(side, stats):
-        new = spy(side, stats)
-        steps.append(len(new))
-        return new
+        meet = spy(side, stats)
+        steps.append(len(side.frontier))
+        return meet
 
     monkeypatch.setattr(engines, "_expand", record)
     ended = 0
@@ -676,12 +676,12 @@ def side_copy(side):
     return copy
 
 
-def test_steps_leave_the_same_level_and_hits():
+def test_steps_leave_the_same_level_and_meet():
     # from identical side states, both steps label the same vertices at the
-    # same mark and leave the same hits, whether the frontier is a list or an
+    # same mark and return the same meet, whether the frontier is a list or an
     # array; hl's hub pre-labels are covered by the labeled mask
     steps = {"scalar": engines._scalar_step, "vector": engines._vector_step}
-    compared = hit_levels = 0
+    compared = meet_levels = 0
     for g in (ba_graph(600, 3, seed=71), er_graph(500, 6, seed=72),
               cyclic_digraph("er", 500, 5, 73)):
         hubs = select_hubs(g, 20)
@@ -705,14 +705,14 @@ def test_steps_leave_the_same_level_and_hits():
                         for step in steps.values():
                             for form in forms:
                                 copy = side_copy(side)
-                                new = step(copy, form)
+                                new, meet = step(copy, form)
                                 outcomes.add((tuple(sorted(np.asarray(new).tolist())),
-                                              tuple(sorted(copy.hits)), bytes(copy.lv)))
+                                              meet, bytes(copy.lv)))
                         assert len(outcomes) == 1, (s, t, side.radius)
                         compared += 1
-                        hit_levels += bool(outcomes.pop()[1])
+                        meet_levels += outcomes.pop()[1] >= 0
                         engines._expand(side, stats)
-    assert compared >= 400 and hit_levels >= 50
+    assert compared >= 400 and meet_levels >= 50
 
 
 def test_step_choice_at_the_threshold():
@@ -733,7 +733,8 @@ def test_step_choice_at_the_threshold():
             side.other_lv = bytearray(g.n)
             assert engines._few_edges(side, form) is few, (frontier[:3], len(frontier))
             side.frontier = form
-            new = engines._expand(side, engines.SearchStats("test"))
+            engines._expand(side, engines.SearchStats("test"))
+            new = side.frontier
             assert isinstance(new, list) is few
             assert sorted(np.asarray(new).tolist()) == sorted(
                 {w for v in frontier for w in view[2][v]} - {cap + 2})
@@ -770,6 +771,34 @@ def test_searches_refuse_negative_k(chain4):
                          (hp_bbfs, chain4, unmasked, 0, 3, 0)):
         with pytest.raises(ValueError, match="is negative"):
             query(*args)
+
+
+def test_query_ids_must_be_integers():
+    # numpy ids used to come back as path endpoints beside int vertices in
+    # bibfs, hn and hl, and a float id passed the range check, then failed
+    # with an unrelated TypeError or IndexError
+    g = ba_graph(300, 2, seed=5)
+    hubs = select_hubs(g, 8)
+    net, idx = discover(g, hubs, 4), build_index(g, hubs, 4)
+    engines_of = {"bfs": lambda s, t: bfs_query(g, s, t, 4),
+                  "bibfs": lambda s, t: bibfs_query(g, s, t, 4),
+                  "hn": lambda s, t: hn_query(g, hubs, net, s, t, 4),
+                  "hl": lambda s, t: hl_query(g, idx, s, t),
+                  "hp_bbfs": lambda s, t: hp_bbfs(g, hubs.is_hub, s, t, 5)}
+    pairs = [(s, t) for s, t in np.random.Generator(np.random.PCG64(9)).integers(
+        0, g.n, size=(60, 2)) if not (hubs.is_hub[s] or hubs.is_hub[t])]
+    found = 0
+    for name, query in engines_of.items():
+        for s, t in pairs:
+            res = query(np.int64(s), np.uint32(t))
+            assert res.distance == query(int(s), int(t)).distance, (name, s, t)
+            if res.found:
+                found += 1
+                assert all(type(v) is int for v in res.path), (name, s, t, res.path)
+        for s, t in ((5.0, 6), (5, 6.0), ("5", 6), (None, 6)):
+            with pytest.raises(ValueError, match="not a pair of integers"):
+                query(s, t)
+    assert found >= 100
 
 
 def test_hl_refuses_a_graph_other_than_the_indexs():

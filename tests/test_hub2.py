@@ -342,6 +342,24 @@ def test_serialize_file_roundtrip(tmp_path, chain4):
     assert deserialize(sink.getvalue()) == idx
 
 
+def test_deserialize_takes_any_bytes_like():
+    # bytearray and memoryview used to fall through to open() and raise
+    # TypeError; the loaded index must not share memory with the caller's buffer
+    g = er_graph(120, 5, seed=3, directed=True)
+    idx = build_index(g, select_hubs(g, 6), 4)
+    blob = hub2.to_bytes(idx)
+    for source in (bytearray(blob), memoryview(blob), memoryview(bytearray(blob))):
+        back = deserialize(source)
+        assert back == idx and back.labels_out == idx.labels_out
+        if not memoryview(source).readonly:
+            source[:] = bytes(len(blob))
+            assert back == idx
+    flipped = bytearray(blob)
+    flipped[len(blob) // 2] ^= 0x01
+    with pytest.raises(IndexFormatError):
+        deserialize(flipped)
+
+
 def test_truncated_file_rejected(chain4):
     blob = hub2.to_bytes(chain4_index(chain4))
     for cut in (4, len(blob) // 2, len(blob) - 1):
