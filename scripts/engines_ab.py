@@ -25,10 +25,16 @@ status 1 at the first pair whose distance or path differs between the trees.
 --setup times the set-up instead: per seed and graph, each tree's discover,
 build, to_bytes and from_bytes on its own graph and hubs (perfbench's β and
 k), the best of three rounds in thread CPU time, the tree that runs first
-alternating from round to round.  The graphs are perfbench's workloads, or
+alternating from round to round.  from_bytes reads an index the tree
+serialized before the timed rounds and runs first in its round, so it does
+not start from the heap that round's to_bytes left.  One more round per tree,
+untimed, runs under tracemalloc (tracing would slow the timed rounds) and
+takes each stage's peak: the most it held above what was live when it began,
+its result included.  The graphs are perfbench's workloads, or
 with --kind one gen_synthetic graph of --n vertices (average degree 10 for
 er, 5 edges per new vertex for ba) with default_beta(n) hubs.  It prints one
-line per seed, graph and stage with each tree's seconds and their ratio, and
+line per seed, graph and stage with each tree's seconds, their ratio and each
+tree's peak in MB, and
 one line with the sha256 of the index bytes and of the network (member ids,
 basic_pairs and added_per_pair), as scripts/answers_digest.py digests them.
 It exits with status 1 when the trees' index or network digests differ.
@@ -44,6 +50,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,30 +133,37 @@ def setup_inputs(kind, n, seed):
 
 def setup_stages(pkg, data, directed, beta):
     """A callable that runs the tree pkg's set-up stages once on its own graph
-    and hubs: ({stage: thread seconds}, index sha256, network sha256)."""
+    and hubs, from_bytes first on an index serialized here: ({stage: thread
+    seconds}, {stage: tracemalloc peak bytes above the stage's start, 0 when
+    not tracing}, index sha256, network sha256)."""
     g = pkg.load_edge_list(data, directed=directed)
     hubs = pkg.select_hubs(g, beta)
+    saved = pkg.hub2.to_bytes(pkg.build_index(g, hubs, K))
 
     def run():
-        seconds = {}
+        seconds, peaks = {}, {}
 
         def timed(stage, step, *args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             t0 = time.thread_time_ns()
             out = step(*args)
             seconds[stage] = (time.thread_time_ns() - t0) / 1e9
+            peaks[stage] = tracemalloc.get_traced_memory()[1] - start
             return out
 
+        timed("from_bytes", pkg.hub2.from_bytes, saved)
         net = timed("discover", pkg.discover, g, hubs, K)
         blob = timed("to_bytes", pkg.hub2.to_bytes, timed("build", pkg.build_index, g, hubs, K))
-        timed("from_bytes", pkg.hub2.from_bytes, blob)
         network = [net.members.tolist(), net.basic_pairs, net.added_per_pair]
-        return (seconds, hashlib.sha256(blob).hexdigest(),
+        return (seconds, peaks, hashlib.sha256(blob).hexdigest(),
                 hashlib.sha256(json.dumps(network).encode()).hexdigest())
     return run
 
 
 def compare_setup(pkgs, args):
-    """Print each stage's best-of-REPS seconds per tree; 1 at differing digests."""
+    """Print each stage's best-of-REPS seconds and traced peak per tree; 1 at
+    differing digests."""
     for seed in args.seeds:
         for name, data, directed, beta in setup_inputs(args.kind, args.n, seed):
             runs = [setup_stages(pkg, data, directed, beta) for pkg in pkgs]
@@ -157,14 +171,23 @@ def compare_setup(pkgs, args):
             digests = [None, None]
             for r in range(REPS):
                 for tree in ((0, 1) if r % 2 == 0 else (1, 0)):
-                    seconds, *digests[tree] = runs[tree]()
+                    seconds, _, *digests[tree] = runs[tree]()
                     for stage, dt in seconds.items():
                         best[tree][stage] = min(best[tree][stage], dt)
                     gc.collect()
+            peaks = []
+            tracemalloc.start()
+            try:
+                for run in runs:
+                    peaks.append(run()[1])
+                    gc.collect()
+            finally:
+                tracemalloc.stop()
             for stage in STAGES:
                 this, that = best[0][stage], best[1][stage]
                 print(f"{name} seed={seed} {stage} this_s={this:.4f} other_s={that:.4f} "
-                      f"ratio={this / that:.3f}", flush=True)
+                      f"ratio={this / that:.3f} this_peak_mb={peaks[0][stage] / 1e6:.3f} "
+                      f"other_peak_mb={peaks[1][stage] / 1e6:.3f}", flush=True)
             print(f"{name} seed={seed} digests index={digests[0][0] == digests[1][0]} "
                   f"network={digests[0][1] == digests[1][1]}", flush=True)
             if digests[0] != digests[1]:

@@ -128,13 +128,11 @@ def cmd_build(args):
     t0 = time.monotonic()
     idx = hub2.build(g, hubs, args.k)
     build_seconds = time.monotonic() - t0
-    data = hub2.to_bytes(idx)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    size = hub2.serialize(idx, args.out)
     stats = hub2.index_stats(idx)
     print("hubs\tk\tavg_label_count\tmax_label_count\tmatrix_finite_fraction\tbytes\tbuild_seconds")
     print(f"{hubs.size}\t{args.k}\t{stats['avg_label_count']:.3f}\t{stats['max_label_count']}"
-          f"\t{stats['matrix_finite_fraction']:.4f}\t{len(data)}"
+          f"\t{stats['matrix_finite_fraction']:.4f}\t{size}"
           f"\t{build_seconds:.3f}")
     return 0
 

@@ -51,10 +51,16 @@ def digest64(*buffers) -> int:
     The one fingerprint of the package: the graph checksum and the index
     file trailer both call it.
     """
-    h = hashlib.blake2b(digest_size=8)
+    h = hash64()
     for buf in buffers:
         h.update(buf)
     return int.from_bytes(h.digest(), "little")
+
+
+def hash64():
+    """digest64 as a running hash: update() it with the buffers in order, and
+    its digest() is their digest64 as 8 little-endian bytes."""
+    return hashlib.blake2b(digest_size=8)
 
 
 class Graph:
@@ -208,13 +214,18 @@ def _split_lists(offsets, targets, n):
 
 
 def load_edge_list(source, directed=False) -> Graph:
-    """Parse SNAP-style edge-list text (bytes, str or a readable file) into a Graph.
+    """Parse SNAP-style edge-list text (bytes-like, str or a readable file) into a Graph.
 
     Lines beginning with '#' and blank lines are ignored; other lines need at
     least two whitespace-separated integer tokens (extra tokens are ignored).
     Vertices are 0..max_id; gaps become isolated vertices.
     """
-    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(source, (bytes, str)):
+        data = source
+    elif isinstance(source, (bytearray, memoryview)):
+        data = bytes(source)
+    else:
+        data = source.read()
     src, dst = _parse_edges(data)
     g = None
     if src.size:

@@ -22,13 +22,14 @@ directly, with no sort.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (BIT_BLOCK, Graph, bfs_tree, bit_levels, digest64, offsets_from_counts,
-                    set_bits)
+from .graph import (BIT_BLOCK, Graph, bfs_tree, bit_levels, digest64, hash64,
+                    offsets_from_counts, set_bits)
 from .hubs import HubSet
 
 INF = 255
@@ -274,44 +275,85 @@ def index_stats(idx: Hub2Index) -> dict:
     }
 
 
+# Label entries per packed write and per order-check step: the writer packs
+# this many 3-byte records into one reused chunk, and the reader's order
+# check holds a few bytes per entry of one chunk.
+ENTRY_CHUNK = 1 << 16
+
+
 def to_bytes(idx: Hub2Index) -> bytes:
-    """Serialize to the binary index format (little-endian, checksummed).
-
-    Its sections are digested as separate buffers and joined once, so the
-    only copies made are the packed label entries and the result."""
-    flags = _FLAG_DIRECTED if idx.directed else 0
-    parts = [MAGIC, struct.pack("<HHB3x", VERSION, flags, idx.k),
-             struct.pack("<QQQ", idx.n, idx.m, idx.graph_checksum),
-             struct.pack("<I", idx.hubs.size), idx.hubs.ids.astype("<u4"),
-             idx.matrix.cells]
-    parts += _label_table_parts(idx.labels_in)
-    if idx.directed:
-        parts += _label_table_parts(idx.labels_out)
-    parts.append(struct.pack("<Q", digest64(*parts)))
-    return b"".join(parts)
+    """Serialize to the binary index format (little-endian, checksummed):
+    serialize into an io.BytesIO, whose getvalue() hands over its buffer."""
+    out = io.BytesIO()
+    # its last byte first: the buffer is allocated once at the file's size,
+    # where growing it write by write would copy it
+    out.seek(_file_size(idx) - 1)
+    out.write(b"\0")
+    out.seek(0)
+    serialize(idx, out)
+    return out.getvalue()
 
 
-def _label_table_parts(table):
-    """The table's section: per-vertex label counts, then packed entries."""
+def serialize(idx: Hub2Index, sink) -> int:
+    """Write the index to a binary file-like sink or path; returns the file's
+    size.  Any IndexFormatError is raised before the sink is opened or
+    written, so a path that cannot hold the index gets no file."""
+    counts = [_label_counts(table) for table in _tables(idx)]
+    if hasattr(sink, "write"):
+        _write(idx, counts, sink.write)
+    else:
+        with open(sink, "wb") as fh:
+            _write(idx, counts, fh.write)
+    return _file_size(idx)
+
+
+def _tables(idx):
+    """The label tables in file order: incoming, then outgoing if directed."""
+    return (idx.labels_in, idx.labels_out) if idx.directed else (idx.labels_in,)
+
+
+def _file_size(idx):
+    """Header and trailer, hub ids, matrix, then each table's counts and entries."""
+    return 48 + 4 * idx.hubs.size + idx.matrix.dim ** 2 + sum(
+        2 * idx.n + _ENTRY_DTYPE.itemsize * table.total for table in _tables(idx))
+
+
+def _label_counts(table):
+    """The table's per-vertex label counts as the file's u16s."""
     counts = table.counts()
     over = np.flatnonzero(counts > 0xFFFF)
     if over.size:
         v = int(over[0])
         raise IndexFormatError(f"vertex {v} has {counts[v]} labels; format caps at 65535")
-    entries = np.empty(table.total, _ENTRY_DTYPE)
-    entries["rank"] = table.hub_rank
-    entries["dist"] = table.dist
-    return [counts.astype("<u2"), entries]
+    return counts.astype("<u2")
 
 
-def serialize(idx: Hub2Index, sink) -> None:
-    """Write the index to a binary file-like sink or path."""
-    data = to_bytes(idx)
-    if hasattr(sink, "write"):
-        sink.write(data)
-    else:
-        with open(sink, "wb") as fh:
-            fh.write(data)
+def _write(idx, counts, write):
+    """Digest and write the sections in file order, then the trailer: each
+    table's counts, then its entries packed ENTRY_CHUNK records at a time into
+    one reused chunk."""
+    digest = hash64()
+
+    def put(buf):
+        digest.update(buf)
+        write(buf)
+
+    flags = _FLAG_DIRECTED if idx.directed else 0
+    put(MAGIC + struct.pack("<HHB3xQQQI", VERSION, flags, idx.k, idx.n, idx.m,
+                            idx.graph_checksum, idx.hubs.size))
+    put(idx.hubs.ids.astype("<u4"))
+    put(idx.matrix.cells)
+    tables = _tables(idx)
+    chunk = np.empty(min(ENTRY_CHUNK, max(table.total for table in tables)), _ENTRY_DTYPE)
+    for table, table_counts in zip(tables, counts):
+        put(table_counts)
+        for lo in range(0, table.total, ENTRY_CHUNK):
+            rank = table.hub_rank[lo:lo + ENTRY_CHUNK]
+            part = chunk[:rank.size]
+            part["rank"] = rank
+            part["dist"] = table.dist[lo:lo + ENTRY_CHUNK]
+            put(part)
+    write(digest.digest())
 
 
 def from_bytes(data: bytes) -> Hub2Index:
@@ -364,26 +406,35 @@ def _read_label_table(r, n, dim, k):
     counts = np.frombuffer(r.take(2 * n), dtype="<u2")
     offsets = offsets_from_counts(counts)
     entries = np.frombuffer(r.take(_ENTRY_DTYPE.itemsize * int(offsets[-1])), dtype=_ENTRY_DTYPE)
-    rank, dist = entries["rank"], entries["dist"]
+    # contiguous copies of the two columns: memoryview cannot index the records'
+    # unaligned little-endian rank field
+    rank, dist = entries["rank"].astype(np.uint16), entries["dist"].astype(np.uint8)
     if rank.size:
         if rank.max() >= dim:
             raise IndexFormatError("label hub rank out of range")
         if dist.min() < 1 or dist.max() > k:
             raise IndexFormatError("label distance out of range")
-        # entries must be strictly ascending by (vertex, dist, rank): byte-
-        # stability, and no label repeated.  The vertex ascends by
-        # construction, so only each vertex's own (dist, rank) keys are checked;
-        # dist <= k < 2^8 and rank < 2^16, so a key fits in 32 bits.
-        key = dist.astype(np.uint32) << 16
-        key |= rank
+    _check_label_order(offsets, rank, dist)
+    return LabelTable(offsets, rank, dist)
+
+
+def _check_label_order(offsets, rank, dist):
+    """Entries must be strictly ascending by (vertex, dist, rank): byte-
+    stability, and no label repeated.  The vertex ascends by construction, so
+    only each vertex's own (dist, rank) keys are compared, ENTRY_CHUNK pairs at
+    a time, each chunk starting with the last entry of the one before;
+    dist <= k < 2^8 and rank < 2^16, so a key fits in 32 bits."""
+    for lo in range(1, rank.size, ENTRY_CHUNK):
+        at, to = lo - 1, min(lo + ENTRY_CHUNK, rank.size)
+        key = dist[at:to].astype(np.uint32) << 16
+        key |= rank[at:to]
         ascending = key[1:] > key[:-1]
-        starts = offsets[1:-1]
-        ascending[starts[(starts > 0) & (starts < key.size)] - 1] = True
+        # pair i compares entries at + i and at + i + 1; a vertex starting at
+        # entry s, at < s < to, makes pair s - 1 - at a vertex boundary
+        starts = offsets[np.searchsorted(offsets, at, "right"):np.searchsorted(offsets, to)]
+        ascending[starts - 1 - at] = True
         if not ascending.all():
             raise IndexFormatError("label entries repeated or not sorted by (level, hub rank)")
-    # contiguous copies of the two columns: memoryview cannot index the records'
-    # unaligned little-endian rank field
-    return LabelTable(offsets, rank.astype(np.uint16), dist.astype(np.uint8))
 
 
 def deserialize(source) -> Hub2Index:

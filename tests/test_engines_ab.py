@@ -37,7 +37,7 @@ def test_setup_ab_of_the_checkout_against_itself(capsys, monkeypatch):
         ["ba-1500", "seed=3", stage] for stage in (*engines_ab.STAGES, "digests")]
     for line in lines[:-1]:
         fields = dict(field.split("=") for field in line.split()[3:])
-        assert sorted(fields) == ["other_s", "ratio", "this_s"]
+        assert sorted(fields) == ["other_peak_mb", "other_s", "ratio", "this_peak_mb", "this_s"]
         assert all(math.isfinite(float(v)) and float(v) > 0 for v in fields.values())
     assert lines[-1].split()[3:] == ["index=True", "network=True"]
     # a network that differs between the trees fails the run

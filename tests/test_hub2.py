@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +33,9 @@ from hubpath.engines import (
     estimate,
     estimate_full_join,
 )
-from hubpath.graph import digest64
+from hubpath.graph import digest64, offsets_from_counts
 
-from conftest import ba_graph, er_graph
+from conftest import ba_graph, cyclic_digraph, er_graph
 from oracles import adjacency_from_graph, all_pairs_dist, core_hub_set, label_bfs
 
 
@@ -358,6 +360,132 @@ def test_deserialize_takes_any_bytes_like():
     flipped[len(blob) // 2] ^= 0x01
     with pytest.raises(IndexFormatError):
         deserialize(flipped)
+
+
+def test_load_edge_list_takes_any_bytes_like():
+    # bytearray and memoryview used to reach source.read() and raise
+    # AttributeError; the graph must not share memory with the caller's buffer
+    text = gen_synthetic("er", 120, 5, 3)
+    want = load_edge_list(text, directed=True)
+    for source in (bytearray(text), memoryview(text), memoryview(bytearray(text))):
+        g = load_edge_list(source, directed=True)
+        assert g.checksum == want.checksum and g.n == want.n and g.directed
+        if not memoryview(source).readonly:
+            source[:] = bytes(len(text))
+            assert g.checksum == want.checksum
+            assert np.array_equal(g.out_targets, want.out_targets)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_entry_chunks_write_and_read_the_same_index(monkeypatch, chunk):
+    # the writer packs and the reader checks the label entries ENTRY_CHUNK at
+    # a time; no chunk size may change the bytes or what loads
+    cases = []
+    for g in (er_graph(150, 6, seed=2), cyclic_digraph("er", 150, 6, seed=2)):
+        idx = build_index(g, select_hubs(g, 8), 4)
+        cases.append((idx, hub2.to_bytes(idx)))
+    monkeypatch.setattr(hub2, "ENTRY_CHUNK", chunk)
+    for idx, blob in cases:
+        assert hub2.to_bytes(idx) == blob
+        back = hub2.from_bytes(blob)
+        assert back == idx and back.labels_out == idx.labels_out
+
+
+def crafted_order_index():
+    """An index whose incoming (and only) table gives its vertices 3, 1, 2 and
+    0 labels in turn, the first of (1, 0), (1, 2), (2, 1) as (dist, rank)
+    each: ascending within each vertex, and equal or descending across each
+    vertex boundary, at every position modulo small chunk sizes."""
+    g = er_graph(40, 4, seed=1)
+    idx = build_index(g, select_hubs(g, 3), 4)
+    counts = np.resize([3, 1, 2, 0], g.n)
+    keys = [key for count in counts for key in [(1, 0), (1, 2), (2, 1)][:count]]
+    dist, rank = np.array(keys, np.uint8).T
+    table = hub2.LabelTable(offsets_from_counts(counts), rank.astype(np.uint16), dist.copy())
+    return dataclasses.replace(idx, labels_in=table, labels_out=table)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_label_order_is_checked_across_entry_chunks(monkeypatch, chunk):
+    # the order check compares ENTRY_CHUNK pairs at a time, each chunk starting
+    # with the last entry of the one before: an equal or descending pair inside
+    # a vertex is refused wherever it falls against the chunk boundaries, and
+    # a key that falls across a vertex boundary loads
+    idx = crafted_order_index()
+    table = idx.labels_in
+    blob = hub2.to_bytes(idx)
+    edited = []
+    for v in range(idx.n):
+        for p in range(int(table.offsets[v]), int(table.offsets[v + 1]) - 1):
+            for case in ("equal", "descending"):
+                rank, dist = table.hub_rank.copy(), table.dist.copy()
+                for arr in (rank, dist):
+                    if case == "equal":
+                        arr[p + 1] = arr[p]
+                    else:
+                        arr[p], arr[p + 1] = arr[p + 1], arr[p]
+                bad = hub2.LabelTable(table.offsets, rank, dist)
+                edited.append(hub2.to_bytes(dataclasses.replace(idx, labels_in=bad,
+                                                               labels_out=bad)))
+    assert len(edited) == 2 * 30
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(hub2, "ENTRY_CHUNK", chunk)
+        assert hub2.from_bytes(blob) == idx
+        for data in edited:
+            with pytest.raises(IndexFormatError, match="not sorted"):
+                hub2.from_bytes(data)
+
+
+def test_serialize_memory_is_the_file_and_one_chunk():
+    # to_bytes holds the file (io.BytesIO grows it by up to an eighth), one
+    # chunk of packed entries and each table's counts (int64, then u2); it
+    # used to hold a packed copy of every entry and the joined file besides
+    g = er_graph(20000, 10, seed=5)
+    idx = build_index(g, select_hubs(g, 100), 6)
+    tracemalloc.start()
+    try:
+        blob = hub2.to_bytes(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) > 4_000_000
+    assert peak < len(blob) * 9 // 8 + 3 * hub2.ENTRY_CHUNK + 10 * g.n + 100_000
+
+
+def test_deserialize_memory_is_the_columns_and_one_chunk():
+    # from_bytes keeps the two label columns (3 bytes an entry), the offsets
+    # and the hub set (13 bytes a vertex), and holds one chunk of order-check
+    # keys (a few bytes an entry) besides; it used to hold 32-bit keys, their
+    # order flags and a widened distance copy over every label at once
+    g = er_graph(20000, 10, seed=5)
+    blob = hub2.to_bytes(build_index(g, select_hubs(g, 100), 6))
+    tracemalloc.start()
+    try:
+        idx = hub2.from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = 3 * idx.labels_in.total
+    assert columns > 4_000_000
+    assert peak < columns + 13 * g.n + 16 * hub2.ENTRY_CHUNK + 100_000
+
+
+def test_label_cap_refused_before_the_sink_is_written(tmp_path, chain4):
+    # a vertex over 65535 labels cannot be written, and a path gets no file
+    idx = chain4_index(chain4)
+    counts = np.array([0, 0x10000, 0, 0])
+    table = hub2.LabelTable(offsets_from_counts(counts), np.zeros(0x10000, np.uint16),
+                            np.ones(0x10000, np.uint8))
+    idx = dataclasses.replace(idx, labels_in=table, labels_out=table)
+    path = tmp_path / "capped.hub2"
+    with pytest.raises(IndexFormatError, match="vertex 1 has 65536 labels"):
+        serialize(idx, path)
+    assert not path.exists()
+    sink = io.BytesIO()
+    with pytest.raises(IndexFormatError, match="format caps at 65535"):
+        serialize(idx, sink)
+    assert sink.getvalue() == b""
 
 
 def test_truncated_file_rejected(chain4):
