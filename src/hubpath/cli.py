@@ -197,6 +197,8 @@ def cmd_bench(args):
 def cmd_verify(args):
     if args.pairs < 0:
         raise SystemExit("--pairs must be >= 0")
+    if args.index is None and not 1 <= args.k <= hub2.MAX_K:
+        raise ValueError(f"--k must be in [1, {hub2.MAX_K}]")
     g = _load_graph(args)
     failures = []
     idx = None

@@ -44,13 +44,13 @@ label arrays at once.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_tree, csr_slices, level_path, sort_unique, validate_path
+from .graph import (Graph, bfs_tree, csr_slices, level_path, sort_unique, validate_path,
+                    vertex_id)
 from .hub2 import INF, MAX_K, Hub2Index, IndexIntegrityError
 from .hubs import HubSet
 from .network import HubNetwork
@@ -102,14 +102,12 @@ class QueryResult:
 
 
 def _check_pair(g, s, t):
-    """(s, t) as ints; ValueError unless both are integer vertex ids of g."""
+    """(s, t) as ints; ValueError unless both are vertex ids of g (vertex_id)."""
     try:
-        s, t = operator.index(s), operator.index(t)
-    except TypeError:
-        raise ValueError(f"query pair ({s!r}, {t!r}) is not a pair of integers") from None
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"query pair ({s}, {t}) out of range [0, {g.n})")
-    return s, t
+        return vertex_id(s, g.n, "s"), vertex_id(t, g.n, "t")
+    except ValueError as exc:
+        raise ValueError(f"query pair ({s!r}, {t!r}) is not a pair of integers "
+                         f"in [0, {g.n}): {exc}") from None
 
 
 def bfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
@@ -557,8 +555,8 @@ def _expand_matrix_path(idx, g, i, j):
 
 def reconstruct_estimated_path(idx: Hub2Index, g: Graph, s, x, y, t) -> list:
     """Materialize the estimated path s..x..y..t from label walks and the matrix."""
-    rank_x = int(idx.hubs.rank[x])
-    rank_y = int(idx.hubs.rank[y])
+    rank_x = int(idx.hubs.rank[vertex_id(x, g.n, "hub x")])
+    rank_y = int(idx.hubs.rank[vertex_id(y, g.n, "hub y")])
     if rank_x < 0 or rank_y < 0:
         raise IndexIntegrityError("estimate endpoints are not hubs")
     head = _walk(idx, g, s, rank_x, _label_dist(idx, s, rank_x, "out"), incoming=False)

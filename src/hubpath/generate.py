@@ -6,6 +6,8 @@ per line.  The same (kind, n, param, seed) always yields identical bytes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 KINDS = ("er", "ba", "star", "chain")
@@ -14,9 +16,11 @@ KINDS = ("er", "ba", "star", "chain")
 def gen_synthetic(kind: str, n: int, param=None, seed: int = 0) -> bytes:
     """Edge-list bytes for one of: er, ba, star, chain.
 
-    er:    param = target average degree; samples n*param/2 distinct edges.
-    ba:    param = edges attached per new vertex (preferential attachment,
-           so the degree distribution is heavy-tailed).
+    er:    param = target average degree, finite and positive; samples
+           n*param/2 distinct edges.
+    ba:    param = edges attached per new vertex, a positive integer
+           (preferential attachment, so the degree distribution is
+           heavy-tailed).
     star:  center 0 joined to n-1 leaves; chain: the path 0-1-...-(n-1).
     """
     if n < 2:
@@ -37,8 +41,8 @@ def gen_synthetic(kind: str, n: int, param=None, seed: int = 0) -> bytes:
 
 
 def _er_edges(n, avg_degree, seed):
-    if avg_degree is None or avg_degree <= 0:
-        raise ValueError("er generator needs a positive average degree")
+    if avg_degree is None or not 0 < float(avg_degree) < math.inf:
+        raise ValueError(f"er generator needs a finite positive average degree, not {avg_degree}")
     target = int(round(n * float(avg_degree) / 2))
     target = min(target, n * (n - 1) // 2)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -60,8 +64,9 @@ def _er_edges(n, avg_degree, seed):
 
 
 def _ba_edges(n, m_attach, seed):
-    if m_attach is None or int(m_attach) < 1:
-        raise ValueError("ba generator needs >= 1 attachment edges per vertex")
+    if m_attach is None or not (float(m_attach).is_integer() and m_attach >= 1):
+        raise ValueError(f"ba generator needs a positive integer count of attachment edges "
+                         f"per vertex, not {m_attach}")
     m = int(m_attach)
     if n <= m:
         raise ValueError("ba generator needs n > attachment count")

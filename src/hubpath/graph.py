@@ -14,7 +14,10 @@ a lone CR, a '#' inside a token, a line loadtxt cannot read, no data line, an
 id out of range -- goes to the line loop, which accepts it as the format
 allows or names the line.  from_edges and HubSet read ids through
 vertex_ids, which refuses any that is not an integer in [0, n);
-from_edges and HubSet.from_ids deduplicate through sort_unique.
+from_edges and HubSet.from_ids deduplicate through sort_unique.  vertex_id
+is the same refusal for one id, and every public function that takes a
+graph or an index and a vertex id reads it through vertex_id;
+validate_path rejects a path with any other vertex.
 
 bfs_tree is the one single-source BFS level loop outside the engines: the
 reference engine bfs_query, bounded_bfs and the label oracle
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import operator
 import re
 import warnings
 
@@ -116,6 +120,7 @@ class Graph:
         return self.out_offsets, self.out_targets
 
     def neighbors(self, v, reverse=False):
+        v = vertex_id(v, self.n, "vertex")
         offsets, targets = self.adjacency(reverse)
         return targets[offsets[v]:offsets[v + 1]]
 
@@ -137,6 +142,7 @@ class Graph:
         return self._out_lists
 
     def has_edge(self, u, v):
+        u, v = vertex_id(u, self.n, "vertex"), vertex_id(v, self.n, "vertex")
         offsets, targets = self.out_offsets, self.out_targets
         lo, hi = offsets[u], offsets[u + 1]
         pos = lo + np.searchsorted(targets[lo:hi], v)
@@ -197,6 +203,18 @@ def vertex_ids(values, n, name):
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"{name} {int(ids[(ids < 0) | (ids >= n)][0])} outside [0, {n})")
     return ids.astype(np.intp, copy=False)
+
+
+def vertex_id(v, n, name):
+    """v as an int (operator.index, so no float or string passes); a
+    ValueError names it unless it is an integer in [0, n)."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} {v!r} is not an integer") from None
+    if not 0 <= v < n:
+        raise ValueError(f"{name} {v} out of range [0, {n})")
+    return v
 
 
 def _csr(n, rows, cols):
@@ -460,8 +478,7 @@ def bounded_bfs(g: Graph, source, max_depth, reverse=False):
 
     Returns a dict vertex -> level.  On undirected graphs reverse is a no-op.
     """
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range [0, {g.n})")
+    source = vertex_id(source, g.n, "source")
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     level = bfs_tree(*g.adjacency(reverse), source, max_depth)[0]
@@ -470,10 +487,13 @@ def bounded_bfs(g: Graph, source, max_depth, reverse=False):
 
 
 def validate_path(g: Graph, path) -> bool:
-    """True iff consecutive vertices are joined by an edge (direction respected)."""
+    """True iff the path's vertices are vertex ids of g (vertex_id) and
+    consecutive ones are joined by an edge (direction respected)."""
     if path is None or len(path) == 0:
         return False
-    if any(v < 0 or v >= g.n for v in path):
+    try:
+        path = [vertex_id(v, g.n, "path vertex") for v in path]
+    except ValueError:
         return False
     return all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (BIT_BLOCK, Graph, bfs_tree, bit_levels, digest64, hash64,
-                    offsets_from_counts, set_bits)
+                    offsets_from_counts, set_bits, vertex_id)
 from .hubs import HubSet
 
 INF = 255
@@ -38,6 +38,8 @@ MAX_K = 254
 MAGIC = b"HUB2"
 VERSION = 6
 _FLAG_DIRECTED = 1
+# magic, version, flags, k, 3 pad bytes, n, m, graph checksum, hub count
+_HEADER = struct.Struct("<4sHHB3xQQQI")
 
 _ENTRY_DTYPE = np.dtype([("rank", "<u2"), ("dist", "u1")])
 MAX_HUBS = 0xFFFF         # hub ranks are stored as u2
@@ -139,10 +141,9 @@ class Hub2Index:
         (distance, rank), as two sequences of Python ints: the table's
         memoryview slices (LabelTable.vertex_slice).  For a hub that is its
         implicit self label (rank, 0) alone; its table entries are the paths
-        of basic pairs, not core hubs.  Any other side, or v outside [0, n),
-        is a ValueError."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
+        of basic pairs, not core hubs.  Any other side, or a v that is not
+        a vertex id (graph.vertex_id), is a ValueError."""
+        v = vertex_id(v, self.n, "vertex")
         if side == "out":
             table = self.labels_out
         elif side == "in":
@@ -243,8 +244,9 @@ def core_hubs_oracle(g: Graph, hubs: HubSet, k: int, v: int, side="out"):
     """
     if side not in ("out", "in"):
         raise ValueError("side must be 'out' or 'in'")
+    v = vertex_id(v, g.n, "vertex")
     if hubs.is_hub[v]:
-        return {(int(v), 0)}
+        return {(v, 0)}
     # side="out": BFS from v along out-edges gives d(v, .); the blocking test
     # needs d(h2, h).  side="in": everything runs on reversed edges, so a BFS
     # from v gives d(., v) and a BFS from h2 gives d(., h2) == d(h, h2) read
@@ -285,37 +287,24 @@ def to_bytes(idx: Hub2Index) -> bytes:
     """Serialize to the binary index format (little-endian, checksummed):
     serialize into an io.BytesIO, whose getvalue() hands over its buffer."""
     out = io.BytesIO()
-    # its last byte first: the buffer is allocated once at the file's size,
-    # where growing it write by write would copy it
-    out.seek(_file_size(idx) - 1)
-    out.write(b"\0")
-    out.seek(0)
     serialize(idx, out)
     return out.getvalue()
 
 
 def serialize(idx: Hub2Index, sink) -> int:
-    """Write the index to a binary file-like sink or path; returns the file's
-    size.  Any IndexFormatError is raised before the sink is opened or
-    written, so a path that cannot hold the index gets no file."""
+    """Write the index to a binary file-like sink or path; returns the number
+    of bytes written.  Any IndexFormatError is raised before the sink is
+    opened or written, so a path that cannot hold the index gets no file."""
     counts = [_label_counts(table) for table in _tables(idx)]
     if hasattr(sink, "write"):
-        _write(idx, counts, sink.write)
-    else:
-        with open(sink, "wb") as fh:
-            _write(idx, counts, fh.write)
-    return _file_size(idx)
+        return _write(idx, counts, sink.write)
+    with open(sink, "wb") as fh:
+        return _write(idx, counts, fh.write)
 
 
 def _tables(idx):
     """The label tables in file order: incoming, then outgoing if directed."""
     return (idx.labels_in, idx.labels_out) if idx.directed else (idx.labels_in,)
-
-
-def _file_size(idx):
-    """Header and trailer, hub ids, matrix, then each table's counts and entries."""
-    return 48 + 4 * idx.hubs.size + idx.matrix.dim ** 2 + sum(
-        2 * idx.n + _ENTRY_DTYPE.itemsize * table.total for table in _tables(idx))
 
 
 def _label_counts(table):
@@ -331,16 +320,19 @@ def _label_counts(table):
 def _write(idx, counts, write):
     """Digest and write the sections in file order, then the trailer: each
     table's counts, then its entries packed ENTRY_CHUNK records at a time into
-    one reused chunk."""
+    one reused chunk.  Returns the number of bytes written."""
     digest = hash64()
+    size = 0
 
     def put(buf):
+        nonlocal size
         digest.update(buf)
         write(buf)
+        size += memoryview(buf).nbytes
 
     flags = _FLAG_DIRECTED if idx.directed else 0
-    put(MAGIC + struct.pack("<HHB3xQQQI", VERSION, flags, idx.k, idx.n, idx.m,
-                            idx.graph_checksum, idx.hubs.size))
+    put(_HEADER.pack(MAGIC, VERSION, flags, idx.k, idx.n, idx.m, idx.graph_checksum,
+                     idx.hubs.size))
     put(idx.hubs.ids.astype("<u4"))
     put(idx.matrix.cells)
     tables = _tables(idx)
@@ -353,7 +345,9 @@ def _write(idx, counts, write):
             part["rank"] = rank
             part["dist"] = table.dist[lo:lo + ENTRY_CHUNK]
             put(part)
-    write(digest.digest())
+    trailer = digest.digest()
+    write(trailer)
+    return size + len(trailer)
 
 
 def from_bytes(data: bytes) -> Hub2Index:
@@ -367,9 +361,9 @@ def from_bytes(data: bytes) -> Hub2Index:
     if digest64(body) != stored:
         raise IndexFormatError("checksum mismatch: file is corrupted or truncated; rebuild it")
     r = _Reader(body)
-    if r.take(4) != MAGIC:
+    magic, version, flags, k, n, m, checksum, dim = _HEADER.unpack(r.take(_HEADER.size))
+    if magic != MAGIC:
         raise IndexFormatError("bad magic")
-    version, flags, k = struct.unpack("<HHB3x", r.take(8))
     if version != VERSION:
         raise IndexFormatError(f"unsupported version {version}")
     if flags & ~_FLAG_DIRECTED:
@@ -377,8 +371,6 @@ def from_bytes(data: bytes) -> Hub2Index:
     directed = bool(flags & _FLAG_DIRECTED)
     if not 1 <= k <= MAX_K:
         raise IndexFormatError(f"k={k} out of range")
-    n, m, checksum = struct.unpack("<QQQ", r.take(24))
-    dim = struct.unpack("<I", r.take(4))[0]
     if dim == 0 or dim > min(n, MAX_HUBS):
         raise IndexFormatError(f"hub count {dim} out of range for n={n}")
     ids = np.frombuffer(r.take(4 * dim), dtype="<u4")

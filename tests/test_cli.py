@@ -364,6 +364,31 @@ def test_verify_small_graph_runs_label_oracle(tmp_path, capsys):
     assert "label-oracle: vertices=120 mismatches=0" in out
 
 
+@pytest.mark.parametrize("kind, param", [
+    ("er", "inf"), ("ba", "inf"), ("ba", "2.5"), ("er", "nan"), ("ba", "nan"),
+])
+def test_gen_refuses_a_param_it_cannot_honour(capsys, kind, param):
+    # inf ended in an OverflowError traceback, nan in "cannot convert float
+    # NaN to integer", and ba 2.5 wrote 2 edges per vertex
+    code, out, err = run(capsys, "gen", "--kind", kind, "--n", "10", "--param", param)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {kind} generator needs") and err.count("\n") == 1
+    assert f"not {param}" in err and "Traceback" not in err
+
+
+def test_verify_refuses_k_before_any_work(graph_file, capsys, monkeypatch):
+    # verify --k 300 with no --index used to run discover and the whole
+    # preservation check before build refused k
+    def discover(*args):
+        raise AssertionError("discover ran")
+
+    monkeypatch.setattr(cli, "discover", discover)
+    for k in ("300", "0"):
+        code, out, err = run(capsys, "verify", "--graph", str(graph_file), "--k", k)
+        assert (code, out) == (1, "")
+        assert err == "error: --k must be in [1, 254]\n"
+
+
 def test_missing_graph_file_errors(capsys):
     code, _, err = run(capsys, "query", "--graph", "/nonexistent.txt",
                        "--engine", "bfs", "0", "1")

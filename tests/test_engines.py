@@ -562,6 +562,17 @@ def test_reconstruct_rejects_a_hub_pair_the_index_cannot_join():
         reconstruct_estimated_path(idx, g, 1, 0, 2, 3)
 
 
+def test_reconstruct_refuses_hub_ids_that_are_not_vertex_ids():
+    # x = (a hub id - n) used to read a rank through negative indexing and
+    # end in "index is corrupted" on an intact index
+    g = Graph.from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4], directed=False)
+    idx = build_index(g, hubset(g, [0, 2, 4]), 4)
+    assert reconstruct_estimated_path(idx, g, 1, np.int64(2), 4, 4) == [1, 2, 3, 4]
+    for x, y in ((2 - g.n, 4), (2, 4 - g.n), (2, g.n), (2.0, 4), (2, "4")):
+        with pytest.raises(ValueError, match="hub [xy] .*(out of range|not an integer)"):
+            reconstruct_estimated_path(idx, g, 1, x, y, 4)
+
+
 # ------------------------------------------------------- engine agreement
 
 def agreement_sweep(g, hubs, k, pairs, seed):

@@ -54,3 +54,14 @@ def test_bad_params():
         gen_synthetic("ba", 3, 5)
     with pytest.raises(ValueError):
         gen_synthetic("tree", 100, 2)
+
+
+@pytest.mark.parametrize("kind, param", [
+    ("er", float("inf")), ("er", float("nan")),
+    ("ba", float("inf")), ("ba", float("nan")), ("ba", 2.5),
+])
+def test_params_that_cannot_be_honoured_are_refused(kind, param):
+    # inf ended in an OverflowError, nan in "cannot convert float NaN to
+    # integer", and ba 2.5 attached 2 edges per vertex under a header saying 2.5
+    with pytest.raises(ValueError, match=f"{kind} generator needs .*, not {param}"):
+        gen_synthetic(kind, 10, param)

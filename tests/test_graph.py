@@ -434,6 +434,33 @@ def test_from_edges_rejects_ids_that_are_not_integers(sources, targets, bad):
     assert whole.out_targets.tolist() == [1, 0, 2, 1]
 
 
+def test_one_vertex_id_check_for_every_entry_point(chain4):
+    # bounded_bfs(g, 1.5, 3) and validate_path(g, [0.0, 1.0]) used to raise
+    # numpy's IndexError, and g.neighbors(-1) returned an empty row
+    assert graph.vertex_id(np.uint32(3), 4, "v") == 3
+    assert type(graph.vertex_id(np.int64(3), 4, "v")) is int
+    for bad in (1.5, 1.0, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            graph.vertex_id(bad, 4, "v")
+        with pytest.raises(ValueError, match="vertex .* is not an integer"):
+            chain4.neighbors(bad)
+        with pytest.raises(ValueError, match="source .* is not an integer"):
+            bounded_bfs(chain4, bad, 3)
+        assert not validate_path(chain4, [0, bad])
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=rf"vertex {v} out of range \[0, 4\)"):
+            chain4.neighbors(v, reverse=True)
+        for u, w in ((v, 0), (0, v)):
+            with pytest.raises(ValueError, match=rf"vertex {v} out of range"):
+                chain4.has_edge(u, w)
+        with pytest.raises(ValueError, match=rf"source {v} out of range"):
+            bounded_bfs(chain4, v, 3)
+        assert not validate_path(chain4, [v, 0])
+    assert not validate_path(chain4, [0.0, 1.0])
+    assert validate_path(chain4, [np.int64(0), np.uint32(1), 2])
+    assert bounded_bfs(chain4, np.int64(3), 1) == {3: 0, 2: 1}
+
+
 # (PUSH_SHARE, PULL_SHARE) that force every or_in call through one step: a
 # push when the pushed rows' out-edges are at most PUSH_SHARE * m, else a
 # pull over the changing rows when their in-edges are at most PULL_SHARE * m,

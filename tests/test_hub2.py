@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -333,15 +334,21 @@ def test_pinned_index_across_hub_blocks(beta, ba_sha, er_sha):
 
 
 def test_serialize_file_roundtrip(tmp_path, chain4):
-    idx = chain4_index(chain4)
-    path = tmp_path / "chain.hub2"
-    serialize(idx, path)
-    assert deserialize(path) == idx
-    with open(path, "rb") as fh:
-        assert deserialize(fh) == idx
-    sink = io.BytesIO()
-    serialize(idx, sink)
-    assert deserialize(sink.getvalue()) == idx
+    # serialize returns the bytes it wrote to a path, an open file or a BytesIO
+    g = er_graph(120, 5, seed=3, directed=True)
+    for idx in (chain4_index(chain4), build_index(g, select_hubs(g, 6), 4)):
+        size = len(hub2.to_bytes(idx))
+        path = tmp_path / "index.hub2"
+        assert serialize(idx, path) == size == os.path.getsize(path)
+        assert deserialize(path) == idx
+        with open(path, "rb") as fh:
+            assert deserialize(fh) == idx
+        with open(tmp_path / "open.hub2", "wb") as fh:
+            assert serialize(idx, fh) == size
+        assert (tmp_path / "open.hub2").read_bytes() == path.read_bytes()
+        sink = io.BytesIO()
+        assert serialize(idx, sink) == size
+        assert deserialize(sink.getvalue()) == idx
 
 
 def test_deserialize_takes_any_bytes_like():
@@ -626,6 +633,28 @@ def test_labels_refuse_a_vertex_out_of_range():
             for pair in ((v, 5), (5, v)):
                 with pytest.raises(ValueError, match="out of range"):
                     join(idx, *pair)
+
+
+def test_vertex_ids_that_are_not_integers_refused():
+    # estimate(idx, 5.0, 3), estimate_full_join and idx.labels(5.5, "out")
+    # raised numpy's IndexError, and core_hubs_oracle(g, hubs, k, -1) failed
+    # in csr_slices with "negative dimensions are not allowed"
+    g = load_edge_list(gen_synthetic("ba", 300, 2, 3))
+    hubs = select_hubs(g, 6)
+    idx = build_index(g, hubs, 4)
+    for v in (5.0, 5.5, "5", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            idx.labels(v, "out")
+        for join in (estimate, estimate_full_join):
+            for pair in ((v, 3), (3, v)):
+                with pytest.raises(ValueError, match="is not an integer"):
+                    join(idx, *pair)
+        with pytest.raises(ValueError, match="is not an integer"):
+            core_hubs_oracle(g, hubs, 4, v)
+    for v in (-1, g.n):
+        with pytest.raises(ValueError, match="out of range"):
+            core_hubs_oracle(g, hubs, 4, v, side="in")
+    assert core_hubs_oracle(g, hubs, 4, np.int64(5)) == core_hubs_oracle(g, hubs, 4, 5)
 
 
 def test_resealed_hub_ids_out_of_order_rejected():
