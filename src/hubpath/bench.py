@@ -51,6 +51,17 @@ class BenchRecord:
         }, sort_keys=True)
 
 
+def check_workload(count: int, k: int = None, min_dist: int = 0):
+    """ValueError for a pair count or distance filter that no graph can meet;
+    make_workload checks them first, and the command line before it reads a graph."""
+    if count < 0:
+        raise ValueError(f"pair count {count} is negative")
+    if min_dist > 0 and k is None:
+        raise ValueError("min_dist filtering needs k")
+    if min_dist > 0 and min_dist > k:
+        raise ValueError(f"min_dist {min_dist} exceeds k={k}: no pair can pass the filter")
+
+
 def make_workload(g: Graph, count: int, seed: int, k: int = None,
                   min_dist: int = 0, non_hub_only: bool = False,
                   hubs=None) -> Workload:
@@ -59,14 +70,9 @@ def make_workload(g: Graph, count: int, seed: int, k: int = None,
     min_dist keeps pairs whose true distance lies in [min_dist, k];
     non_hub_only keeps pairs with both endpoints outside the hub set.
     """
-    if count < 0:
-        raise ValueError(f"pair count {count} is negative")
+    check_workload(count, k, min_dist)
     if non_hub_only and hubs is None:
         raise ValueError("non_hub_only filtering needs a hub set")
-    if min_dist > 0 and k is None:
-        raise ValueError("min_dist filtering needs k")
-    if min_dist > 0 and min_dist > k:
-        raise ValueError(f"min_dist {min_dist} exceeds k={k}: no pair can pass the filter")
     rng = np.random.Generator(np.random.PCG64(seed))
     pairs = []
     attempts = 0

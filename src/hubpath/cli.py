@@ -9,9 +9,9 @@ import time
 import numpy as np
 
 from . import hub2
-from .bench import ENGINES, make_workload, run_engine, summarize, summary_tsv
-from .engines import (bfs_query, bibfs_query, check_result, estimate, estimate_full_join,
-                      hl_query, hn_query, query_with_engine)
+from .bench import ENGINES, check_workload, make_workload, run_engine, summarize, summary_tsv
+from .engines import (bfs_query, bibfs_query, check_index_k, check_result, estimate,
+                      estimate_full_join, hl_query, hn_query, query_with_engine)
 from .generate import KINDS, gen_synthetic
 from .graph import EdgeListParseError, load_edge_list
 from .hub2 import IndexFormatError, IndexIntegrityError, core_hubs_oracle
@@ -72,17 +72,44 @@ def build_parser():
     return parser
 
 
+def _check_args(args):
+    """Refuse, with ValueError, every argument that can be refused without
+    input, before any command reads its graph: --hubs below 1, --k outside
+    [1, MAX_K] in build and in verify without --index, a negative --pairs in
+    verify, and in query and bench an unknown engine, hl without --index and
+    (bench) a workload make_workload would refuse."""
+    if getattr(args, "hubs", None) is not None and args.hubs < 1:
+        raise ValueError("--hubs must be >= 1")
+    if args.command == "build" or args.command == "verify" and args.index is None:
+        if not 1 <= args.k <= hub2.MAX_K:
+            raise ValueError(f"--k must be in [1, {hub2.MAX_K}]")
+    if args.command == "verify" and args.pairs < 0:
+        raise ValueError("--pairs must be >= 0")
+    if args.command in ("query", "bench"):
+        engines = _engines(args)
+        bad = [e for e in engines if e not in ENGINES]
+        if bad:
+            raise ValueError(f"unknown engines: {bad}; choose from {ENGINES}")
+        if "hl" in engines and not args.index:
+            raise ValueError("engine hl needs --index")
+    if args.command == "bench":
+        check_workload(args.pairs, args.k, args.min_dist)
+
+
+def _engines(args):
+    """The engines query or bench runs: --engine, or the names listed in --engines."""
+    if args.command == "query":
+        return [args.engine]
+    return [e.strip() for e in args.engines.split(",") if e.strip()]
+
+
 def _load_graph(args):
     with open(args.graph, "rb") as fh:
         return load_edge_list(fh, directed=args.directed)
 
 
 def _hub_count(args, g):
-    if args.hubs is not None:
-        if args.hubs < 1:
-            raise SystemExit("--hubs must be >= 1")
-        return args.hubs
-    return default_beta(g.n)
+    return default_beta(g.n) if args.hubs is None else args.hubs
 
 
 def _load_index(path, g):
@@ -93,21 +120,19 @@ def _load_index(path, g):
     return idx
 
 
-def _engine_setup(args, g, engines, need_hubs=False):
-    """(index, hubs, network) for query and bench on engines.  With --index
-    the index is loaded and its hubs are the hubs; otherwise select_hubs runs
-    only when hn or need_hubs asks for hubs, and hl is an error."""
-    idx = hubs = net = None
+def _index_and_hubs(args, g, engines, need_hubs=False):
+    """(index, hubs) for query and bench on engines.  With --index the index
+    is loaded, its k checked for hl (check_index_k), and its hubs are the
+    hubs; otherwise select_hubs runs only when hn or need_hubs asks for hubs.
+    The caller discovers hn's network after this and any other refusal."""
     if args.index:
         idx = _load_index(args.index, g)
-        hubs = idx.hubs
-    elif "hl" in engines:
-        raise SystemExit("engine hl needs --index")
-    elif "hn" in engines or need_hubs:
-        hubs = select_hubs(g, _hub_count(args, g))
-    if "hn" in engines:
-        net = discover(g, hubs, args.k)
-    return idx, hubs, net
+        if "hl" in engines:
+            check_index_k(idx, args.k)
+        return idx, idx.hubs
+    if "hn" in engines or need_hubs:
+        return None, select_hubs(g, _hub_count(args, g))
+    return None, None
 
 
 def cmd_gen(args):
@@ -121,8 +146,6 @@ def cmd_gen(args):
 
 
 def cmd_build(args):
-    if args.k < 1 or args.k > hub2.MAX_K:
-        raise SystemExit(f"--k must be in [1, {hub2.MAX_K}]")
     g = _load_graph(args)
     hubs = select_hubs(g, _hub_count(args, g))
     t0 = time.monotonic()
@@ -139,7 +162,8 @@ def cmd_build(args):
 
 def cmd_query(args):
     g = _load_graph(args)
-    idx, _, net = _engine_setup(args, g, (args.engine,))
+    idx, hubs = _index_and_hubs(args, g, _engines(args))
+    net = discover(g, hubs, args.k) if args.engine == "hn" else None
     res = query_with_engine(args.engine, g, args.s, args.t, args.k, net=net, idx=idx)
     dist = "none" if res.distance is None else str(res.distance)
     path = "none" if res.path is None else ",".join(str(v) for v in res.path)
@@ -174,15 +198,13 @@ def cmd_hubnet(args):
 
 
 def cmd_bench(args):
+    engines = _engines(args)
     g = _load_graph(args)
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    bad = [e for e in engines if e not in ENGINES]
-    if bad:
-        raise SystemExit(f"unknown engines: {bad}; choose from {ENGINES}")
-    idx, hubs, net = _engine_setup(args, g, engines, args.non_hub_only)
+    idx, hubs = _index_and_hubs(args, g, engines, args.non_hub_only)
     workload = make_workload(g, args.pairs, args.seed, k=args.k,
                              min_dist=args.min_dist,
                              non_hub_only=args.non_hub_only, hubs=hubs)
+    net = discover(g, hubs, args.k) if "hn" in engines else None
     records = []
     for engine in engines:
         records.extend(run_engine(engine, g, workload.pairs, args.k, net=net, idx=idx))
@@ -195,10 +217,6 @@ def cmd_bench(args):
 
 
 def cmd_verify(args):
-    if args.pairs < 0:
-        raise SystemExit("--pairs must be >= 0")
-    if args.index is None and not 1 <= args.k <= hub2.MAX_K:
-        raise ValueError(f"--k must be in [1, {hub2.MAX_K}]")
     g = _load_graph(args)
     failures = []
     idx = None
@@ -278,6 +296,7 @@ def main(argv=None) -> int:
         "hubnet": cmd_hubnet, "bench": cmd_bench, "verify": cmd_verify,
     }
     try:
+        _check_args(args)
         return handlers[args.command](args)
     except (EdgeListParseError, IndexFormatError, IndexIntegrityError, OSError,
             ValueError) as exc:

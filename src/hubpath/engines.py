@@ -13,27 +13,27 @@ path when the distance is within k, otherwise report nothing.
 - hl_query: two steps -- a label join against the hub matrix for an upper
   bound, then a bidirectional BFS that never touches a hub.
 
-bibfs, hn and hl's search share one hybrid level step with no filter in it:
-each direction searches an adjacency view (offsets, targets, lists), hn's
-keeping only H* members in hub rows, and hl's search starts with the hubs
-labeled.  A frontier with at most SCALAR_EDGES out-edges is expanded by a
-plain Python loop over the view's lists; a larger one by the vectorized
-step over its CSR arrays.  One rule, _next_side, picks the side to expand
-and stops all three searches: bibfs and hl's search end at the level-sum
-cutoff or as soon as one side is exhausted; hn goes on past either while
-the nearest hub a side has labeled can still close a shorter path.
-Fixed numpy cost per call dominates small levels and Python's per-edge cost
-dominates large ones; the threshold comes from a sweep over the perfbench
-workloads, where 256 to 512 were fastest for all three engines.  Both steps
-write levels only, and the same ones, so answers, paths and counters do not
-depend on which step ran; _stitch reads the path back from the levels.
-Levels are stored as level + 1 in one byte per vertex, so these searches
-take k <= hub2.MAX_K.  Either step takes either frontier type, and each
-returns its level's meet: of the new vertices the other side has labeled,
-the one with the lowest other-side level, the smallest id among ties.  One
-comparison folds it into the best meet.  The label join is a scalar loop
-over the stored labels, read in place through the label tables'
-memoryviews.
+bibfs, hn and hl's search share one hybrid level step with no filter in it.
+Each direction searches a view (offsets, targets, lists), the graph's own
+(Graph.search_view) or hn's (HubNetwork.search_views, hub rows cut to H* by
+graph.keep_edges); hl's search starts with the hubs labeled.  A frontier with
+at most SCALAR_EDGES out-edges is expanded by a plain Python loop over the
+view's lists, a larger one by the vectorized step over its CSR arrays:
+numpy's fixed cost per call dominates small levels and Python's per-edge
+cost large ones, and a sweep over the perfbench workloads found 256 to 512
+fastest for all three engines.  One rule, _next_side, picks the side to
+expand and stops all three searches: bibfs and hl's search end at the
+level-sum cutoff or as soon as one side is exhausted; hn goes on past either
+while the nearest hub a side has labeled can still close a shorter path.
+Both steps write levels only, and the same ones, so answers, paths and
+counters do not depend on which step ran; _stitch reads the path back over
+the graph's own lists.  Levels are stored as level + 1 in one byte per
+vertex, so these searches take k <= hub2.MAX_K.  Either step takes either
+frontier type, and each returns its level's meet: of the new vertices the
+other side has labeled, the one with the lowest other-side level, the
+smallest id among ties.  One comparison folds it into the best meet.  The
+label join is a scalar loop over the stored labels, read in place through
+the label tables' memoryviews.
 
 bfs_query and estimate_full_join are the oracles the fast paths are checked
 against, so they share no level step or join with them: bfs_query runs
@@ -154,8 +154,7 @@ class _Side:
 
     def __init__(self, view, start, labeled):
         self.offsets, self.targets, self.adj = view
-        n = len(self.adj)
-        self.lv = bytearray(n) if labeled is None else bytearray(np.asarray(labeled, bool))
+        self.lv = bytearray(len(self.adj) if labeled is None else np.asarray(labeled, bool))
         self.lv[start] = 1
         self.frontier = [start]
         self.radius = 0
@@ -244,7 +243,7 @@ def _stitch(g, fwd, bwd, meet, s, t):
     from one, and from level 1 to its start, never onto a pre-labeled vertex.
     """
     halves = []
-    for lv, adj, start in ((fwd.lv, g.adj_lists(True), s), (bwd.lv, g.adj_lists(), t)):
+    for lv, adj, start in ((fwd.lv, g.search_view(True)[2], s), (bwd.lv, g.search_view()[2], t)):
         v, half = meet, [meet]
         for mark in range(lv[v] - 1, 1, -1):
             for w in adj[v]:
@@ -311,11 +310,6 @@ def _next_side(fwd, bwd, best, cap, hub_ids):
     return fwd if grow_f else bwd if grow_b else None
 
 
-def _graph_views(g):
-    """g's own adjacency, forward and reverse, as the views a _Side searches."""
-    return (*g.adjacency(), g.adj_lists()), (*g.adjacency(True), g.adj_lists(True))
-
-
 def _bidirectional(g, views, s, t, cap, stats, labeled=None, hub_ids=None):
     """Shared core over the (forward, reverse) views, labeled vertices excluded;
     only distances strictly below cap are reported, and the work is counted
@@ -348,7 +342,8 @@ def _bidirectional(g, views, s, t, cap, stats, labeled=None, hub_ids=None):
 def bibfs_query(g: Graph, s: int, t: int, k: int) -> QueryResult:
     """Bidirectional BFS, expanding the smaller frontier first; 0 <= k <= MAX_K."""
     s, t = _check_pair(g, s, t)
-    return _bidirectional(g, _graph_views(g), s, t, k + 1, SearchStats("bibfs"))
+    return _bidirectional(g, (g.search_view(), g.search_view(True)), s, t, k + 1,
+                          SearchStats("bibfs"))
 
 
 def hn_query(g: Graph, hubs: HubSet, net: HubNetwork, s: int, t: int, k: int) -> QueryResult:
@@ -386,7 +381,8 @@ def hp_bbfs(g: Graph, hub_mask, s: int, t: int, bound: int):
     s, t = _check_pair(g, s, t)
     if hub_mask[s] or hub_mask[t]:
         raise ValueError("hub-pruning search requires unmasked endpoints")
-    return _bidirectional(g, _graph_views(g), s, t, bound, SearchStats("hp-bbfs"), labeled=hub_mask)
+    return _bidirectional(g, (g.search_view(), g.search_view(True)), s, t, bound,
+                          SearchStats("hp-bbfs"), labeled=hub_mask)
 
 
 def estimate(idx: Hub2Index, s: int, t: int) -> Estimate:
@@ -457,7 +453,6 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int) -> QueryResult:
     s, t = _check_pair(g, s, t)
     if not idx.matches(g):
         raise ValueError("graph is not the one this index was built on")
-    k = idx.k
     hub_endpoint = bool(idx.hubs.is_hub[s] or idx.hubs.is_hub[t])
     stats = SearchStats("hl", answered_by="hub_endpoint" if hub_endpoint else "search")
     if s == t:
@@ -465,8 +460,9 @@ def hl_query(g: Graph, idx: Hub2Index, s: int, t: int) -> QueryResult:
     est = estimate(idx, s, t)
     stats.join_ops = est.join_ops
     if not hub_endpoint:
-        bound = est.value if est.value is not None else k + 1
-        res = _bidirectional(g, _graph_views(g), s, t, bound, stats, labeled=idx.hubs.is_hub)
+        bound = est.value if est.value is not None else idx.k + 1
+        res = _bidirectional(g, (g.search_view(), g.search_view(True)), s, t, bound, stats,
+                             labeled=idx.hubs.is_hub)
         if res.found:
             return res
         stats.answered_by = "estimate"
@@ -493,7 +489,7 @@ def _walk(idx, g, v, rank, d, incoming):
     """
     table = idx.labels_in if incoming else idx.labels_out
     offsets, dists, ranks = table.views
-    adj = g.adj_lists(reverse=incoming)
+    adj = g.search_view(incoming)[2]
     path = [v]
     while d > 1:
         d -= 1
@@ -583,11 +579,16 @@ def query_with_engine(engine, g, s, t, k, net=None, idx=None) -> QueryResult:
     if engine == "hl":
         if idx is None:
             raise ValueError("hl engine needs a built index")
-        if k != idx.k:
-            raise ValueError(f"k={k} differs from the index's k={idx.k}; engine hl "
-                             f"needs k={idx.k} or an index built with k={k}")
+        check_index_k(idx, k)
         return hl_query(g, idx, s, t)
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def check_index_k(idx: Hub2Index, k):
+    """ValueError unless k is idx's k: hl answers at the k its index was built for."""
+    if k != idx.k:
+        raise ValueError(f"k={k} differs from the index's k={idx.k}; engine hl "
+                         f"needs k={idx.k} or an index built with k={k}")
 
 
 def check_result(g: Graph, res: QueryResult, expected_distance) -> bool:

@@ -17,7 +17,9 @@ vertex_ids, which refuses any that is not an integer in [0, n);
 from_edges and HubSet.from_ids deduplicate through sort_unique.  vertex_id
 is the same refusal for one id, and every public function that takes a
 graph or an index and a vertex id reads it through vertex_id;
-validate_path rejects a path with any other vertex.
+validate_path rejects a path with any other vertex.  Graph.search_view
+builds the views (offsets, targets, lists) the engines search; keep_edges is
+the one row filter, which hn's hub rows and induced_subgraph's G[H*] use.
 
 bfs_tree is the one single-source BFS level loop outside the engines: the
 reference engine bfs_query, bounded_bfs and the label oracle
@@ -92,8 +94,7 @@ class Graph:
         if self.directed and (in_offsets is None or in_targets is None):
             raise ValueError("directed graph requires reverse adjacency")
         self._checksum = None
-        self._out_lists = None
-        self._in_lists = None
+        self._views = [None, None]
 
     @classmethod
     def from_edges(cls, n, sources, targets, directed=False):
@@ -131,15 +132,17 @@ class Graph:
             deg = deg + np.diff(self.in_offsets)
         return deg
 
-    def adj_lists(self, reverse=False):
-        """Cached per-vertex neighbor lists (python ints, ascending)."""
-        if reverse and self.directed:
-            if self._in_lists is None:
-                self._in_lists = _split_lists(self.in_offsets, self.in_targets, self.n)
-            return self._in_lists
-        if self._out_lists is None:
-            self._out_lists = _split_lists(self.out_offsets, self.out_targets, self.n)
-        return self._out_lists
+    def search_view(self, reverse=False):
+        """(offsets, targets, lists): adjacency(reverse) and its rows as lists of python
+        ints, built on first use and cached per direction (one if undirected)."""
+        side = 1 if reverse and self.directed else 0
+        if self._views[side] is None:
+            offsets, targets = self.adjacency(side)
+            # map, not a comprehension, whose closure cells would cost every call
+            offs = offsets.tolist()
+            rows = map(targets.tolist().__getitem__, map(slice, offs[:-1], offs[1:]))
+            self._views[side] = offsets, targets, list(rows)
+        return self._views[side]
 
     def has_edge(self, u, v):
         u, v = vertex_id(u, self.n, "vertex"), vertex_id(v, self.n, "vertex")
@@ -173,6 +176,11 @@ def offsets_from_counts(counts):
     offsets = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets
+
+
+def keep_edges(offsets, targets, keep):
+    """The CSR (offsets, targets) with only the edges the bool per-edge mask keep sets."""
+    return offsets_from_counts(keep)[offsets], targets[keep]
 
 
 def sort_unique(values):
@@ -223,12 +231,6 @@ def _csr(n, rows, cols):
     rows, cols = np.divmod(sort_unique(rows * np.uint64(n) + cols), np.uint64(n))
     offsets = offsets_from_counts(np.bincount(rows.astype(np.int64), minlength=n))
     return offsets, cols.astype(np.uint32)
-
-
-def _split_lists(offsets, targets, n):
-    lst = targets.tolist()
-    offs = offsets.tolist()
-    return [lst[offs[i]:offs[i + 1]] for i in range(n)]
 
 
 def load_edge_list(source, directed=False) -> Graph:
@@ -499,8 +501,15 @@ def validate_path(g: Graph, path) -> bool:
 
 
 def induced_subgraph(g: Graph, member_mask) -> Graph:
-    """Subgraph induced by the masked vertex set, keeping original vertex ids."""
-    row = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.out_offsets))
-    keep = member_mask[row] & member_mask[g.out_targets]
-    return Graph.from_edges(g.n, row[keep], g.out_targets[keep].astype(np.int64),
-                            directed=g.directed)
+    """Subgraph induced by the masked vertex set, keeping original vertex ids:
+    each CSR keeps its member rows' member targets (keep_edges), still sorted.
+    The mask is read as bool; one not of length n is a ValueError."""
+    member = np.asarray(member_mask).astype(bool, copy=False)
+    if member.shape != (g.n,):
+        raise ValueError(f"member mask of shape {member.shape} does not hold the {g.n} vertices")
+
+    def restrict(offsets, targets):
+        return keep_edges(offsets, targets, member[targets] & np.repeat(member, np.diff(offsets)))
+
+    return Graph(g.n, g.directed, *restrict(*g.adjacency()),
+                 *(restrict(*g.adjacency(True)) if g.directed else ()))

@@ -12,7 +12,8 @@ the vertices whose parent or score a pulled path reads, found level by level
 from the deepest basic pair up, and picks each cone vertex's parent by a
 pull over its in-slice, so no level is sorted.  The preservation check
 reads hub-pair distances from the same bit-parallel levels, run with no
-blocking hubs on G and on G[H*].
+blocking hubs on G and on G[H*].  hn's search views are the graph's
+(Graph.search_view) with hub rows cut to H* by graph.keep_edges, as G[H*] is.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (BIT_BLOCK, Graph, bit_levels, csr_slices, induced_subgraph,
-                    offsets_from_counts, set_bits, sort_unique)
+from .graph import (BIT_BLOCK, Graph, bit_levels, csr_slices, induced_subgraph, keep_edges,
+                    set_bits, sort_unique)
 from .hubs import HubSet
 
 
@@ -64,14 +65,10 @@ class HubNetwork:
 
     def size_bound(self):
         """Worst-case size: one fresh shortest path per unordered basic pair."""
-        seen = set()
-        total = 0
+        first = {}
         for u, v, d in self.basic_pairs:
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                total += d - 1
-        return total
+            first.setdefault((min(u, v), max(u, v)), d)
+        return sum(d - 1 for d in first.values())
 
     def search_views(self, g: Graph):
         """hn's (forward, reverse) views (offsets, targets, lists): rows of the
@@ -81,17 +78,17 @@ class HubNetwork:
         """
         self.check(g, self.hubs)
         if self._views is None:
-            is_hub = self.hubs.is_hub
-            fwd = _hub_view(g, is_hub, self.member, False)
-            self._views = (fwd, _hub_view(g, is_hub, self.member, True) if g.directed else fwd)
+            fwd = _hub_view(g, self, False)
+            self._views = (fwd, _hub_view(g, self, True) if g.directed else fwd)
         return self._views
 
 
-def _hub_view(g, is_hub, member, reverse):
-    offsets, targets = g.adjacency(reverse)
-    keep = member[targets] | np.repeat(~is_hub, np.diff(offsets))
-    offsets, targets = offsets_from_counts(keep)[offsets], targets[keep]
-    lists = list(g.adj_lists(reverse))
+def _hub_view(g, net, reverse):
+    offsets, targets, own = g.search_view(reverse)
+    is_hub = net.hubs.is_hub
+    keep = net.member[targets] | np.repeat(~is_hub, np.diff(offsets))
+    offsets, targets = keep_edges(offsets, targets, keep)
+    lists = list(own)
     for v in np.flatnonzero(is_hub).tolist():
         lists[v] = targets[offsets[v]:offsets[v + 1]].tolist()
     return offsets, targets, lists
@@ -252,14 +249,7 @@ def network_stats(g: Graph, hubs: HubSet, net: HubNetwork) -> dict:
     """Hub degrees before and after restriction to G[H*]; g and hubs must be
     the network's own (HubNetwork.check)."""
     net.check(g, hubs)
-    if hubs.size == 0:
-        return {"size_hstar": net.size, "avg_hub_degree_original": 0.0,
-                "avg_hub_degree_network": 0.0}
-    deg = g.total_degrees()
-    sub = induced_subgraph(g, net.member)
-    sdeg = sub.total_degrees()
-    return {
-        "size_hstar": net.size,
-        "avg_hub_degree_original": float(deg[hubs.ids].mean()),
-        "avg_hub_degree_network": float(sdeg[hubs.ids].mean()),
-    }
+    deg, sdeg = (graph.total_degrees()[hubs.ids] for graph in (g, induced_subgraph(g, net.member)))
+    return {"size_hstar": net.size,
+            "avg_hub_degree_original": float(deg.mean()) if hubs.size else 0.0,
+            "avg_hub_degree_network": float(sdeg.mean()) if hubs.size else 0.0}

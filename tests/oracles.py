@@ -3,10 +3,11 @@
 Everything here is deliberately written with plain queues and dicts, not the
 library's vectorized kernels, so a defect in the package cannot hide in its
 own verifier.  The exceptions are hn_wrong_answers, which runs hn_query
-against bfs_query on every pair, and build_reference, discover_reference and
-verify_reference at the end: the earlier per-hub index builder, hub-network
-discovery and preservation check, kept as the references of hub2.build,
-network.discover and network.verify_distance_preserving.
+against bfs_query on every pair, and build_reference, discover_reference,
+verify_reference and induced_subgraph_reference at the end: the earlier
+per-hub index builder, hub-network discovery, preservation check and
+edge-list G[H*], kept as the references of hub2.build, network.discover,
+network.verify_distance_preserving and graph.induced_subgraph.
 """
 
 from collections import deque
@@ -14,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from hubpath.engines import bfs_query, check_result, hn_query
-from hubpath.graph import Graph, bfs_tree, csr_slices, induced_subgraph, offsets_from_counts
+from hubpath.graph import Graph, bfs_tree, csr_slices, offsets_from_counts
 from hubpath.hub2 import INF, MAX_K, Hub2Index, Hub2Matrix, LabelTable
 from hubpath.hubs import HubSet, select_hubs
 from hubpath.network import HubNetwork, PreservationReport, discover
@@ -390,7 +391,7 @@ def verify_reference(g: Graph, hubs: HubSet, net: HubNetwork, k: int) -> Preserv
     report = PreservationReport()
     if hubs.size == 0:
         return report
-    sub = induced_subgraph(g, net.member)
+    sub = induced_subgraph_reference(g, net.member)
     offsets, targets = g.adjacency()
     soff, stgt = sub.adjacency()
     hub_ids = hubs.ids.astype(np.int64)
@@ -407,3 +408,13 @@ def verify_reference(g: Graph, hubs: HubSet, net: HubNetwork, k: int) -> Preserv
             d_sub = int(ds[j]) if ds[j] >= 0 else None
             report.failures.append((int(h), v, int(dg[j]), d_sub))
     return report
+
+
+def induced_subgraph_reference(g: Graph, member_mask) -> Graph:
+    """G[member] rebuilt from its edge list: every edge with both ends in the
+    bool mask goes back through Graph.from_edges, which sorts and deduplicates."""
+    member = np.asarray(member_mask, bool)
+    row = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.out_offsets))
+    keep = member[row] & member[g.out_targets]
+    return Graph.from_edges(g.n, row[keep], g.out_targets[keep].astype(np.int64),
+                            directed=g.directed)

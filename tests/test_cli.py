@@ -15,6 +15,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused(capsys, *argv):
+    """The stderr of a command that must exit 1 with one error: line, no traceback."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def forbid(monkeypatch, *names):
+    """Make each named cli function fail the test if it runs."""
+    for name in names:
+        def fail(*args, name=name):
+            raise AssertionError(f"{name} ran")
+        monkeypatch.setattr(cli, name, fail)
+
+
 @pytest.fixture
 def graph_file(tmp_path, capsys):
     path = tmp_path / "g.txt"
@@ -60,10 +76,14 @@ def test_build_deterministic_bytes(tmp_path, graph_file, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_build_rejects_k0(tmp_path, graph_file, capsys):
-    with pytest.raises(SystemExit):
-        main(["build", "--graph", str(graph_file), "--hubs", "5",
-              "--k", "0", "--out", str(tmp_path / "x.hub2")])
+def test_build_rejects_k0(tmp_path, graph_file, capsys, monkeypatch):
+    # a bare SystemExit used to print no error: and raise out of main()
+    forbid(monkeypatch, "_load_graph")
+    out = tmp_path / "x.hub2"
+    err = refused(capsys, "build", "--graph", str(graph_file), "--hubs", "5",
+                  "--k", "0", "--out", str(out))
+    assert err == "error: --k must be in [1, 254]\n"
+    assert not out.exists()
 
 
 def test_query_engines_agree_via_cli(tmp_path, graph_file, capsys):
@@ -396,21 +416,53 @@ def test_missing_graph_file_errors(capsys):
     assert "error:" in err
 
 
-def test_negative_pairs_refused(graph_file, capsys):
+def test_negative_pairs_refused(graph_file, capsys, monkeypatch):
     # verify used to print "pairs=-3 failures=0" and VERIFY OK after checking
     # no pair, and bench to exit 0 with an empty table
-    with pytest.raises(SystemExit, match="--pairs must be >= 0"):
-        main(["verify", "--graph", str(graph_file), "--pairs", "-3"])
-    code, out, err = run(capsys, "bench", "--graph", str(graph_file), "--engines", "bfs",
-                         "--pairs", "-3")
-    assert (code, out) == (1, "") and "negative" in err
+    forbid(monkeypatch, "_load_graph", "discover")
+    err = refused(capsys, "verify", "--graph", str(graph_file), "--pairs", "-3")
+    assert err == "error: --pairs must be >= 0\n"
+    err = refused(capsys, "bench", "--graph", str(graph_file), "--engines", "bfs",
+                  "--pairs", "-3")
+    assert "negative" in err
 
 
-def test_bench_unknown_engine_rejected(graph_file):
-    with pytest.raises(SystemExit):
-        main(["bench", "--graph", str(graph_file), "--engines", "dijkstra"])
+def test_bench_unknown_engine_rejected(graph_file, capsys, monkeypatch):
+    forbid(monkeypatch, "_load_graph", "discover")
+    err = refused(capsys, "bench", "--graph", str(graph_file), "--engines", "dijkstra")
+    assert "unknown engines: ['dijkstra']" in err
 
 
-def test_hl_requires_index(graph_file):
-    with pytest.raises(SystemExit):
-        main(["query", "--graph", str(graph_file), "--engine", "hl", "0", "1"])
+def test_hl_requires_index(graph_file, capsys, monkeypatch):
+    forbid(monkeypatch, "_load_graph", "discover")
+    err = refused(capsys, "query", "--graph", str(graph_file), "--engine", "hl", "0", "1")
+    assert err == "error: engine hl needs --index\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--hubs", "0", "--out", "never.hub2"],
+    ["hubnet", "--hubs", "0"],
+    ["query", "--engine", "hn", "--hubs", "0", "0", "1"],
+    ["verify", "--hubs", "0"],
+    ["bench", "--engines", "hn,hl"],
+    ["bench", "--engines", "hn,dijkstra"],
+    ["bench", "--engines", "hn", "--pairs", "-3"],
+    ["bench", "--engines", "hn", "--min-dist", "5", "--k", "3"],
+], ids=["build-hubs0", "hubnet-hubs0", "query-hubs0", "verify-hubs0", "bench-hl-no-index",
+        "bench-unknown", "bench-pairs", "bench-min-dist"])
+def test_refusals_that_need_no_input_come_first(graph_file, capsys, monkeypatch, argv):
+    # each of these read the graph before refusing, the bench ones with hn ran
+    # discover first too, and --hubs 0 raised a bare SystemExit
+    forbid(monkeypatch, "_load_graph", "discover")
+    refused(capsys, argv[0], "--graph", str(graph_file), *argv[1:])
+
+
+def test_bench_refuses_hl_k_before_discover(tmp_path, graph_file, capsys, monkeypatch):
+    # with an index of k = 8 and --k 6, bench ran discover before hl refused
+    idx = tmp_path / "g.hub2"
+    assert run(capsys, "build", "--graph", str(graph_file), "--hubs", "10", "--k", "8",
+               "--out", str(idx))[0] == 0
+    forbid(monkeypatch, "discover")
+    err = refused(capsys, "bench", "--graph", str(graph_file), "--index", str(idx),
+                  "--engines", "hn,hl")
+    assert "k=8" in err

@@ -702,7 +702,7 @@ def test_steps_leave_the_same_level_and_meet():
         for labeled in (None, hubs.is_hub):
             for s, t in pairs:
                 fwd, bwd = (engines._Side(view, v, labeled)
-                            for view, v in zip(engines._graph_views(g), (s, t)))
+                            for view, v in zip((g.search_view(), g.search_view(True)), (s, t)))
                 fwd.other_lv, bwd.other_lv = bwd.lv, fwd.lv
                 stats = engines.SearchStats("test")
                 for _ in range(3):
@@ -733,7 +733,7 @@ def test_step_choice_at_the_threshold():
     cap = engines.SCALAR_EDGES
     a = cap + 1
     g = Graph.from_edges(cap + 3, [0] * cap + [a], list(range(1, cap + 1)) + [1], directed=True)
-    view = engines._graph_views(g)[0]
+    view = g.search_view()
     leaves = list(range(1, cap + 1))
     cases = [([0], True), ([0, 5, 6], True), ([6, 0, cap + 2], True), (leaves, True),
              ([a] + leaves, True), ([0, a], False), ([a, 0], False),

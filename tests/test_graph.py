@@ -25,7 +25,7 @@ from hubpath import (
 from hubpath.graph import MAX_VERTEX_ID, bfs_tree, level_path
 
 from conftest import ba_graph, cyclic_digraph, er_graph
-from oracles import adjacency_from_graph, bfs_dist
+from oracles import adjacency_from_graph, bfs_dist, induced_subgraph_reference
 
 
 def test_load_comments_and_undirected_halves():
@@ -392,6 +392,43 @@ def test_induced_subgraph_keeps_ids(chain4):
     assert sub.n == chain4.n
     assert list(sub.neighbors(1)) == [0, 2]
     assert list(sub.neighbors(3)) == []
+
+
+def test_induced_subgraph_reads_the_mask_as_bool():
+    # a uint8 mask [1, 1, 0, 1] used to be read as an index array: G[{0, 1, 3}]
+    # came out with targets [1, 2, 0, 0], edges into non-member 2 and none of
+    # 3's; a list raised TypeError and a short mask IndexError
+    g = load_edge_list(b"0 1\n1 2\n2 3\n3 0\n0 2\n")
+    want = induced_subgraph(g, np.array([True, True, False, True]))
+    assert want.out_targets.tolist() == [1, 3, 0, 0]
+    assert want.out_offsets.tolist() == [0, 2, 3, 3, 4]
+    for mask in (np.array([1, 1, 0, 1], np.uint8), np.array([1, 1, 0, 1]), [1, 1, 0, 1],
+                 [True, True, False, True]):
+        assert induced_subgraph(g, mask) == want
+    for mask in (np.ones(3, bool), np.ones(5, bool), np.ones((4, 1), bool), [1, 0]):
+        with pytest.raises(ValueError, match="does not hold the 4 vertices"):
+            induced_subgraph(g, mask)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_induced_subgraph_matches_the_edge_list_reference(directed):
+    # the row filter against G[member] rebuilt through from_edges: both CSRs,
+    # their dtypes and the checksum, on random, empty and full masks
+    rng = np.random.Generator(np.random.PCG64(94))
+    graphs = [er_graph(400, 6, seed=91, directed=directed),
+              ba_graph(400, 3, seed=92, directed=directed)]
+    if directed:
+        graphs += [cyclic_digraph("er", 300, 5, 93), cyclic_digraph("ba", 300, 3, 93)]
+    for g in graphs:
+        masks = [np.zeros(g.n, bool), np.ones(g.n, bool)]
+        masks += [rng.random(g.n) < share for share in (0.05, 0.3, 0.7, 0.95)]
+        for mask in masks:
+            sub, ref = induced_subgraph(g, mask), induced_subgraph_reference(g, mask)
+            assert (sub.n, sub.m, sub.directed) == (ref.n, ref.m, ref.directed)
+            for reverse in (False, True):
+                for got, want in zip(sub.adjacency(reverse), ref.adjacency(reverse)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert sub.checksum == ref.checksum
 
 
 def test_from_edges_equality_and_checksum_changes():
